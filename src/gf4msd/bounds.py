@@ -14,12 +14,12 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import simplex
 from .distill import DegenerateMapError, _n_poly, _odd_part_poly, quantum_verdict
 from .enumerators import Enumerator, transform_xy
-from .exact import Q, q_from_str, q_to_str
+from .exact import Q, poly_add, poly_scale, q_from_str, q_to_str
 from .invariants import (
     InvariantParams,
     SelfDualParams,
@@ -173,13 +173,12 @@ def _scaled(coeffs, rhs):
 
 
 def _split_rows(polytope):
+    """Integer (a_ub, b_ub, a_eq, b_eq) of the rows that are not trivially
+    true; >= rows are negated into <= rows."""
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for c in polytope.constraints:
-        t = c.is_trivial()
-        if t is True:
+        if c.is_trivial() is True:
             continue
-        if t is False:
-            return None
         coeffs, rhs = _scaled(c.coeffs, c.rhs)
         if c.sense == "<=":
             a_ub.append(coeffs)
@@ -193,24 +192,50 @@ def _split_rows(polytope):
     return a_ub, b_ub, a_eq, b_eq
 
 
+def _false_row_farkas(a_ub, b_ub, a_eq, b_eq):
+    """Farkas vector weighting the first trivially false row, or None.
+
+    After _split_rows every all-zero row is false: 0 <= h with h < 0 takes
+    lam = 1, and 0 == f with f != 0 takes mu = -f.
+    """
+    n_ub = len(a_ub)
+    rows = list(zip(a_ub, b_ub)) + list(zip(a_eq, b_eq))
+    for i, (coeffs, rhs) in enumerate(rows):
+        if not any(coeffs):
+            w = [0] * len(rows)
+            w[i] = 1 if i < n_ub else -rhs
+            return simplex.LpResult(
+                simplex.INFEASIBLE, dual_ub=tuple(w[:n_ub]), dual_eq=tuple(w[n_ub:])
+            )
+    return None
+
+
 def reduce_equalities(polytope: Polytope):
     """Eliminate == rows exactly, producing an inequality-only polytope.
 
     Returns (status, reduced, embed) where embed maps a reduced-space point
     back to the original variables; status is "ok" or "infeasible".
-    Equality systems inconsistent over the rationals short-circuit.
+    Equality systems inconsistent over the rationals short-circuit with
+    ("infeasible", mu, None): mu weights the == rows, in order, so that
+    E^T mu = 0 and f.mu < 0 (a Farkas vector of the equalities alone).
     """
     eq_rows = [c for c in polytope.constraints if c.sense == "=="]
     ineq_rows = [c for c in polytope.constraints if c.sense != "=="]
     dim = polytope.dim
     if not eq_rows:
         return "ok", polytope, lambda t: t
-    aug = [[Q(v) for v in c.coeffs] + [Q(c.rhs)] for c in eq_rows]
+    # each row carries, after the rhs, its combination of the original rows
+    aug = []
+    for r, c in enumerate(eq_rows):
+        unit = [Q(0)] * len(eq_rows)
+        unit[r] = Q(1)
+        aug.append([Q(v) for v in c.coeffs] + [Q(c.rhs)] + unit)
     pivots = []
+    pivot_rows = set()
     for col in range(dim):
         sel = None
         for r in range(len(aug)):
-            if r in [p[0] for p in pivots]:
+            if r in pivot_rows:
                 continue
             if aug[r][col] != 0:
                 sel = r
@@ -224,9 +249,12 @@ def reduce_equalities(polytope: Polytope):
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[sel])]
         pivots.append((sel, col))
+        pivot_rows.add(sel)
     for r in range(len(aug)):
-        if r not in [p[0] for p in pivots] and aug[r][dim] != 0:
-            return "infeasible", None, None
+        if r not in pivot_rows and aug[r][dim] != 0:
+            # the combination reads 0 = aug[r][dim]; orient it to f.mu < 0
+            sign = -1 if aug[r][dim] > 0 else 1
+            return "infeasible", tuple(sign * w for w in aug[r][dim + 1 :]), None
     pivot_cols = {col: row for row, col in pivots}
     free_cols = [c for c in range(dim) if c not in pivot_cols]
     # v_col = base[col] + sum_j basis[col][j] * t_j
@@ -258,20 +286,31 @@ def reduce_equalities(polytope: Polytope):
     return "ok", reduced, embed
 
 
+def _infeasible(a_ub, b_ub, a_eq, b_eq, farkas) -> LpVerdict:
+    certified = simplex.certify_infeasible(a_ub, b_ub, a_eq, b_eq, farkas)
+    return LpVerdict("infeasible", certified=certified)
+
+
 def lp_feasible(polytope: Polytope, objective=None, maximize=False) -> LpVerdict:
     """Exact feasibility / optimization over the polytope.
 
     Equality rows are eliminated exactly before the simplex runs.  With no
     objective, reports a feasible witness or infeasibility; with one, also
-    the exact optimum (or an improving ray when unbounded).
+    the exact optimum (or an improving ray when unbounded).  Every verdict
+    is certified: an optimum by its duals, infeasibility by a Farkas
+    vector, unboundedness by a feasible point and a ray.
     """
     status, reduced, embed = reduce_equalities(polytope)
     if status == "infeasible":
-        return LpVerdict("infeasible")
+        eq_rows = [c for c in polytope.constraints if c.sense == "=="]
+        farkas = simplex.LpResult(simplex.INFEASIBLE, dual_ub=(), dual_eq=reduced)
+        return _infeasible(
+            (), (), [c.coeffs for c in eq_rows], [c.rhs for c in eq_rows], farkas
+        )
     rows = _split_rows(reduced)
-    if rows is None:
-        return LpVerdict("infeasible")
-    a_ub, b_ub, a_eq, b_eq = rows
+    farkas = _false_row_farkas(*rows)
+    if farkas is not None:
+        return _infeasible(*rows, farkas)
     if objective is None:
         c = [Q(0)] * reduced.dim
         c_orig = None
@@ -294,15 +333,15 @@ def lp_feasible(polytope: Polytope, objective=None, maximize=False) -> LpVerdict
         if objective is not None:
             opt = sum(a * b for a, b in zip(c_orig, witness))
         return LpVerdict("feasible", witness=witness, optimum=opt, certified=True)
-    res = simplex.solve(c, a_ub, b_ub, a_eq, b_eq)
+    res = simplex.solve(c, *rows)
     if res.status == simplex.INFEASIBLE:
-        return LpVerdict("infeasible")
+        return _infeasible(*rows, res)
     if res.status == simplex.UNBOUNDED:
         ray = embed(res.ray)
         zero = embed((Q(0),) * reduced.dim)
         ray = tuple(r - z for r, z in zip(ray, zero))
-        return LpVerdict("unbounded", ray=ray)
-    certified = simplex.certify_optimum(c, a_ub, b_ub, a_eq, b_eq, res)
+        return LpVerdict("unbounded", ray=ray, certified=simplex.certify_ray(c, *rows, res))
+    certified = simplex.certify_optimum(c, *rows, res)
     optimum = None
     witness = embed(res.x)
     if objective is not None:
@@ -399,18 +438,29 @@ def count_lattice_points(polytope: Polytope, lattice: LatticeSpec, extra_filter=
         stop = (hi.optimum - o) // m
         ranges.append([o + t * m for t in range(int(start), int(stop) + 1)])
 
+    # membership by integer dot products: rows scaled to integers, points
+    # by the lcm of the lattice's denominators
+    scale = lcm(*(Q(v).denominator for v in (*lattice.moduli, *lattice.offsets)))
+    a_ub, b_ub, a_eq, b_eq = _split_rows(polytope)
+    cols = [[row[i] for row in a_ub + a_eq] for i in range(polytope.dim)]
+    h = [int(b) * scale for b in b_ub]
+    f = [int(b) * scale for b in b_eq]
+    n_ub = len(h)
+    scaled = [[int(v * scale) for v in vals] for vals in ranges]
     found = []
 
-    def rec(idx, partial):
+    def rec(idx, partial, sums):
         if idx == polytope.dim:
-            if polytope.contains(partial):
-                if extra_filter is None or extra_filter(tuple(partial)):
-                    found.append(tuple(partial))
+            if all(s <= b for s, b in zip(sums, h)) and sums[n_ub:] == f:
+                point = tuple(partial)
+                if extra_filter is None or extra_filter(point):
+                    found.append(point)
             return
-        for v in ranges[idx]:
-            rec(idx + 1, partial + [v])
+        col = cols[idx]
+        for v, sv in zip(ranges[idx], scaled[idx]):
+            rec(idx + 1, partial + [v], [s + a * sv for s, a in zip(sums, col)])
 
-    rec(0, [])
+    rec(0, [], [0] * (n_ub + len(f)))
     found.sort()
     return len(found), found
 
@@ -568,24 +618,10 @@ def _odd_alternating_ninth(A, B, C):
     return acc
 
 
-def _m_coefficient(lam, t):
-    def f(A, B, C):
-        m = _n_poly(A)
-        odd = _odd_part_poly(C)
-        val = Q(0)
-        if t < len(m):
-            val += Q(m[t])
-        if t < len(odd):
-            val += lam * Q(odd[t])
-        return val
-
-    return f
-
-
 def numerator_coefficient_rows(fam: AffineFamily, lam: int, count: int):
     """Equality rows forcing the first `count` numerator coefficients to 0."""
     polys = [
-        _poly_add(_n_poly(A), _poly_scale(_odd_part_poly(C), lam))
+        poly_add(_n_poly(A), poly_scale(_odd_part_poly(C), lam))
         for (A, B, C) in fam.members
     ]
     rows = []
@@ -594,18 +630,6 @@ def numerator_coefficient_rows(fam: AffineFamily, lam: int, count: int):
         coeffs = tuple(p[t] if t < len(p) else Q(0) for p in polys[1:])
         rows.append(LinConstraint(coeffs, "==", -Q(base)))
     return rows
-
-
-def _poly_add(a, b):
-    from .exact import poly_add
-
-    return poly_add(a, b)
-
-
-def _poly_scale(a, s):
-    from .exact import poly_scale
-
-    return poly_scale(a, s)
 
 
 def classical_rows(fam: AffineFamily):
@@ -664,40 +688,12 @@ def quantum_rows_selfdual(fam: AffineFamily, grid: int = 16):
     return rows
 
 
-def nu_cancellation_rows(fam: AffineFamily, nu_target: int):
-    """Equalities forcing eps_out = O(eps^nu): low-order numerator
-    coefficients vanish for the natural sign choice."""
-    lam = 1 if fam.n % 6 == 5 else -1
-    return [fam.row(_m_coefficient(lam, t), "==") for t in range(nu_target)]
-
-
-def distance_rows(fam: AffineFamily, d: int):
-    """C_j = 0 (odd j < d) for quantum distance; A_j = 0 (even j < d) for
-    the classical self-dual distance."""
-    rows = []
-    if fam.kind == "distill":
-        for j in range(1, d, 2):
-            rows.append(fam.row(_coeff("C", j), "=="))
-    else:
-        for j in range(2, d, 2):
-            rows.append(fam.row(_coeff("A", j), "=="))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # bound drivers
 
 
 def nu_value(n: int, level: int) -> int:
     return (2 if n % 6 == 5 else 1) + 3 * level
-
-
-def nu_polytope(n: int, level: int, use_quantum: bool) -> Polytope:
-    fam = distillation_family(n, pin_trivial=True)
-    rows = classical_rows(fam) + nu_cancellation_rows(fam, nu_value(n, level))
-    if use_quantum:
-        rows += quantum_rows_distill(fam)
-    return build_polytope(fam.dim, fam.names, rows)
 
 
 def max_nu_bound(n: int, use_quantum: bool = False, with_witness: bool = False):
@@ -742,14 +738,6 @@ def max_nu_bound(n: int, use_quantum: bool = False, with_witness: bool = False):
     return nu_value(n, lo)
 
 
-def distance_polytope(n: int, d: int, use_quantum: bool) -> Polytope:
-    fam = distillation_family(n, pin_trivial=False)
-    rows = classical_rows(fam) + distance_rows(fam, d)
-    if use_quantum:
-        rows.append(fam.row(_success_at(Q(1, 3)), ">="))
-    return build_polytope(fam.dim, fam.names, rows)
-
-
 def max_distance_bound(n: int, use_quantum: bool = False, with_witness: bool = False):
     """Largest quantum distance with a feasible enumerator (odd n >= 5).
 
@@ -785,14 +773,6 @@ def max_distance_bound(n: int, use_quantum: bool = False, with_witness: bool = F
     if with_witness:
         return 2 * lo + 1, witnesses[2 * lo + 1], fam
     return 2 * lo + 1
-
-
-def selfdual_distance_polytope(n: int, d: int, use_quantum: bool, grid: int = 16) -> Polytope:
-    fam = selfdual_family(n)
-    rows = classical_rows(fam) + distance_rows(fam, d)
-    if use_quantum:
-        rows += quantum_rows_selfdual(fam, grid)
-    return build_polytope(fam.dim, fam.names, rows)
 
 
 def classical_distance_bound_selfdual(

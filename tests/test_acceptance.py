@@ -25,7 +25,8 @@ from fractions import Fraction as Q
 
 from corpus import random_codes, random_family_params, sampled_negative_point
 
-from gf4msd.bounds import lattice_search, max_distance_bound, max_nu_bound
+from gf4msd import bounds
+from gf4msd.bounds import lattice_search, lp_feasible, max_distance_bound, max_nu_bound
 from gf4msd.distill import (
     bernstein_certificate,
     build_map,
@@ -222,7 +223,14 @@ def test_criterion_05b_lattice_counts_n12():
     print("criterion 5b (classical count): PASS")
 
 
-def test_criterion_06_bound_sweeps():
+def test_criterion_06_bound_sweeps(monkeypatch):
+    verdicts = []
+
+    def recording_lp_feasible(*args, **kwargs):
+        verdicts.append(lp_feasible(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(bounds, "lp_feasible", recording_lp_feasible)
     t0 = time.time()
     for n, expect in THEOREM_NU.items():
         assert max_nu_bound(n, False) == expect, n
@@ -232,6 +240,10 @@ def test_criterion_06_bound_sweeps():
     assert max_distance_bound(11, False) == 5
     elapsed = time.time() - t0
     assert elapsed < 600.0, elapsed
+    # every bound rests on certified LP verdicts, the infeasible ones that
+    # set each upper limit included
+    assert {v.status for v in verdicts} == {"feasible", "infeasible"}
+    assert all(v.certified is True for v in verdicts)
     print("criterion 6: PASS (%.1fs)" % elapsed)
 
 

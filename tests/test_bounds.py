@@ -45,11 +45,22 @@ def test_unbounded_region_flagged():
     half = Polytope(2, ("x", "y"), (LinConstraint((1, 0), "<=", 1),))
     with pytest.raises(UnboundedRegionError):
         enumerate_vertices_2d(half)
+    v = lp_feasible(half, objective=[1, 1], maximize=True)
+    assert v.status == "unbounded" and v.certified is True
 
 
 def test_contradictory_pair_infeasible():
     p = Polytope(1, ("x",), (LinConstraint((1,), ">=", 1), LinConstraint((1,), "<=", 0)))
-    assert lp_feasible(p).status == "infeasible"
+    v = lp_feasible(p)
+    assert v.status == "infeasible" and v.certified is True
+    # equalities inconsistent over Q stop before the simplex runs
+    eqs = Polytope(2, ("x", "y"), (
+        LinConstraint((1, 1), "==", 1),
+        LinConstraint((Q(1, 2), 1), ">=", 0),
+        LinConstraint((2, 2), "==", Q(5, 2)),
+    ))
+    v = lp_feasible(eqs)
+    assert v.status == "infeasible" and v.certified is True
 
 
 def test_five_qubit_parameter_interval():
@@ -138,6 +149,21 @@ def test_count_lattice_points_direct():
     assert count == 4
     count, pts = count_lattice_points(p, lat, extra_filter=lambda t: t[0] == t[1])
     assert count == 2
+    # rational offsets, an == row and fractional coefficients: the points
+    # are (5/2 + 3k, 4/3 - 4k) for k = -2..1, the same as filtering a
+    # larger box with Polytope.contains
+    seg = Polytope(2, ("x", "y"), (
+        LinConstraint((Q(2, 3), Q(1, 2)), "==", Q(7, 3)),
+        LinConstraint((Q(1, 2), Q(-1, 3)), "<=", 6),
+        LinConstraint((1, 0), ">=", -5),
+    ))
+    lat = LatticeSpec((1, 1), (Q(1, 2), Q(1, 3)))
+    box = [(Q(1, 2) + s, Q(1, 3) + t) for s in range(-20, 21) for t in range(-20, 21)]
+    expected = sorted(pt for pt in box if seg.contains(pt))
+    assert len(expected) == 4
+    assert count_lattice_points(seg, lat) == (4, expected)
+    count, pts = count_lattice_points(seg, lat, extra_filter=lambda t: t[0] > 0)
+    assert (count, pts) == (2, [pt for pt in expected if pt[0] > 0])
 
 
 def test_nu_bounds_small():
@@ -217,7 +243,11 @@ def test_trivial_rows_dropped_and_false_rows_flag():
     p = build_polytope(2, ("x", "y"), rows)
     assert len(p.constraints) == 1
     bad = build_polytope(2, ("x", "y"), [LinConstraint((0, 0), "<=", -1)])
-    assert lp_feasible(bad).status == "infeasible"
+    v = lp_feasible(bad)
+    assert v.status == "infeasible" and v.certified is True
+    for false_row in (LinConstraint((0, 0), ">=", Q(1, 3)), LinConstraint((0, 0), "==", -2)):
+        v = lp_feasible(Polytope(2, ("x", "y"), (LinConstraint((1, 0), "<=", 1), false_row)))
+        assert v.status == "infeasible" and v.certified is True
 
 
 def test_lattice_dim_guard():

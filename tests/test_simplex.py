@@ -1,5 +1,8 @@
 from fractions import Fraction as Q
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from gf4msd import simplex
 
 
@@ -34,6 +37,11 @@ def test_redundant_equalities():
 def test_infeasible():
     res = simplex.solve([0], [[-1], [1]], [-1, 0], [], [])
     assert res.status == simplex.INFEASIBLE
+    # x >= 1 and x <= 0 add up to 0 <= -1
+    assert (res.dual_ub, res.dual_eq) == ((1, 1), ())
+    assert simplex.certify_infeasible([[-1], [1]], [-1, 0], [], [], res)
+    res.dual_ub = (1, 2)
+    assert not simplex.certify_infeasible([[-1], [1]], [-1, 0], [], [], res)
 
 
 def test_unbounded_with_ray():
@@ -42,6 +50,8 @@ def test_unbounded_with_ray():
     # the ray improves the objective while staying feasible
     d = res.ray[0]
     assert d > 0
+    assert simplex.certify_ray([-1], [[-1]], [0], [], [], res)
+    assert not simplex.certify_ray([1], [[-1]], [0], [], [], res)
 
 
 def test_fractional_data():
@@ -76,3 +86,152 @@ def test_duality_audit_random_instances():
         res = simplex.solve(c, a_ub, b_ub, [], [])
         assert res.status == simplex.OPTIMAL
         assert simplex.certify_optimum(c, a_ub, b_ub, [], [], res)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the Fraction-tableau solver that the integer tableau replaced,
+# kept verbatim; on integral data both take the same pivots.
+
+
+def _ref_pivot(tab, basis, row, col):
+    piv = tab[row][col]
+    tab[row] = [v / piv for v in tab[row]]
+    for r in range(len(tab)):
+        if r != row and tab[r][col] != 0:
+            f = tab[r][col]
+            tab[r] = [a - f * b for a, b in zip(tab[r], tab[row])]
+    basis[row] = col
+
+
+def _ref_simplex(tab, basis, cost, enter_limit):
+    nrows = len(tab)
+    while True:
+        cb = [cost[b] for b in basis]
+        entering = -1
+        for j in range(enter_limit):
+            if j in basis:
+                continue
+            red = cost[j] - sum(cb[r] * tab[r][j] for r in range(nrows) if tab[r][j])
+            if red < 0:
+                entering = j
+                break
+        if entering < 0:
+            return simplex.OPTIMAL, None
+        ratios = [
+            (tab[r][-1] / tab[r][entering], basis[r], r)
+            for r in range(nrows)
+            if tab[r][entering] > 0
+        ]
+        if not ratios:
+            return simplex.UNBOUNDED, entering
+        _, _, row = min(ratios)
+        _ref_pivot(tab, basis, row, entering)
+
+
+def reference_solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+    nv = len(c)
+    a_ub = [list(map(Q, row)) for row in a_ub]
+    b_ub = [Q(v) for v in b_ub]
+    a_eq = [list(map(Q, row)) for row in a_eq]
+    b_eq = [Q(v) for v in b_eq]
+    c = [Q(v) for v in c]
+
+    n_ub, n_eq = len(a_ub), len(a_eq)
+    nrows = n_ub + n_eq
+    art_start = 2 * nv + n_ub
+    ncols = art_start + nrows
+    tab = []
+    row_sign = []
+    for i in range(nrows):
+        arow = a_ub[i] if i < n_ub else a_eq[i - n_ub]
+        rhs = b_ub[i] if i < n_ub else b_eq[i - n_ub]
+        row = arow + [-v for v in arow]
+        row += [Q(1) if (i < n_ub and j == i) else Q(0) for j in range(n_ub)]
+        sign = 1
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+            sign = -1
+        row_sign.append(sign)
+        row += [Q(1) if j == i else Q(0) for j in range(nrows)]
+        tab.append(row + [rhs])
+
+    basis = [art_start + i for i in range(nrows)]
+
+    phase1 = [Q(0)] * art_start + [Q(1)] * nrows
+    _ref_simplex(tab, basis, phase1, ncols)
+    if sum(phase1[basis[r]] * tab[r][-1] for r in range(nrows)) != 0:
+        return simplex.LpResult(simplex.INFEASIBLE)
+    for r in range(nrows):
+        if basis[r] >= art_start:
+            for j in range(art_start):
+                if tab[r][j] != 0:
+                    _ref_pivot(tab, basis, r, j)
+                    break
+
+    cost = c + [-v for v in c] + [Q(0)] * (n_ub + nrows)
+    status, entering = _ref_simplex(tab, basis, cost, art_start)
+    if status == simplex.UNBOUNDED:
+        direction = [Q(0)] * art_start
+        direction[entering] = Q(1)
+        for r in range(nrows):
+            if basis[r] < art_start:
+                direction[basis[r]] = -tab[r][entering]
+        ray = tuple(direction[j] - direction[nv + j] for j in range(nv))
+        return simplex.LpResult(simplex.UNBOUNDED, ray=ray)
+
+    xfull = [Q(0)] * art_start
+    for r in range(nrows):
+        if basis[r] < art_start:
+            xfull[basis[r]] = tab[r][-1]
+    x = tuple(xfull[j] - xfull[nv + j] for j in range(nv))
+    objective = sum(ci * xi for ci, xi in zip(c, x))
+
+    cb = [cost[basis[r]] for r in range(nrows)]
+    y = [
+        sum(cb[r] * tab[r][art_start + i] for r in range(nrows))
+        for i in range(nrows)
+    ]
+    lam = tuple(-row_sign[i] * y[i] for i in range(n_ub))
+    mu = tuple(-row_sign[n_ub + k] * y[n_ub + k] for k in range(n_eq))
+    return simplex.LpResult(simplex.OPTIMAL, x=x, objective=objective, dual_ub=lam, dual_eq=mu)
+
+
+@st.composite
+def unboxed_lps(draw):
+    """LPs with <= 4 variables and <= 6 rows, <= and == rows, no box."""
+    integral = draw(st.booleans())
+    value = st.integers(-4, 4)
+    if not integral:
+        value = st.one_of(value, st.fractions(-4, 4, max_denominator=6))
+    nv = draw(st.integers(1, 4))
+    n_ub = draw(st.integers(0, 6))
+    n_eq = draw(st.integers(0, 6 - n_ub))
+
+    def rows(k):
+        return [draw(st.lists(value, min_size=nv, max_size=nv)) for _ in range(k)]
+
+    def rhs(k):
+        return draw(st.lists(value, min_size=k, max_size=k))
+
+    c = draw(st.lists(value, min_size=nv, max_size=nv))
+    return integral, c, rows(n_ub), rhs(n_ub), rows(n_eq), rhs(n_eq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unboxed_lps())
+def test_certificates_and_reference_solver(lp):
+    integral, c, a_ub, b_ub, a_eq, b_eq = lp
+    res = simplex.solve(c, a_ub, b_ub, a_eq, b_eq)
+    if res.status == simplex.OPTIMAL:
+        assert simplex.certify_optimum(c, a_ub, b_ub, a_eq, b_eq, res)
+    elif res.status == simplex.INFEASIBLE:
+        assert simplex.certify_infeasible(a_ub, b_ub, a_eq, b_eq, res)
+    else:
+        assert simplex.certify_ray(c, a_ub, b_ub, a_eq, b_eq, res)
+    if integral:
+        ref = reference_solve(c, a_ub, b_ub, a_eq, b_eq)
+        assert res.status == ref.status
+        assert res.ray == ref.ray
+        if ref.status == simplex.OPTIMAL:
+            assert res == ref
