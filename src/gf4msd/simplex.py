@@ -95,20 +95,14 @@ def _simplex(tab, basis, cost, enter_limit, d):
                 break
         if entering < 0:
             return OPTIMAL, None, d
-        # ratio test: least T[r][rhs] / T[r][e] over T[r][e] > 0, ties to
-        # the smallest basic column
-        row = -1
-        for r, trow in enumerate(tab):
-            e = trow[entering]
-            if e > 0:
-                if row < 0:
-                    row, best_rhs, best_e = r, trow[-1], e
-                    continue
-                lhs, rhs = trow[-1] * best_e, best_rhs * e
-                if lhs < rhs or (lhs == rhs and basis[r] < basis[row]):
-                    row, best_rhs, best_e = r, trow[-1], e
-        if row < 0:
+        ratios = [
+            (Fraction(trow[-1], trow[entering]), basis[r], r)
+            for r, trow in enumerate(tab)
+            if trow[entering] > 0
+        ]
+        if not ratios:
             return UNBOUNDED, entering, d
+        _, _, row = min(ratios)
         d = _pivot(tab, basis, row, entering, d)
 
 
