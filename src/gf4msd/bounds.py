@@ -18,8 +18,8 @@ from math import gcd, lcm
 
 from . import simplex
 from .distill import DegenerateMapError, _n_poly, _odd_part_poly, quantum_verdict
-from .enumerators import Enumerator, transform_xy
-from .exact import Q, poly_add, poly_scale, q_from_str, q_to_str
+from .enumerators import Enumerator, alt_odd_eval, signed_eval, signed_poly, transform_xy
+from .exact import Q, poly_add, poly_scale, q_from_str, q_to_str, rref
 from .invariants import (
     InvariantParams,
     SelfDualParams,
@@ -225,47 +225,26 @@ def reduce_equalities(polytope: Polytope):
     if not eq_rows:
         return "ok", polytope, lambda t: t
     # each row carries, after the rhs, its combination of the original rows
-    aug = []
-    for r, c in enumerate(eq_rows):
-        unit = [Q(0)] * len(eq_rows)
-        unit[r] = Q(1)
-        aug.append([Q(v) for v in c.coeffs] + [Q(c.rhs)] + unit)
-    pivots = []
-    pivot_rows = set()
-    for col in range(dim):
-        sel = None
-        for r in range(len(aug)):
-            if r in pivot_rows:
-                continue
-            if aug[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        piv = aug[sel][col]
-        aug[sel] = [v / piv for v in aug[sel]]
-        for r in range(len(aug)):
-            if r != sel and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[sel])]
-        pivots.append((sel, col))
-        pivot_rows.add(sel)
-    for r in range(len(aug)):
-        if r not in pivot_rows and aug[r][dim] != 0:
-            # the combination reads 0 = aug[r][dim]; orient it to f.mu < 0
-            sign = -1 if aug[r][dim] > 0 else 1
-            return "infeasible", tuple(sign * w for w in aug[r][dim + 1 :]), None
-    pivot_cols = {col: row for row, col in pivots}
+    aug = [
+        list(c.coeffs) + [c.rhs] + [int(i == r) for i in range(len(eq_rows))]
+        for r, c in enumerate(eq_rows)
+    ]
+    pivot_rows, leftover, pivot_cols = rref(aug, dim)
+    for row in leftover:
+        if row[dim] != 0:
+            # the combination reads 0 = row[dim]; orient it to f.mu < 0
+            sign = -1 if row[dim] > 0 else 1
+            return "infeasible", tuple(sign * w for w in row[dim + 1 :]), None
     free_cols = [c for c in range(dim) if c not in pivot_cols]
     # v_col = base[col] + sum_j basis[col][j] * t_j
     base = [Q(0)] * dim
     basis = [[Q(0)] * len(free_cols) for _ in range(dim)]
     for j, fc in enumerate(free_cols):
         basis[fc][j] = Q(1)
-    for col, row in pivot_cols.items():
-        base[col] = aug[row][dim]
+    for col, row in zip(pivot_cols, pivot_rows):
+        base[col] = row[dim]
         for j, fc in enumerate(free_cols):
-            basis[col][j] = -aug[row][fc]
+            basis[col][j] = -row[fc]
     new_rows = []
     for c in ineq_rows:
         const = sum(a * b for a, b in zip(c.coeffs, base))
@@ -512,7 +491,7 @@ def distillation_family(n: int, pin_trivial: bool = True) -> AffineFamily:
     pin_trivial additionally fixes d0' = -6 (no weight-1 logical operator)
     and, for n >= 7, c1' = 3(5 - n)/2 (no weight-2 stabilizer).
     """
-    if n % 2 == 0 or n < 5:
+    if not is_odd_family_length(n):
         raise ValueError("need odd n >= 5")
     nc, nd = num_cprime(n), num_dprime(n)
     cp = [Q(0)] * nc
@@ -545,7 +524,7 @@ def distillation_family(n: int, pin_trivial: bool = True) -> AffineFamily:
 
 def selfdual_family(n: int) -> AffineFamily:
     """Self-dual family for even n, pinned to c0 = 1; B = A and C = 0."""
-    if n % 2 or n < 6:
+    if not is_selfdual_length(n):
         raise ValueError("need even n >= 6")
     nc = n // 6 + 1
     zero = Enumerator(n, (0,) * (n + 1))
@@ -596,26 +575,8 @@ def _coeff(which, j):
 
 
 def _success_at(t):
-    # N at the eps with rbar^2 = t: sum_j A_{2j} (-t)^j
-    def f(A, B, C):
-        acc = Q(0)
-        power = Q(1)
-        for j in range(0, A.n + 1, 2):
-            acc += Q(A.coeffs[j]) * power
-            power *= -Q(t)
-        return acc
-
-    return f
-
-
-def _odd_alternating_ninth(A, B, C):
-    # sum_j C_{2j+1} (-1)^j 9^(-j)
-    acc = Q(0)
-    for j in range(0, (C.n + 1) // 2):
-        c = Q(C.coeffs[2 * j + 1])
-        if c:
-            acc += c * Q((-1) ** j, 9**j)
-    return acc
+    # N at the eps with rbar^2 = t
+    return lambda A, B, C: signed_eval(A, t)
 
 
 def numerator_coefficient_rows(fam: AffineFamily, lam: int, count: int):
@@ -649,7 +610,8 @@ def quantum_rows_distill(fam: AffineFamily):
     rows = [fam.row(n0, ">="), fam.row(nmax, ">=")]
     for lam in (1, -1):
         def f(A, B, C, lam=lam):
-            return 3 * nmax(A, B, C) + lam * _odd_alternating_ninth(A, B, C)
+            # 3 N(eps_max) + lam sum_j C_{2j+1} (-1)^j 9^(-j)
+            return 3 * nmax(A, B, C) + lam * 3 * alt_odd_eval(C, Q(1, 3))
 
         rows.append(fam.row(f, ">="))
     return rows
@@ -692,8 +654,41 @@ def quantum_rows_selfdual(fam: AffineFamily, grid: int = 16):
 # bound drivers
 
 
+def is_nu_length(n: int) -> bool:
+    """Lengths max_nu_bound accepts: n = +-1 mod 6."""
+    return n % 6 in (1, 5)
+
+
+def is_odd_family_length(n: int) -> bool:
+    """Lengths of distillation_family and max_distance_bound: odd n >= 5."""
+    return n % 2 == 1 and n >= 5
+
+
+def is_selfdual_length(n: int) -> bool:
+    """Lengths of selfdual_family and its distance bound: even n >= 6."""
+    return n % 2 == 0 and n >= 6
+
+
 def nu_value(n: int, level: int) -> int:
     return (2 if n % 6 == 5 else 1) + 3 * level
+
+
+def _bisect(fam: AffineFamily, rows_at, lo: int, hi: int, witness=None):
+    """Largest level in [lo, hi] whose rows_at(level) are feasible.
+
+    Feasibility must fall monotonically with the level and is assumed, not
+    probed, at lo; witness is lo's feasible point when the caller has one.
+    Returns (level, witness), the witness None only if lo is returned
+    without one.
+    """
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        v = lp_feasible(build_polytope(fam.dim, fam.names, rows_at(mid)))
+        if v.status == "feasible":
+            lo, witness = mid, v.witness
+        else:
+            hi = mid - 1
+    return lo, witness
 
 
 def max_nu_bound(n: int, use_quantum: bool = False, with_witness: bool = False):
@@ -704,7 +699,7 @@ def max_nu_bound(n: int, use_quantum: bool = False, with_witness: bool = False):
     no weight-2 stabilizer) always apply.  With with_witness, returns
     (bound, witness point, family) instead of the bare bound.
     """
-    if n % 6 not in (1, 5):
+    if not is_nu_length(n):
         raise ValueError("n must be congruent to +-1 mod 6")
     m = (n - (n % 6)) // 6
     kmax = 2 * m + 1 if n % 6 == 5 else 2 * m
@@ -714,28 +709,17 @@ def max_nu_bound(n: int, use_quantum: bool = False, with_witness: bool = False):
         base_rows = base_rows + quantum_rows_distill(fam)
     lam = 1 if n % 6 == 5 else -1
     all_eq = numerator_coefficient_rows(fam, lam, nu_value(n, kmax))
-    witnesses = {}
 
-    def feasible(level: int) -> bool:
-        rows = base_rows + all_eq[: nu_value(n, level)]
-        p = build_polytope(fam.dim, fam.names, rows)
-        v = lp_feasible(p)
-        if v.status == "feasible":
-            witnesses[level] = v.witness
-        return v.status == "feasible"
+    def rows_at(level):
+        return base_rows + all_eq[: nu_value(n, level)]
 
-    if not feasible(0):
+    # bisecting [floor - 1, floor] probes the floor alone
+    level, witness = _bisect(fam, rows_at, -1, 0)
+    if level < 0:
         raise RuntimeError("no feasible cancellation level for n=%d" % n)
-    lo, hi = 0, kmax
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    if with_witness:
-        return nu_value(n, lo), witnesses[lo], fam
-    return nu_value(n, lo)
+    level, witness = _bisect(fam, rows_at, 0, kmax, witness)
+    bound = nu_value(n, level)
+    return (bound, witness, fam) if with_witness else bound
 
 
 def max_distance_bound(n: int, use_quantum: bool = False, with_witness: bool = False):
@@ -744,70 +728,43 @@ def max_distance_bound(n: int, use_quantum: bool = False, with_witness: bool = F
     The quantum flag adds the nonnegative success probability of pure
     inputs, N(0) >= 0, which is what strengthens the classical bound.
     """
-    if n % 2 == 0 or n < 5:
-        raise ValueError("need odd n >= 5")
     fam = distillation_family(n, pin_trivial=False)
     base_rows = classical_rows(fam)
     if use_quantum:
         base_rows = base_rows + [fam.row(_success_at(Q(1, 3)), ">=")]
     c_rows = [fam.row(_coeff("C", j), "==") for j in range(1, n, 2)]
-    witnesses = {}
 
-    def feasible(d: int) -> bool:
-        rows = base_rows + c_rows[: (d - 1) // 2]
-        p = build_polytope(fam.dim, fam.names, rows)
-        v = lp_feasible(p)
-        if v.status == "feasible":
-            witnesses[d] = v.witness
-        return v.status == "feasible"
+    def rows_at(level):  # distance 2 * level + 1
+        return base_rows + c_rows[:level]
 
-    if not feasible(3):
-        return (1, None, fam) if with_witness else 1
-    lo, hi = 1, (n - 1) // 2  # d = 2*level + 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if feasible(2 * mid + 1):
-            lo = mid
-        else:
-            hi = mid - 1
-    if with_witness:
-        return 2 * lo + 1, witnesses[2 * lo + 1], fam
-    return 2 * lo + 1
+    # distance 3 (level 1) is probed alone first; if infeasible the bound is 1
+    level, witness = _bisect(fam, rows_at, 0, 1)
+    if level == 1:
+        level, witness = _bisect(fam, rows_at, 1, (n - 1) // 2, witness)
+    bound = 2 * level + 1
+    return (bound, witness, fam) if with_witness else bound
 
 
 def classical_distance_bound_selfdual(
     n: int, use_quantum: bool = False, with_witness: bool = False
 ):
     """Largest classical distance of a self-dual enumerator of even length."""
-    if n % 2 or n < 6:
-        raise ValueError("need even n >= 6")
     fam = selfdual_family(n)
     base_rows = classical_rows(fam)
     if use_quantum:
         base_rows = base_rows + quantum_rows_selfdual(fam)
     a_rows = [fam.row(_coeff("A", j), "==") for j in range(2, n + 1, 2)]
-    witnesses = {}
 
-    def feasible(d: int) -> bool:
-        rows = base_rows + a_rows[: (d - 2) // 2]
-        p = build_polytope(fam.dim, fam.names, rows)
-        v = lp_feasible(p)
-        if v.status == "feasible":
-            witnesses[d] = v.witness
-        return v.status == "feasible"
+    def rows_at(level):  # distance 2 * level
+        return base_rows + a_rows[: level - 1]
 
-    lo, hi = 1, n // 2 + 1  # d = 2*level
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if feasible(2 * mid):
-            lo = mid
-        else:
-            hi = mid - 1
+    # distance 2 (level 1) is never probed unless its witness is asked for
+    level, witness = _bisect(fam, rows_at, 1, n // 2 + 1)
     if with_witness:
-        if 2 * lo not in witnesses:
-            feasible(2 * lo)
-        return 2 * lo, witnesses.get(2 * lo), fam
-    return 2 * lo
+        if witness is None:
+            _, witness = _bisect(fam, rows_at, level - 1, level)
+        return 2 * level, witness, fam
+    return 2 * level
 
 
 # ---------------------------------------------------------------------------
@@ -862,8 +819,7 @@ def quantum_filter_distill(fam: AffineFamily):
 
 def quantum_filter_selfdual_enumerator(A: Enumerator) -> bool:
     """Exact verdict A(1, i rbar) >= 0 for all rbar^2 in [0, 1/3]."""
-    qpoly = tuple(Q((-1) ** j) * A.coeffs[2 * j] for j in range((A.n // 2) + 1))
-    good, _ = poly_nonneg_on(qpoly, 0, Q(1, 3))
+    good, _ = poly_nonneg_on(signed_poly(A), 0, Q(1, 3))
     return good
 
 

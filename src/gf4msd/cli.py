@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: analyze, search, bounds, extremal, curve, verify, lattice.
-Numeric output defaults to exact rational strings; --decimal renders
-decimals at --precision digits.  Exit codes: 0 success, 2 parse error,
+Every subcommand takes --out.  Numeric output defaults to exact rational
+strings; analyze, search, extremal and curve take --decimal and
+--precision digits, and analyze, search and verify, which enumerate
+codewords, take --budget.  Exit codes: 0 success, 2 parse error,
 3 mathematical inconsistency, 4 enumeration budget exceeded.
 """
 
@@ -194,18 +196,17 @@ def cmd_search(args) -> int:
 
 def cmd_bounds(args) -> int:
     out = _Output(args)
-    driver = {
-        "nu": bounds.max_nu_bound,
-        "distance": bounds.max_distance_bound,
-        "classical-distance": bounds.classical_distance_bound_selfdual,
+    driver, admissible = {
+        "nu": (bounds.max_nu_bound, bounds.is_nu_length),
+        "distance": (bounds.max_distance_bound, bounds.is_odd_family_length),
+        "classical-distance": (
+            bounds.classical_distance_bound_selfdual,
+            bounds.is_selfdual_length,
+        ),
     }[args.target]
     lines = ["n,bound_classical,bound_quantum,witness"]
     for n in range(args.start, args.stop + 1):
-        if args.target == "nu" and n % 6 not in (1, 5):
-            continue
-        if args.target == "distance" and (n % 2 == 0 or n < 5):
-            continue
-        if args.target == "classical-distance" and (n % 2 or n < 6):
+        if not admissible(n):
             continue
         classical, witness, fam = driver(n, False, with_witness=True)
         quantum = "" if args.classical_only else driver(n, True)
@@ -315,29 +316,28 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gf4msd", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_grid=False):
+    def common(p, decimals=False, budget=False):
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--decimal", action="store_true", help="render decimals")
-        p.add_argument("--precision", type=int, default=12, help="decimal digits")
-        p.add_argument("--budget", type=int, default=18, help="max generator count k (4^k words)")
-        if with_grid:
-            p.add_argument("--grid", type=int, default=512, help="curve grid points")
+        if decimals:
+            p.add_argument("--decimal", action="store_true", help="render decimals")
+            p.add_argument("--precision", type=int, default=12, help="decimal digits")
+        if budget:
+            p.add_argument("--budget", type=int, default=18, help="max generator count k (4^k words)")
 
     p = sub.add_parser("analyze", help="full report for one generator file")
     p.add_argument("file")
-    common(p)
+    common(p, decimals=True, budget=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("search", help="shorten every code in a database and rank thresholds")
     p.add_argument("file")
-    common(p)
+    common(p, decimals=True, budget=True)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("bounds", help="bound sweeps over a range of lengths")
     p.add_argument("--target", choices=("nu", "distance", "classical-distance"), required=True)
     p.add_argument("--start", type=int, required=True)
     p.add_argument("--stop", type=int, required=True)
-    p.add_argument("--quantum", action="store_true", help="include quantum cuts (default)")
     p.add_argument("--classical-only", action="store_true")
     common(p)
     p.set_defaults(func=cmd_bounds)
@@ -345,19 +345,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extremal", help="extremal enumerator of a family")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", choices=("distill", "selfdual"), required=True)
-    common(p)
+    common(p, decimals=True)
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("curve", help="distillation curve CSV from an enumerator JSON file")
     p.add_argument("file")
-    common(p, with_grid=True)
+    common(p, decimals=True)
+    p.add_argument("--grid", type=int, default=512, help="curve grid points")
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("verify", help="dense-oracle cross-check of a generator file")
     p.add_argument("file")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=2024)
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lattice", help="count integral enumerators for one length")

@@ -159,6 +159,13 @@ def _odd_part_poly(C: Enumerator) -> tuple:
     return out
 
 
+def _dual(A: Enumerator) -> Enumerator:
+    total = A.total()
+    if total <= 0:
+        raise ValueError("enumerator total A(1,1) must be positive")
+    return transform_xy(A).scale(Q(1, total))
+
+
 def build_map(A: Enumerator, lam: int | None = None, B: Enumerator | None = None) -> DistillMap:
     """Distillation map for an even-only enumerator A, n = +-1 mod 6.
 
@@ -175,10 +182,7 @@ def build_map(A: Enumerator, lam: int | None = None, B: Enumerator | None = None
     if lam not in (1, -1):
         raise ValueError("lam must be +1 or -1")
     if B is None:
-        total = A.total()
-        if total <= 0:
-            raise ValueError("enumerator total A(1,1) must be positive")
-        B = transform_xy(A).scale(Q(1, total))
+        B = _dual(A)
     C = B - A
     if not C.is_odd_only():
         raise ValueError("logical enumerator must be odd-only")
@@ -284,14 +288,23 @@ def check_success_nonneg(A: Enumerator):
     return ok, witness
 
 
-def threshold_slack(dmap: DistillMap) -> tuple[int, int]:
-    """Signs of (eps_out(eps_max) - eps_max) numerator and of N(eps_max).
+def _threshold_ok(dmap: DistillMap):
+    """(ok, witness) for eps_out(eps_max) >= eps_max, decided in Q[sqrt(3)]."""
+    slack = eval_sqrt3(dmap.fixed_point_poly(), EPS_MAX)
+    den_sign = eval_sqrt3(dmap.n_poly, EPS_MAX).sign()
+    if den_sign == 0:
+        raise DegenerateMapError("N(eps_max) = 0; threshold test degenerate")
+    if slack.sign() in (0, den_sign):
+        return True, None
+    # for even-only A the slack is a pure sqrt(3) multiple, so
+    # sqrt(3) * slack = 3 b is the rational violated quantity
+    return False, 3 * slack.b if slack.a == 0 else None
 
-    Both are decided exactly in Q[sqrt(3)].
-    """
-    num = eval_sqrt3(dmap.fixed_point_poly(), EPS_MAX)
-    den = eval_sqrt3(dmap.n_poly, EPS_MAX)
-    return num.sign(), den.sign()
+
+def _sign_maps(A: Enumerator):
+    """The maps for lam = -1 and lam = +1, sharing one dual transform."""
+    B = _dual(A)
+    return [build_map(A, lam=lam, B=B) for lam in (-1, 1)]
 
 
 def check_threshold_constraint(A: Enumerator):
@@ -303,25 +316,14 @@ def check_threshold_constraint(A: Enumerator):
     sqrt(3) * (M - 2 eps N)(eps_max), negative exactly on violation.
     N(eps_max) = 0 raises a degenerate-map error.
     """
-    out = {}
-    for lam in (-1, 1):
-        dmap = build_map(A, lam=lam)
-        num_sign, den_sign = threshold_slack(dmap)
-        if den_sign == 0:
-            raise DegenerateMapError("N(eps_max) = 0; threshold test degenerate")
-        slack = eval_sqrt3(dmap.fixed_point_poly(), EPS_MAX)
-        # for even-only A the slack is a pure sqrt(3) multiple, so
-        # sqrt(3) * slack = 3 b is the rational violated quantity
-        rational_slack = 3 * slack.b if slack.a == 0 else None
-        ok = num_sign == 0 or num_sign == den_sign
-        out[lam] = (ok, None if ok else rational_slack)
-    return out
+    return {dmap.lam: _threshold_ok(dmap) for dmap in _sign_maps(A)}
 
 
 def quantum_verdict(A: Enumerator) -> QuantumVerdict:
     """Both consistency constraints with exact witnesses on failure."""
-    ok_s, wit_s = check_success_nonneg(A)
-    thr = check_threshold_constraint(A)
+    maps = _sign_maps(A)
+    ok_s, wit_s = poly_nonneg_on(maps[0].n_poly, 0, 1)
+    thr = {dmap.lam: _threshold_ok(dmap) for dmap in maps}
     return QuantumVerdict(
         success_nonneg=ok_s,
         threshold_ok_plus=thr[-1][0],

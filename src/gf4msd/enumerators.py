@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exact import Q, as_int_if_possible, q_from_str, q_to_str
+from .exact import Q, as_int_if_possible, poly_eval, q_from_str, q_to_str
 
 
 class MacWilliamsError(ValueError):
@@ -154,20 +154,19 @@ def logical_enumerator(A: Enumerator, B: Enumerator) -> Enumerator:
     return C
 
 
-def signed_eval(A: Enumerator, rbar2) -> Fraction:
-    """A(1, i rbar) = sum_j A_{2j} (-rbar^2)^j, exact in rbar^2.
+def signed_poly(A: Enumerator) -> tuple:
+    """Coefficients in t = rbar^2 of A(1, i rbar) = sum_j A_{2j} (-t)^j.
 
     Requires all odd coefficients to vanish (stabilizer part only).
     """
     if not A.is_even_only():
         raise ValueError("signed evaluation needs an even-only enumerator")
-    t = Q(rbar2)
-    acc = Q(0)
-    power = Q(1)
-    for j in range(0, A.n + 1, 2):
-        acc += A.coeffs[j] * power
-        power *= -t
-    return acc
+    return tuple((-1) ** j * A.coeffs[2 * j] for j in range(A.n // 2 + 1))
+
+
+def signed_eval(A: Enumerator, rbar2) -> Fraction:
+    """A(1, i rbar) = sum_j A_{2j} (-rbar^2)^j, exact in rbar^2."""
+    return Q(poly_eval(signed_poly(A), Q(rbar2)))
 
 
 def alt_odd_eval(C: Enumerator, t) -> Fraction:

@@ -174,6 +174,40 @@ def ord_at_zero(p) -> int | None:
 
 
 # ---------------------------------------------------------------------------
+# linear algebra
+
+
+def rref(rows, ncols: int):
+    """Gauss-Jordan elimination over Q, pivoting in the first ncols columns.
+
+    Columns after ncols (a right-hand side, or a record of which input rows
+    were combined) are carried along without pivoting.  Each column takes
+    as pivot the first unused row, in input order, that is nonzero there.
+    Returns (pivot_rows, leftover_rows, pivot_cols): pivot_rows[i] has 1 at
+    pivot_cols[i] (increasing) and 0 at every other pivot column; the
+    leftover rows, in input order, are zero in the first ncols columns.
+    ``gf4.rref`` is the same elimination over GF(4).
+    """
+    work = [[Q(v) for v in r] for r in rows]
+    unused = list(range(len(work)))
+    chosen, pivot_cols = [], []
+    for col in range(ncols):
+        sel = next((i for i in unused if work[i][col] != 0), None)
+        if sel is None:
+            continue
+        unused.remove(sel)
+        piv = work[sel][col]
+        prow = work[sel] = [v / piv for v in work[sel]]
+        for i, row in enumerate(work):
+            f = row[col]
+            if i != sel and f != 0:
+                work[i] = [v - f * w for v, w in zip(row, prow)]
+        chosen.append(sel)
+        pivot_cols.append(col)
+    return [work[i] for i in chosen], [work[i] for i in unused], pivot_cols
+
+
+# ---------------------------------------------------------------------------
 # truncated power series (dense lists of length order+1)
 
 

@@ -16,30 +16,25 @@ import json
 from dataclasses import dataclass
 
 from .enumerators import Enumerator
-from .exact import Q, as_int_if_possible, binom, catalan, q_from_str, q_to_str
+from .exact import (
+    Q,
+    as_int_if_possible,
+    binom,
+    catalan,
+    poly_mul,
+    poly_pow,
+    q_from_str,
+    q_to_str,
+    rref,
+)
 
 # y-degree coefficient vectors of the basic invariants (degrees 2 and 6)
 FHAT = (1, 0, 3)
 GHAT = (0, 0, 1, 0, -2, 0, 1)
 
 
-def _conv(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
 def _fg_power(fpow: int, gpow: int):
-    out = [1]
-    for _ in range(fpow):
-        out = _conv(out, FHAT)
-    for _ in range(gpow):
-        out = _conv(out, GHAT)
-    return out
+    return poly_mul(poly_pow(FHAT, fpow), poly_pow(GHAT, gpow))
 
 
 def num_cprime(n: int) -> int:
@@ -129,11 +124,11 @@ def expand_family(p: InvariantParams) -> Enumerator:
         block = _fg_power((n - 1) // 2 - 3 * j, j)
         for deg, val in enumerate(block):
             out[deg] += c * val
-    wedge = _conv([0, 0, 1], [1, 0, -1])  # y^2 (x^2 - y^2)
+    wedge = poly_mul((0, 0, 1), (1, 0, -1))  # y^2 (x^2 - y^2)
     for j, d in enumerate(p.dprime):
         if d == 0:
             continue
-        block = _conv(wedge, _fg_power((n - 5) // 2 - 3 * j, j))
+        block = poly_mul(wedge, _fg_power((n - 5) // 2 - 3 * j, j))
         for deg, val in enumerate(block):
             out[deg] += d * val
     return Enumerator(n, tuple(as_int_if_possible(v) for v in out))
@@ -183,33 +178,14 @@ def params_from_enumerator(A: Enumerator) -> InvariantParams:
     if n % 2 == 0:
         raise ValueError("n must be odd")
     basis = unit_family_basis(n)
-    rows = len(basis)
-    # solve the (n+1) x rows overdetermined system by elimination
-    mat = [[Q(basis[r].coeffs[j]) for r in range(rows)] + [Q(A.coeffs[j])] for j in range(n + 1)]
-    piv_rows = []
-    for col in range(rows):
-        sel = None
-        for r in range(len(mat)):
-            if r in piv_rows:
-                continue
-            if mat[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            raise ValueError("family basis is degenerate")
-        piv = mat[sel][col]
-        mat[sel] = [v / piv for v in mat[sel]]
-        for r in range(len(mat)):
-            if r != sel and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[sel])]
-        piv_rows.append(sel)
-    for r in range(len(mat)):
-        if r not in piv_rows and mat[r][rows] != 0:
-            raise ValueError("enumerator is not in the invariant family span")
-    sol = [Q(0)] * rows
-    for idx, r in enumerate(piv_rows):
-        sol[idx] = mat[r][rows]
+    # the (n+1) x len(basis) overdetermined system, rhs carried after it
+    mat = [[b.coeffs[j] for b in basis] + [A.coeffs[j]] for j in range(n + 1)]
+    pivot_rows, leftover, pivot_cols = rref(mat, len(basis))
+    if len(pivot_cols) < len(basis):
+        raise ValueError("family basis is degenerate")
+    if any(row[-1] != 0 for row in leftover):
+        raise ValueError("enumerator is not in the invariant family span")
+    sol = [row[-1] for row in pivot_rows]
     nc = num_cprime(n)
     return InvariantParams(n, tuple(sol[:nc]), tuple(sol[nc:]))
 
@@ -235,21 +211,11 @@ def _dprime_from_d(n, j, d):
 
 
 def _linsolve(mat, rhs):
-    """Exact Gaussian elimination; raises on a singular system."""
-    m = [row[:] + [r] for row, r in zip(mat, rhs)]
-    size = len(m)
-    for col in range(size):
-        sel = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if sel is None:
-            raise ValueError("singular cancellation system")
-        m[col], m[sel] = m[sel], m[col]
-        piv = m[col][col]
-        m[col] = [v / piv for v in m[col]]
-        for r in range(size):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [m[r][size] for r in range(size)]
+    """Exact solution of a square system; raises on a singular system."""
+    pivot_rows, _, pivot_cols = rref([row + [r] for row, r in zip(mat, rhs)], len(mat))
+    if len(pivot_cols) < len(mat):
+        raise ValueError("singular cancellation system")
+    return [row[-1] for row in pivot_rows]
 
 
 def extremal_distillation_params(n: int) -> InvariantParams:

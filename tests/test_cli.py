@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from gf4msd.cli import main
 
@@ -85,6 +88,37 @@ def test_bounds_nu_classical_only(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[1] == "5,2,," and lines[2] == "7,1,,"
+
+
+# sha256 of stdout, recorded before the bound drivers shared one bisection
+# helper and one elimination kernel; they pin every witness column
+GOLDEN_SHA256 = {
+    ("bounds", "--target", "nu", "--start", "5", "--stop", "25"):
+        "32d8a8bce206fa7e7bc28152b43266f44bd4433d203bc19915de75feaf2a6e72",
+    ("bounds", "--target", "distance", "--start", "5", "--stop", "15"):
+        "0b8274b022dac7f9bc7fc23482839ec83f30f1686fafe9c5191d73224a317cb8",
+    ("bounds", "--target", "classical-distance", "--start", "6", "--stop", "24"):
+        "6e6e797a57e1224be125481dfea370fff170f05816ea050b8b3be3443dcc9e61",
+    ("lattice", "--n", "7"):
+        "b08041e0321f05bcdbb8822fdb01cd96b04cc4a95671c500e91b348cb9b675e1",
+    ("lattice", "--n", "7", "--quantum"):
+        "a54d896f4ca36943e7fd784deb55ed4e8268182acb30ae61a464940163254952",
+}
+
+
+def test_bounds_and_lattice_golden_digests(capsys):
+    for argv, digest in GOLDEN_SHA256.items():
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_bounds_rejects_quantum_flag(capsys):
+    # quantum bounds are always printed; the flag that claimed to add them is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--target", "nu", "--start", "5", "--stop", "5", "--quantum"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quantum" in capsys.readouterr().err
 
 
 def test_extremal_reports(capsys):

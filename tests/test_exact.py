@@ -1,6 +1,8 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gf4msd.exact import (
     binom,
@@ -14,6 +16,7 @@ from gf4msd.exact import (
     poly_mul,
     q_from_str,
     q_to_str,
+    rref,
     series_compose,
     series_inv,
     series_mul,
@@ -74,3 +77,67 @@ def test_series_ops():
     assert comp == [1, 2, 1, 0]
     with pytest.raises(ValueError):
         series_compose([1], [1, 1], 2)
+
+
+_ENTRY = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-5, max_value=5, max_denominator=4)
+)
+
+
+@st.composite
+def _matrices(draw):
+    """(rows, ncols, permutation): up to 5 rows, up to 2 carried columns."""
+    ncols = draw(st.integers(1, 4))
+    width = ncols + draw(st.integers(0, 2))
+    m = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=width, max_size=width), min_size=m, max_size=m))
+    return rows, ncols, draw(st.permutations(range(m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_rref_properties(case):
+    rows, ncols, perm = case
+    pivot_rows, leftover, pivot_cols = rref(rows, ncols)
+    assert len(pivot_rows) + len(leftover) == len(rows)
+    assert len(pivot_rows) == len(pivot_cols)
+    # reduced echelon form in the pivot range
+    assert pivot_cols == sorted(set(pivot_cols))
+    for i, (row, p) in enumerate(zip(pivot_rows, pivot_cols)):
+        assert all(v == 0 for v in row[:p]) and row[p] == 1
+        assert all(row[q] == 0 for k, q in enumerate(pivot_cols) if k != i)
+    assert all(v == 0 for row in leftover for v in row[:ncols])
+    # every input row is the combination of pivot rows its pivot entries
+    # name, over the whole width once no leftover row carries a residue
+    consistent = all(v == 0 for row in leftover for v in row)
+    checked = len(rows[0]) if consistent and rows else ncols
+    for x in rows:
+        for c in range(checked):
+            assert x[c] == sum(x[p] * row[c] for p, row in zip(pivot_cols, pivot_rows))
+    # carried columns take the same row operations as the pivot range: an
+    # identity block carried behind them records each output's combination
+    m = len(rows)
+    tagged = [list(x) + [int(i == r) for i in range(m)] for r, x in enumerate(rows)]
+    t_piv, t_left, _ = rref(tagged, ncols)
+    for out in t_piv + t_left:
+        mix = out[len(out) - m :]
+        assert all(
+            out[c] == sum(w * x[c] for w, x in zip(mix, rows)) for c in range(len(out) - m)
+        )
+    # the output does not depend on the order of the input rows
+    s_piv, _, s_cols = rref([rows[i] for i in perm], ncols)
+    assert s_cols == pivot_cols
+    assert [r[:ncols] for r in s_piv] == [r[:ncols] for r in pivot_rows]
+    if consistent:
+        assert s_piv == pivot_rows
+
+
+def test_rref_examples():
+    # carried rhs: x + 2y = 5, 3x + 4y = 6 -> x = -4, y = 9/2
+    piv, left, cols = rref([[1, 2, 5], [3, 4, 6]], 2)
+    assert cols == [0, 1] and left == []
+    assert piv == [[1, 0, -4], [0, 1, Q(9, 2)]]
+    # a dependent row is left over with its residue in the carried column
+    piv, left, cols = rref([[0, 2, 4], [0, 1, 3], [0, 0, 0]], 2)
+    assert cols == [1] and piv == [[0, 1, 2]]
+    assert left == [[0, 0, 1], [0, 0, 0]]

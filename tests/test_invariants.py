@@ -138,8 +138,26 @@ def test_params_roundtrip():
 
 def test_params_from_enumerator_rejects_outside_span():
     bad = Enumerator.from_pairs(5, {0: 1, 1: 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not in the invariant family span"):
         params_from_enumerator(bad)
+
+
+def test_params_from_enumerator_rejects_degenerate_basis(monkeypatch):
+    from gf4msd import invariants
+
+    first = invariants.unit_family_basis(5)[0]
+    monkeypatch.setattr(invariants, "unit_family_basis", lambda n: [first, first])
+    with pytest.raises(ValueError, match="degenerate"):
+        params_from_enumerator(Enumerator.from_pairs(5, {0: 1, 4: 15}))
+
+
+def test_linsolve_pivots_and_rejects_singular():
+    from gf4msd.invariants import _linsolve
+
+    # the first column's pivot sits in the second row
+    assert _linsolve([[Q(0), Q(2)], [Q(3), Q(1)]], [Q(4), Q(5)]) == [1, 2]
+    with pytest.raises(ValueError, match="singular"):
+        _linsolve([[Q(1), Q(2)], [Q(2), Q(4)]], [Q(1), Q(2)])
 
 
 def test_extremal_params_match_known_rescale():
