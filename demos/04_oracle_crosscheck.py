@@ -1,8 +1,8 @@
 """Independent dense-matrix validation of the enumerator formulas.
 
-Builds stabilizer projectors entry by entry from signed Pauli words and
-compares projection probabilities against the signed enumerator
-evaluation -- exact Gaussian-rational equality, no tolerance.
+Builds stabilizer projectors from signed Pauli words and compares
+projection probabilities against the signed enumerator evaluation --
+exact rational equality, no tolerance.
 """
 
 import math

@@ -3,7 +3,7 @@ linear Hermitian self-orthogonal GF(4) codes.
 
 The library is exact end to end: big-integer enumerator algebra, rational
 distillation maps with Sturm-isolated thresholds, an exact-rational
-simplex for the linear-programming bounds, and a dense Gaussian-rational
+simplex for the linear-programming bounds, and a dense Gaussian-integer
 oracle that cross-checks every formula on small codes.
 """
 

@@ -2,10 +2,11 @@
 
 Subcommands: analyze, search, bounds, extremal, curve, verify, lattice.
 Every subcommand takes --out.  Numeric output defaults to exact rational
-strings; analyze, search, extremal and curve take --decimal and
---precision digits, and analyze, search and verify, which enumerate
-codewords, take --budget.  Exit codes: 0 success, 2 parse error,
-3 mathematical inconsistency, 4 enumeration budget exceeded.
+strings; analyze, extremal and curve take --decimal and --precision
+digits, search always prints thresholds as decimals of --precision
+digits, and analyze, search and verify, which enumerate codewords, take
+--budget.  Exit codes: 0 success, 2 parse error, 3 mathematical
+inconsistency, 4 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -331,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="shorten every code in a database and rank thresholds")
     p.add_argument("file")
-    common(p, decimals=True, budget=True)
+    p.add_argument("--precision", type=int, default=12, help="threshold decimal digits")
+    common(p, budget=True)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("bounds", help="bound sweeps over a range of lengths")

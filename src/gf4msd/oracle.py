@@ -2,14 +2,26 @@
 
 Builds stabilizer projectors directly from signed Pauli words and computes
 projection probabilities and logical components by matrix algebra, fully
-independently of the enumerator identities they validate.  Exact mode uses
-Gaussian-rational entries (all Pauli phases live in {1, i, -1, -i} and the
-inputs are rational Bloch vectors, so nothing irrational ever appears);
-float mode uses numpy for 7 <= n <= 12.
+independently of the enumerator identities they validate.
+
+A Pauli word is a pair of bitmasks, as in the symplectic representation of
+Aaronson and Gottesman: x holds letters 1 and 3 (X, Y), z holds letters 2
+and 3 (Z, Y), and qubit 0 is the most significant bit.  Row r of the signed
+word has its one entry in column r ^ x, with phase
+sign * (-i)^#Y * (-1)^popcount(r & z); for one qubit Y[r][1 - r] = -i(-1)^r.
+
+The projector is one complex128 array in both modes.  All Pauli phases
+live in {1, i, -1, -i}, so its entries are Gaussian integers over 2^(n-k)
+and float64 holds them, and every partial sum of their products, exactly:
+the hermiticity, idempotence, trace and commutation checks are exact
+equalities.  The mode only picks the result of a trace: for
+n <= EXACT_LIMIT the rational Bloch vector is scaled to integers and the
+result is an exact Fraction, for larger n (up to DIM_LIMIT) it is a float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,177 +33,55 @@ from .gf4 import SignedPauli
 EXACT_LIMIT = 6
 DIM_LIMIT = 12
 
-
-@dataclass(frozen=True)
-class QI:
-    """Gaussian rational a + b*i."""
-
-    a: Fraction
-    b: Fraction
-
-    def __add__(self, o):
-        return QI(self.a + o.a, self.b + o.b)
-
-    def __sub__(self, o):
-        return QI(self.a - o.a, self.b - o.b)
-
-    def __mul__(self, o):
-        return QI(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a)
-
-    def conj(self):
-        return QI(self.a, -self.b)
-
-    def __complex__(self):
-        return float(self.a) + 1j * float(self.b)
+_UNITS = (1, -1j, -1, 1j)  # (-i)^m for m mod 4
 
 
-QI0 = QI(Q(0), Q(0))
-QI1 = QI(Q(1), Q(0))
-QI_I = QI(Q(0), Q(1))
-
-
-def qi(a, b=0) -> QI:
-    return QI(Q(a), Q(b))
-
-
-def mat_zero(dim):
-    return [[QI0] * dim for _ in range(dim)]
-
-
-def mat_mul(a, b):
-    dim = len(a)
-    out = mat_zero(dim)
-    for i in range(dim):
-        arow = a[i]
-        orow = out[i]
-        for k in range(dim):
-            v = arow[k]
-            if v.a == 0 and v.b == 0:
-                continue
-            brow = b[k]
-            for j in range(dim):
-                w = brow[j]
-                if w.a or w.b:
-                    orow[j] = orow[j] + v * w
-    return out
-
-
-def mat_dagger(a):
-    dim = len(a)
-    return [[a[j][i].conj() for j in range(dim)] for i in range(dim)]
-
-
-def mat_trace(a) -> QI:
-    t = QI0
-    for i in range(len(a)):
-        t = t + a[i][i]
-    return t
-
-
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def kron(a, b):
-    da, db = len(a), len(b)
-    out = mat_zero(da * db)
-    for i in range(da):
-        for j in range(da):
-            v = a[i][j]
-            if v.a == 0 and v.b == 0:
-                continue
-            for k in range(db):
-                for l in range(db):
-                    w = b[k][l]
-                    if w.a or w.b:
-                        out[i * db + k][j * db + l] = v * w
-    return out
-
-
-# single-qubit Pauli action on basis states: (new_bit, phase) per bit
-_PAULI_ACTION = {
-    0: ((0, QI1), (1, QI1)),                  # I
-    1: ((1, QI1), (0, QI1)),                  # X
-    2: ((0, QI1), (1, qi(-1))),               # Z
-    3: ((1, QI_I), (0, qi(0, -1))),           # Y: |0> -> i|1>, |1> -> -i|0>
-}
-
-
-def pauli_sparse(word, sign: int):
+def _pauli(word, sign: int):
     """Column index and phase per row of the signed Pauli word."""
-    n = len(word)
-    dim = 1 << n
-    cols = []
-    phases = []
-    for row in range(dim):
-        col = 0
-        phase = QI(Q(sign), Q(0))
-        for pos in range(n):
-            bit = (row >> (n - 1 - pos)) & 1
-            new_bit, ph = _PAULI_ACTION[word[pos]][bit]
-            col = (col << 1) | new_bit
-            phase = phase * ph
-        cols.append(col)
-        phases.append(phase)
-    return cols, phases
+    x = z = 0
+    for a in word:
+        x = (x << 1) | (a & 1)
+        z = (z << 1) | (a >> 1)
+    rows = np.arange(1 << len(word))
+    signs = np.where(np.bitwise_count(rows & z) & 1, -sign, sign)
+    return rows ^ x, _UNITS[(x & z).bit_count() % 4] * signs
 
 
 @dataclass(frozen=True)
 class DenseOperator:
     n: int
     k: int
-    mat: tuple  # tuple of row tuples (QI) in exact mode, numpy array in float mode
+    mat: np.ndarray  # complex128, entries Gaussian integers / 2^(n-k)
     mode: str
 
 
-def build_projector(paulis, n: int, k: int, mode: str = "auto", validate: bool = True) -> DenseOperator:
+def build_projector(paulis, n: int, k: int) -> DenseOperator:
     """Projector (1/2^(n-k)) * sum of signed Pauli operators.
 
     The supplied list must be the full 2^(n-k)-element signed group, e.g.
-    `gf4.rall_signs(code)`.  Exact mode validates hermiticity, idempotence
-    and trace 2^k identically; inconsistent signs or a non-commuting set
-    fail those checks.
+    `gf4.rall_signs(code)`.  Hermiticity, idempotence and trace 2^k are
+    checked exactly; inconsistent signs or a non-commuting set fail them.
     """
     if n > DIM_LIMIT:
         raise ValueError("dimension 2^%d exceeds the oracle limit" % n)
-    if mode == "auto":
-        mode = "exact" if n <= EXACT_LIMIT else "float"
     if len(paulis) != 2 ** (n - k):
         raise ValueError("expected the full group of 2^(n-k) signed words")
-    dim = 1 << n
-
-    if mode == "float":
-        acc = np.zeros((dim, dim), dtype=complex)
-        for sp in paulis:
-            cols, phases = pauli_sparse(sp.word, sp.sign)
-            for row in range(dim):
-                acc[row, cols[row]] += complex(phases[row])
-        acc /= 2 ** (n - k)
-        op = DenseOperator(n, k, acc, "float")
-        if validate:
-            if not np.allclose(acc, acc.conj().T, atol=1e-9):
-                raise ValueError("projector is not hermitian")
-            if not np.allclose(acc @ acc, acc, atol=1e-8):
-                raise ValueError("signed words do not form a stabilizer group")
-        return op
-
-    rows = [[QI0] * dim for _ in range(dim)]
+    rows = np.arange(1 << n)
+    mat = np.zeros((1 << n, 1 << n), dtype=np.complex128)
     for sp in paulis:
-        cols, phases = pauli_sparse(sp.word, sp.sign)
-        for row in range(dim):
-            rows[row][cols[row]] = rows[row][cols[row]] + phases[row]
-    scale = qi(Q(1, 2 ** (n - k)))
-    mat = tuple(tuple(scale * v for v in row) for row in rows)
-    op = DenseOperator(n, k, mat, "exact")
-    if validate:
-        m = [list(r) for r in mat]
-        if not mat_eq(m, mat_dagger(m)):
-            raise ValueError("projector is not hermitian")
-        if not mat_eq(mat_mul(m, m), m):
-            raise ValueError("signed words do not form a stabilizer group")
-        if mat_trace(m) != QI(Q(2**k), Q(0)):
-            raise ValueError("projector trace is not 2^k")
-    return op
+        cols, phases = _pauli(sp.word, sp.sign)
+        mat[rows, cols] += phases
+    mat /= 2 ** (n - k)
+    # Scaled by 4^(n-k), every real or imaginary partial sum of mat @ mat is
+    # an integer of size below 2^(3n+1) <= 2^37 < 2^53 for n <= 12, so
+    # float64 computes it exactly and these checks are exact.
+    if not np.array_equal(mat, mat.conj().T):
+        raise ValueError("projector is not hermitian")
+    if not np.array_equal(mat @ mat, mat):
+        raise ValueError("signed words do not form a stabilizer group")
+    if np.trace(mat) != 2**k:
+        raise ValueError("projector trace is not 2^k")
+    return DenseOperator(n, k, mat, "exact" if n <= EXACT_LIMIT else "float")
 
 
 @dataclass(frozen=True)
@@ -216,109 +106,62 @@ def t_direction(rbar) -> DensityVector:
     return DensityVector(Q(1), Q(rbar), Q(rbar), Q(rbar))
 
 
-def _rho_exact(b: DensityVector):
-    h = Q(1, 2)
-    return [
-        [QI(h * (b.a_i + b.a_z), Q(0)), QI(h * b.a_x, -h * b.a_y)],
-        [QI(h * b.a_x, h * b.a_y), QI(h * (b.a_i - b.a_z), Q(0))],
-    ]
-
-
-def _rho_power(b: DensityVector, n: int):
-    rho = _rho_exact(b)
-    out = rho
+def _trace_rho_power(proj: DenseOperator, op, bloch: DensityVector, n: int, what: str):
+    """tr(op rho(a)^n) for op with Gaussian-integer entries over 2^(n-k)."""
+    if not bloch.is_physical():
+        raise ValueError("Bloch vector is outside the physical ball")
+    exact = proj.mode == "exact"
+    dtype = object if exact else np.float64
+    comps = (bloch.a_i, bloch.a_x, bloch.a_y, bloch.a_z)
+    lcm = math.lcm(*(c.denominator for c in comps))
+    a_i, a_x, a_y, a_z = (int(c * lcm) for c in comps)
+    # 2 * lcm * rho = [[a_i + a_z, a_x - i a_y], [a_x + i a_y, a_i - a_z]]
+    re = np.array([[a_i + a_z, a_x], [a_x, a_i - a_z]], dtype=dtype)
+    im = np.array([[0, -a_y], [a_y, 0]], dtype=dtype)
+    r_re, r_im = re, im
     for _ in range(n - 1):
-        out = kron(out, rho)
-    return out
-
-
-def _trace_product(a, bmat) -> QI:
-    dim = len(a)
-    t = QI0
-    for i in range(dim):
-        for j in range(dim):
-            v = a[i][j]
-            if v.a or v.b:
-                t = t + v * bmat[j][i]
-    return t
+        r_re, r_im = np.kron(r_re, re) - np.kron(r_im, im), np.kron(r_re, im) + np.kron(r_im, re)
+    scale = 2 ** (proj.n - proj.k)
+    g_re, g_im = ((part * scale).astype(np.int64).astype(dtype) for part in (op.real, op.imag))
+    # sum_ij op_ij R_ji, real and imaginary parts
+    t_re = (g_re * r_re.T).sum() - (g_im * r_im.T).sum()
+    if exact and (g_re * r_im.T).sum() + (g_im * r_re.T).sum() != 0:
+        raise ArithmeticError("%s came out complex" % what)
+    den = scale * (2 * lcm) ** n
+    return Fraction(t_re, den) if exact else float(t_re) / den
 
 
 def projection_prob(proj: DenseOperator, bloch: DensityVector, n: int):
     """tr(Pi rho(a)^n): exact Fraction in exact mode, float otherwise."""
-    if not bloch.is_physical():
-        raise ValueError("Bloch vector is outside the physical ball")
-    if proj.mode == "float":
-        rho = np.array([[complex(v) for v in row] for row in _rho_exact(bloch)])
-        big = rho
-        for _ in range(n - 1):
-            big = np.kron(big, rho)
-        return float(np.trace(proj.mat @ big).real)
-    big = _rho_power(bloch, n)
-    t = _trace_product([list(r) for r in proj.mat], big)
-    if t.b != 0:
-        raise ArithmeticError("projection probability came out complex")
-    return t.a
+    return _trace_rho_power(proj, proj.mat, bloch, n, "projection probability")
 
 
 def logical_component(proj: DenseOperator, logical: SignedPauli, bloch: DensityVector, n: int):
     """tr(Pi rho(a)^n Q_L) for a signed logical word commuting with Pi."""
-    if not bloch.is_physical():
-        raise ValueError("Bloch vector is outside the physical ball")
-    cols, phases = pauli_sparse(logical.word, logical.sign)
-    dim = 1 << n
-    if proj.mode == "float":
-        rho = np.array([[complex(v) for v in row] for row in _rho_exact(bloch)])
-        big = rho
-        for _ in range(n - 1):
-            big = np.kron(big, rho)
-        q = np.zeros((dim, dim), dtype=complex)
-        for row in range(dim):
-            q[row, cols[row]] = complex(phases[row])
-        if not np.allclose(proj.mat @ q, q @ proj.mat, atol=1e-8):
-            raise ValueError("logical operator does not commute with the projector")
-        return float(np.trace(proj.mat @ big @ q).real)
-    pm = [list(r) for r in proj.mat]
-    # right-multiply rho^n by the sparse logical word
-    big = _rho_power(bloch, n)
-    bq = [[QI0] * dim for _ in range(dim)]
-    for krow in range(dim):
-        ph = phases[krow]
-        ck = cols[krow]
-        for i in range(dim):
-            v = big[i][krow]
-            if v.a or v.b:
-                bq[i][ck] = bq[i][ck] + v * ph
-    qmat = [[QI0] * dim for _ in range(dim)]
-    for row in range(dim):
-        qmat[row][cols[row]] = phases[row]
-    left = mat_mul(pm, qmat)
-    right = mat_mul(qmat, pm)
-    if not mat_eq(left, right):
+    cols, phases = _pauli(logical.word, logical.sign)
+    # Q_L maps row r to column cols[r] = r ^ x, and cols is its own inverse
+    pq = proj.mat[:, cols] * phases[cols]
+    qp = phases[:, None] * proj.mat[cols, :]
+    if not np.array_equal(pq, qp):
         raise ValueError("logical operator does not commute with the projector")
-    t = _trace_product(pm, bq)
-    if t.b != 0:
-        raise ArithmeticError("logical component came out complex")
-    return t.a
+    return _trace_rho_power(proj, pq, bloch, n, "logical component")
 
 
 def m3_unitary():
     """Order-3 Clifford cycling X -> Y -> Z -> X under conjugation.
 
-    Realized with Gaussian-rational entries: (1/2) [[1+i, 1+i], [-1+i, 1-i]].
-    The global phase is not contractual; only the conjugation action is.
+    (1/2) [[1+i, 1+i], [-1+i, 1-i]]; the entries are dyadic, so complex128
+    holds it and its tensor powers exactly.  The global phase is not
+    contractual; only the conjugation action is.
     """
-    h = Q(1, 2)
-    return [
-        [QI(h, h), QI(h, h)],
-        [QI(-h, h), QI(h, -h)],
-    ]
+    return 0.5 * np.array([[1 + 1j, 1 + 1j], [-1 + 1j, 1 - 1j]])
 
 
 def m3_tensor(n: int):
     m = m3_unitary()
     out = m
     for _ in range(n - 1):
-        out = kron(out, m)
+        out = np.kron(out, m)
     return out
 
 
@@ -326,5 +169,4 @@ def commutes_with_m3(proj: DenseOperator) -> bool:
     if proj.mode != "exact":
         raise ValueError("exact mode only")
     m = m3_tensor(proj.n)
-    pm = [list(r) for r in proj.mat]
-    return mat_eq(mat_mul(m, pm), mat_mul(pm, m))
+    return np.array_equal(m @ proj.mat, proj.mat @ m)

@@ -55,7 +55,7 @@ def test_budget_exit_code(codes_dir):
 
 
 def test_search_database(capsys, codes_dir):
-    code, out = run_cli(capsys, "search", str(codes_dir / "selfdual6.g4cdb"), "--decimal", "--precision", "6")
+    code, out = run_cli(capsys, "search", str(codes_dir / "selfdual6.g4cdb"), "--precision", "6")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "n,enumerator_hash,threshold,nu,beats_baseline"
@@ -111,6 +111,26 @@ def test_bounds_and_lattice_golden_digests(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# sha256 of `verify --trials 10 --seed 7` stdout, recorded before the oracle
+# moved to Pauli bitmasks; the report names no code, so the four coincide
+VERIFY_SHA256 = "14c9551710176c694c76e3b99a8e287295307b52a9ec504ff9f9d49a3bc0aad5"
+
+
+def test_verify_golden_digests(capsys, codes_dir):
+    for name in ("hexacode", "five_qubit", "five_qubit_product", "two_qubit"):
+        code, out = run_cli(capsys, "verify", str(codes_dir / (name + ".g4c")), "--trials", "10", "--seed", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256, name
+
+
+def test_search_rejects_decimal_flag(capsys, codes_dir):
+    # search always prints thresholds as decimals; the flag that claimed to switch it is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["search", str(codes_dir / "selfdual6.g4cdb"), "--decimal"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --decimal" in capsys.readouterr().err
 
 
 def test_bounds_rejects_quantum_flag(capsys):

@@ -1,23 +1,24 @@
 import random
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from gf4msd.enumerators import signed_eval
-from gf4msd.gf4 import Gf4Code, SignedPauli, rall_signs, weight_enumerator
+from gf4msd.gf4 import (
+    Gf4Code,
+    SignedPauli,
+    rall_signs,
+    random_self_orthogonal_code,
+    weight_enumerator,
+)
 from gf4msd.oracle import (
     DensityVector,
     build_projector,
     commutes_with_m3,
     logical_component,
     m3_unitary,
-    kron,
-    mat_dagger,
-    mat_eq,
-    mat_mul,
-    mat_trace,
     projection_prob,
-    qi,
     t_direction,
 )
 
@@ -40,25 +41,24 @@ def rand_rbar(rng):
 
 def test_m3_conjugation_relations():
     m = m3_unitary()
-    md = mat_dagger(m)
-    x = [[qi(0), qi(1)], [qi(1), qi(0)]]
-    y = [[qi(0), qi(0, -1)], [qi(0, 1), qi(0)]]
-    z = [[qi(1), qi(0)], [qi(0), qi(-1)]]
-    assert mat_eq(mat_mul(md, mat_mul(x, m)), y)
-    assert mat_eq(mat_mul(md, mat_mul(y, m)), z)
-    assert mat_eq(mat_mul(md, mat_mul(z, m)), x)
+    md = m.conj().T
+    x = np.array([[0, 1], [1, 0]])
+    y = np.array([[0, -1j], [1j, 0]])
+    z = np.array([[1, 0], [0, -1]])
+    assert np.array_equal(md @ x @ m, y)
+    assert np.array_equal(md @ y @ m, z)
+    assert np.array_equal(md @ z @ m, x)
     # unitary
-    eye = [[qi(1), qi(0)], [qi(0), qi(1)]]
-    assert mat_eq(mat_mul(md, m), eye)
+    assert np.array_equal(md @ m, np.eye(2))
 
 
 def test_singlet_projector():
     proj = build_projector(rall_signs(PAIR), 2, 0)
     # rank-1 projector onto (|01> - |10>)/sqrt(2)
-    assert proj.mat[1][1].a == Q(1, 2)
-    assert proj.mat[1][2].a == Q(-1, 2)
-    assert proj.mat[0][0].a == 0
-    assert mat_trace([list(r) for r in proj.mat]).a == 1
+    assert proj.mat[1, 1] == 0.5
+    assert proj.mat[1, 2] == -0.5
+    assert proj.mat[0, 0] == 0
+    assert np.trace(proj.mat) == 1
     # orthogonal to the symmetric pure direction: eta = 0 at rbar^2 = 1/3
     A = weight_enumerator(PAIR)
     assert signed_eval(A, Q(1, 3)) == 0
@@ -68,8 +68,8 @@ def test_singlet_projector():
 
 def test_bell_projector_from_plus_signs():
     proj = build_projector(S1_GROUP, 2, 0)
-    assert proj.mat[0][0].a == Q(1, 2)
-    assert proj.mat[0][3].a == Q(1, 2)
+    assert proj.mat[0, 0] == 0.5
+    assert proj.mat[0, 3] == 0.5
     assert not commutes_with_m3(proj)
 
 
@@ -88,7 +88,7 @@ def test_inconsistent_signs_rejected():
 
 def test_identity_only_group():
     proj = build_projector([SignedPauli((0, 0, 0), 1)], 3, 3)
-    assert all(proj.mat[i][i].a == 1 for i in range(8))
+    assert np.array_equal(proj.mat, np.eye(8))
 
 
 def test_m3_commutation_on_small_codes():
@@ -150,7 +150,8 @@ def test_unphysical_bloch_rejected():
 def test_float_mode():
     code = Gf4Code(7, ((1, 1, 0, 0, 0, 0, 0), (0, 0, 1, 2, 2, 1, 0), (0, 0, 0, 1, 2, 2, 1)))
     A = weight_enumerator(code)
-    proj = build_projector(rall_signs(code), 7, 1, mode="float")
+    proj = build_projector(rall_signs(code), 7, 1)
+    assert proj.mode == "float"
     rbar = Q(31, 100)
     eta = projection_prob(proj, t_direction(rbar), 7)
     assert abs(eta - float(signed_eval(A, rbar * rbar)) / 64) < 1e-10
@@ -177,6 +178,38 @@ def test_oracle_eps_out_matches_map():
         assert abs(eps_oracle - eps_map) < 1e-10
 
 
-def test_kron_shape():
-    a = [[qi(1), qi(0)], [qi(0), qi(1)]]
-    assert len(kron(a, a)) == 4
+def test_y_projector_is_not_transposed():
+    # (I + Y)/2 with Y = [[0, -i], [i, 0]]; the transpose would flip the signs of i
+    proj = build_projector([SignedPauli((0,), 1), SignedPauli((3,), 1)], 1, 0)
+    assert np.array_equal(proj.mat, np.array([[0.5, -0.5j], [0.5j, 0.5]]))
+    assert projection_prob(proj, DensityVector(1, 0, Q(1, 3), 0), 1) == Q(2, 3)
+
+
+def test_random_codes_match_signed_eval():
+    rng = random.Random(2025)
+    tried = 0
+    for n in range(2, 7):
+        for target in range(1, n // 2 + 1):
+            for _ in range(4):
+                code = random_self_orthogonal_code(rng, n, target_k=target)
+                k = n - 2 * code.k
+                A = weight_enumerator(code)
+                proj = build_projector(rall_signs(code), n, k)
+                for _ in range(3):
+                    rbar = rand_rbar(rng)
+                    eta = projection_prob(proj, t_direction(rbar), n)
+                    assert eta == signed_eval(A, rbar * rbar) / 2 ** (n - k), (code, rbar)
+                tried += 1
+    assert tried == 36
+
+
+def test_float_mode_n10():
+    # [[10, 2]] code: two [[5, 1]] five-qubit codes side by side
+    gens = [g + (0,) * 5 for g in FIVE.generators] + [(0,) * 5 + g for g in FIVE.generators]
+    code = Gf4Code(10, tuple(gens))
+    A = weight_enumerator(code)
+    proj = build_projector(rall_signs(code), 10, 2)
+    assert proj.mode == "float"
+    rbar = Q(31, 100)
+    eta = projection_prob(proj, t_direction(rbar), 10)
+    assert abs(eta - float(signed_eval(A, rbar * rbar)) / 256) < 1e-10
