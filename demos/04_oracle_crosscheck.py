@@ -36,7 +36,7 @@ for _ in range(3):
 
 # one-round output error from the oracle vs the exact rational map
 dmap = build_map(A)
-logical = SignedPauli((2,) * 5, -1)
+logical = SignedPauli.from_word((2,) * 5, -1)
 sqrt3 = math.sqrt(3)
 eps = 0.12
 rbar = Q((1 - 2 * eps) / sqrt3).limit_denominator(10**9)

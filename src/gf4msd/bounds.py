@@ -11,7 +11,6 @@ exact nonlinear verdicts as a post-filter.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -19,7 +18,7 @@ from math import gcd, lcm
 from . import simplex
 from .distill import DegenerateMapError, _n_poly, _odd_part_poly, quantum_verdict
 from .enumerators import Enumerator, alt_odd_eval, signed_eval, signed_poly, transform_xy
-from .exact import Q, poly_add, poly_scale, q_from_str, q_to_str, rref
+from .exact import Q, poly_add, poly_scale, rref
 from .invariants import (
     InvariantParams,
     SelfDualParams,
@@ -83,35 +82,6 @@ class Polytope:
     def contains(self, point) -> bool:
         return all(c.satisfied(point) for c in self.constraints)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dim": self.dim,
-                "names": list(self.names),
-                "constraints": [
-                    {
-                        "coeffs": [q_to_str(v) for v in c.coeffs],
-                        "sense": c.sense,
-                        "rhs": q_to_str(c.rhs),
-                    }
-                    for c in self.constraints
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Polytope":
-        data = json.loads(text)
-        cons = tuple(
-            LinConstraint(
-                tuple(q_from_str(v) for v in c["coeffs"]),
-                c["sense"],
-                q_from_str(c["rhs"]),
-            )
-            for c in data["constraints"]
-        )
-        return cls(int(data["dim"]), tuple(data["names"]), cons)
-
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -128,20 +98,11 @@ class LatticeSpec:
 def build_polytope(dim, names, rows):
     """Assemble constraints, dropping trivially-true rows.
 
-    A trivially false row yields a polytope containing a marker constraint
-    so feasibility still reports infeasible.
+    A trivially false row is kept; the simplex reports it infeasible with a
+    Farkas vector.
     """
-    out = []
-    for row in rows:
-        t = row.is_trivial()
-        if t is True:
-            continue
-        if t is False:
-            # encode falsity as 0 * x <= -1 on the first variable
-            out.append(LinConstraint((Q(0),) * dim, "<=", Q(-1)))
-            continue
-        out.append(row)
-    return Polytope(dim, tuple(names), tuple(out))
+    out = tuple(row for row in rows if row.is_trivial() is not True)
+    return Polytope(dim, tuple(names), out)
 
 
 # ---------------------------------------------------------------------------
@@ -190,24 +151,6 @@ def _split_rows(polytope):
             a_eq.append(coeffs)
             b_eq.append(rhs)
     return a_ub, b_ub, a_eq, b_eq
-
-
-def _false_row_farkas(a_ub, b_ub, a_eq, b_eq):
-    """Farkas vector weighting the first trivially false row, or None.
-
-    After _split_rows every all-zero row is false: 0 <= h with h < 0 takes
-    lam = 1, and 0 == f with f != 0 takes mu = -f.
-    """
-    n_ub = len(a_ub)
-    rows = list(zip(a_ub, b_ub)) + list(zip(a_eq, b_eq))
-    for i, (coeffs, rhs) in enumerate(rows):
-        if not any(coeffs):
-            w = [0] * len(rows)
-            w[i] = 1 if i < n_ub else -rhs
-            return simplex.LpResult(
-                simplex.INFEASIBLE, dual_ub=tuple(w[:n_ub]), dual_eq=tuple(w[n_ub:])
-            )
-    return None
 
 
 def reduce_equalities(polytope: Polytope):
@@ -287,9 +230,6 @@ def lp_feasible(polytope: Polytope, objective=None, maximize=False) -> LpVerdict
             (), (), [c.coeffs for c in eq_rows], [c.rhs for c in eq_rows], farkas
         )
     rows = _split_rows(reduced)
-    farkas = _false_row_farkas(*rows)
-    if farkas is not None:
-        return _infeasible(*rows, farkas)
     if objective is None:
         c = [Q(0)] * reduced.dim
         c_orig = None
@@ -306,12 +246,6 @@ def lp_feasible(polytope: Polytope, objective=None, maximize=False) -> LpVerdict
             c.append(sum(a * b for a, b in zip(c_orig, img)) - const)
         if maximize:
             c = [-v for v in c]
-    if reduced.dim == 0:
-        witness = embed(())
-        opt = None
-        if objective is not None:
-            opt = sum(a * b for a, b in zip(c_orig, witness))
-        return LpVerdict("feasible", witness=witness, optimum=opt, certified=True)
     res = simplex.solve(c, *rows)
     if res.status == simplex.INFEASIBLE:
         return _infeasible(*rows, res)
@@ -498,7 +432,6 @@ def distillation_family(n: int, pin_trivial: bool = True) -> AffineFamily:
     dp = [Q(0)] * nd
     cp[0] = Q(1)
     pins = [("c0", Q(1))]
-    free = []
     if pin_trivial:
         dp[0] = Q(-6)
         pins.append(("d0", Q(-6)))
@@ -517,9 +450,7 @@ def distillation_family(n: int, pin_trivial: bool = True) -> AffineFamily:
         (c2 if kind == "c" else d2)[j] = Q(1)
         members.append(_triple(expand_family(InvariantParams(n, c2, d2)), divisor))
         names.append("%s%d" % (kind, j))
-    fam = AffineFamily(n, "distill", tuple(names), tuple(members), tuple(pins))
-    object.__setattr__(fam, "_free", tuple(free))
-    return fam
+    return AffineFamily(n, "distill", tuple(names), tuple(members), tuple(pins))
 
 
 def selfdual_family(n: int) -> AffineFamily:
@@ -538,28 +469,7 @@ def selfdual_family(n: int) -> AffineFamily:
         A = expand_selfdual(SelfDualParams(n, cj))
         members.append((A, A, zero))
         names.append("c%d" % j)
-    fam = AffineFamily(n, "selfdual", tuple(names), tuple(members), (("c0", Q(1)),))
-    object.__setattr__(fam, "_free", tuple(("c", j) for j in range(1, nc)))
-    return fam
-
-
-def family_params(fam: AffineFamily, point):
-    """Parameter object (pins + free values) for a lattice/witness point."""
-    if fam.kind == "distill":
-        nc, nd = num_cprime(fam.n), num_dprime(fam.n)
-        cp = [Q(0)] * nc
-        dp = [Q(0)] * nd
-        for name, val in fam.pins:
-            (cp if name[0] == "c" else dp)[int(name[1:])] = val
-        for (kind, j), v in zip(fam._free, point):
-            (cp if kind == "c" else dp)[j] = Q(v)
-        return InvariantParams(fam.n, tuple(cp), tuple(dp))
-    nc = fam.n // 6 + 1
-    c = [Q(0)] * nc
-    c[0] = Q(1)
-    for (_, j), v in zip(fam._free, point):
-        c[j] = Q(v)
-    return SelfDualParams(fam.n, tuple(c))
+    return AffineFamily(n, "selfdual", tuple(names), tuple(members), (("c0", Q(1)),))
 
 
 # linear functionals over (A, B, C)
@@ -614,25 +524,6 @@ def quantum_rows_distill(fam: AffineFamily):
             return 3 * nmax(A, B, C) + lam * 3 * alt_odd_eval(C, Q(1, 3))
 
         rows.append(fam.row(f, ">="))
-    return rows
-
-
-def bernstein_rows(fam: AffineFamily, degree: int | None = None):
-    """Sufficient success-positivity encoding: the Bernstein-basis
-    coefficients of N(eps) on [0, 1] as linear >= 0 rows.
-
-    Feasible points are guaranteed N >= 0; the encoding is not necessary,
-    so it tightens rather than relaxes the exact constraint.
-    """
-    from .roots import bernstein_coefficients
-
-    if degree is None:
-        degree = fam.n + 1
-    per_member = [bernstein_coefficients(_n_poly(A), degree) for (A, B, C) in fam.members]
-    rows = []
-    for j in range(degree + 1):
-        coeffs = tuple(per_member[i + 1][j] for i in range(fam.dim))
-        rows.append(LinConstraint(coeffs, ">=", -per_member[0][j]))
     return rows
 
 

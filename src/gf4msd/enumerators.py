@@ -9,6 +9,7 @@ here are pure functions on immutable values; no floating point anywhere.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -18,6 +19,17 @@ from .exact import Q, as_int_if_possible, poly_eval, q_from_str, q_to_str
 
 class MacWilliamsError(ValueError):
     """The dual transform produced evidence the input was not a code enumerator."""
+
+
+class ParseError(ValueError):
+    """Malformed input text: a generator file, a database or enumerator JSON."""
+
+    def __init__(self, message, line=None):
+        self.line = line
+        super().__init__(message if line is None else "line %d: %s" % (line, message))
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 @dataclass(frozen=True)
@@ -60,9 +72,6 @@ class Enumerator:
     def is_integral(self) -> bool:
         return all(isinstance(a, int) for a in self.coeffs)
 
-    def support(self):
-        return tuple(j for j, a in enumerate(self.coeffs) if a)
-
     def pretty(self, var: str = "y") -> str:
         terms = []
         for j, a in enumerate(self.coeffs):
@@ -86,9 +95,26 @@ class Enumerator:
 
     @classmethod
     def from_json(cls, text: str) -> "Enumerator":
-        data = json.loads(text)
-        coeffs = [q_from_str(c) if isinstance(c, str) else c for c in data["coeffs"]]
-        return cls(int(data["n"]), tuple(coeffs))
+        """Inverse of to_json: {"n": n, "coeffs": [n + 1 ints or "p/q"]}.
+
+        Any other input raises ParseError.
+        """
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ParseError("not JSON: %s" % exc) from None
+        if not isinstance(data, dict) or not {"n", "coeffs"} <= data.keys():
+            raise ParseError('expected an object with keys "n" and "coeffs"')
+        n, coeffs = data["n"], data["coeffs"]
+        if type(n) is not int or n < 0 or not isinstance(coeffs, list) or len(coeffs) != n + 1:
+            raise ParseError('expected "n" >= 0 and a list of n + 1 "coeffs"')
+        for c in coeffs:
+            if type(c) is not int and not (isinstance(c, str) and _RATIONAL.fullmatch(c)):
+                raise ParseError("coefficient %r is not an integer or a rational string" % (c,))
+        try:
+            return cls(n, tuple(q_from_str(c) if isinstance(c, str) else c for c in coeffs))
+        except ValueError as exc:  # a numerator past the int string-conversion limit
+            raise ParseError(str(exc)) from None
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Enumerator":
@@ -96,9 +122,6 @@ class Enumerator:
         for j, a in dict(pairs).items():
             c[j] = a
         return cls(n, tuple(c))
-
-    def csv_rows(self):
-        return [(j, q_to_str(a)) for j, a in enumerate(self.coeffs)]
 
 
 def transform_xy(A: Enumerator) -> Enumerator:

@@ -5,15 +5,25 @@ addition is XOR and conjugation swaps w and w2.  Pauli letters follow the
 fixed convention 1 <-> X, w <-> Z, w2 <-> Y, used consistently everywhere
 (any fixed choice works because distillation inputs are twirled).
 
+Codewords and signed Paulis are packed into x/z bitmasks, as in the GF(4)
+to Pauli correspondence of Calderbank, Rains, Shor and Sloane and the
+symplectic form of Aaronson and Gottesman: x holds letters 1 and 3 (X, Y),
+z holds letters 2 and 3 (Z, Y), entry 0 is the most significant bit, and a
+length-n word is the one int (x << n) | z.  Addition is XOR of the packed
+ints, and multiplying by w maps (x, z) to (z, x ^ z).
+
 All types are immutable after construction and safe to share across
 threads; codeword enumeration is a deterministic stream.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
-from .enumerators import Enumerator
+from .enumerators import Enumerator, ParseError
 
 GF4_CHARS = "01wW"
 PAULI_CHARS = "IXZY"  # indexed by field element
@@ -27,12 +37,6 @@ MUL = (
 CONJ = (0, 1, 3, 2)
 
 DEFAULT_BUDGET = 4**18
-
-
-class ParseError(ValueError):
-    def __init__(self, message, line=None):
-        self.line = line
-        super().__init__(message if line is None else "line %d: %s" % (line, message))
 
 
 class BudgetExceededError(RuntimeError):
@@ -207,58 +211,54 @@ def is_self_dual(code: Gf4Code) -> bool:
     return 2 * code.k == code.n and is_self_orthogonal(code)
 
 
+def pack(word) -> int:
+    """The packed mask (x << n) | z of a GF(4) word."""
+    x = z = 0
+    for a in word:
+        x = (x << 1) | (a & 1)
+        z = (z << 1) | (a >> 1)
+    return (x << len(word)) | z
+
+
+def unpack(n: int, w: int) -> tuple:
+    """The GF(4) word of length n packed in w."""
+    x = w >> n
+    return tuple((x >> i & 1) | (w >> i & 1) << 1 for i in range(n - 1, -1, -1))
+
+
 def enumerate_codewords(code: Gf4Code, budget: int = DEFAULT_BUDGET):
-    """Yield all 4^k codewords exactly once, deterministically."""
+    """Yield all 4^k codewords exactly once as packed masks, deterministically.
+
+    The word s_0 g_0 + ... + s_{k-1} g_{k-1} comes in the order of the
+    scalars read as base-4 digits, s_0 most significant.
+    """
     if 4**code.k > budget:
         raise BudgetExceededError("4^%d codewords exceed budget %d" % (code.k, budget))
-
-    def rec(level, acc):
-        if level == code.k:
-            yield acc
-            return
-        g = code.generators[level]
-        for s in range(4):
-            yield from rec(level + 1, vec_add(acc, vec_scale(s, g)) if s else acc)
-
-    yield from rec(0, (0,) * code.n)
-
-
-def _pack(v) -> int:
-    acc = 0
-    for i, a in enumerate(v):
-        acc |= a << (2 * i)
-    return acc
+    n = code.n
+    multiples = []  # 0, g, w g, w2 g for each generator g
+    for g in code.generators:
+        p = pack(g)
+        x, z = p >> n, p & ((1 << n) - 1)
+        multiples.append((0, p, (z << n) | (x ^ z), ((x ^ z) << n) | x))
+    head = max(code.k - 6, 0)
+    span = [0]  # the span of the last generators, at most 4^6 ints
+    for row in multiples[head:]:
+        span = [a ^ b for a in span for b in row]
+    for combo in itertools.product(*multiples[:head]):
+        base = functools.reduce(operator.xor, combo, 0)
+        yield from map(base.__xor__, span)
 
 
 def weight_enumerator(code: Gf4Code, budget: int = DEFAULT_BUDGET) -> Enumerator:
     """Coefficient A_j = number of codewords of Hamming weight j.
 
-    Streams the 4^k span with a packed-bits tally; nothing is materialized.
+    Tallies the packed codeword stream; nothing is materialized.
     """
-    if 4**code.k > budget:
-        raise BudgetExceededError("4^%d codewords exceed budget %d" % (code.k, budget))
-    n, k = code.n, code.k
-    lo_mask = int("01" * n, 2) if n else 0
+    n = code.n
+    mask = (1 << n) - 1
     counts = [0] * (n + 1)
-    packed = []
-    for g in code.generators:
-        p0 = _pack(g)
-        lo = p0 & lo_mask
-        hi = (p0 >> 1) & lo_mask
-        p1 = hi | ((lo ^ hi) << 1)  # multiply by w
-        lo, hi = p1 & lo_mask, (p1 >> 1) & lo_mask
-        p2 = hi | ((lo ^ hi) << 1)
-        packed.append((0, p0, p1, p2))
-
-    def rec(level, acc):
-        if level == k:
-            counts[((acc | (acc >> 1)) & lo_mask).bit_count()] += 1
-            return
-        row = packed[level]
-        for s in range(4):
-            rec(level + 1, acc ^ row[s])
-
-    rec(0, 0)
+    for w in enumerate_codewords(code, budget):
+        counts[((w >> n | w) & mask).bit_count()] += 1
     return Enumerator(n, tuple(counts))
 
 
@@ -287,14 +287,21 @@ def _inv(a: int) -> int:
 
 @dataclass(frozen=True)
 class SignedPauli:
-    """A positive Pauli word (as a GF(4) vector) with a sign."""
+    """A positive Pauli word of length n, as x/z masks, with a sign."""
 
-    word: tuple
+    n: int
+    x: int
+    z: int
     sign: int
+
+    @classmethod
+    def from_word(cls, word, sign: int) -> "SignedPauli":
+        n, w = len(word), pack(word)
+        return cls(n, w >> n, w & ((1 << n) - 1), sign)
 
     @property
     def pauli(self) -> str:
-        return "".join(PAULI_CHARS[a] for a in self.word)
+        return "".join(PAULI_CHARS[a] for a in unpack(self.n, (self.x << self.n) | self.z))
 
     def __str__(self):
         return ("+" if self.sign > 0 else "-") + self.pauli
@@ -308,12 +315,14 @@ def rall_signs(code: Gf4Code, budget: int = DEFAULT_BUDGET):
     """
     if not is_self_orthogonal(code):
         raise NotM3CodeError("code is not Hermitian self-orthogonal")
+    n = code.n
+    mask = (1 << n) - 1
     out = []
     for w in enumerate_codewords(code, budget):
-        j = weight(w)
+        j = ((w >> n | w) & mask).bit_count()
         if j % 2:
-            raise NotM3CodeError("odd-weight codeword %s" % (w,))
-        out.append(SignedPauli(w, 1 if j % 4 == 0 else -1))
+            raise NotM3CodeError("odd-weight codeword %s" % (unpack(n, w),))
+        out.append(SignedPauli(n, w >> n, w & mask, 1 if j % 4 == 0 else -1))
     return out
 
 

@@ -12,7 +12,6 @@ inverts them, and solves the extremal cancellation systems exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .enumerators import Enumerator
@@ -23,8 +22,6 @@ from .exact import (
     catalan,
     poly_mul,
     poly_pow,
-    q_from_str,
-    q_to_str,
     rref,
 )
 
@@ -62,24 +59,6 @@ class InvariantParams:
             raise ValueError("expected %d c' coefficients" % num_cprime(self.n))
         if len(self.dprime) != num_dprime(self.n):
             raise ValueError("expected %d d' coefficients" % num_dprime(self.n))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "cprime": [q_to_str(x) for x in self.cprime],
-                "dprime": [q_to_str(x) for x in self.dprime],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "InvariantParams":
-        data = json.loads(text)
-        return cls(
-            int(data["n"]),
-            tuple(q_from_str(s) for s in data["cprime"]),
-            tuple(q_from_str(s) for s in data["dprime"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -162,16 +141,6 @@ def unit_family_basis(n: int):
     return basis
 
 
-def unit_selfdual_basis(n: int):
-    basis = []
-    nc = n // 6 + 1
-    for i in range(nc):
-        c = [0] * nc
-        c[i] = 1
-        basis.append(expand_selfdual(SelfDualParams(n, tuple(c))))
-    return basis
-
-
 def params_from_enumerator(A: Enumerator) -> InvariantParams:
     """Invert expand_family exactly; raises if A is outside the family span."""
     n = A.n
@@ -192,14 +161,6 @@ def params_from_enumerator(A: Enumerator) -> InvariantParams:
 
 # ---------------------------------------------------------------------------
 # rescaled coordinates used by the cancellation systems (internal only)
-
-
-def _c_from_cprime(n, j, cp):
-    return Q(-16, 27) ** j * cp * Q(4) ** ((n - 1) // 2 - 3 * j)
-
-
-def _d_from_dprime(n, j, dp):
-    return Q(-16, 27) ** j * dp * Q(4) ** ((n - 5) // 2 - 3 * j)
 
 
 def _cprime_from_c(n, j, c):

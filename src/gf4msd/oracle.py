@@ -4,11 +4,10 @@ Builds stabilizer projectors directly from signed Pauli words and computes
 projection probabilities and logical components by matrix algebra, fully
 independently of the enumerator identities they validate.
 
-A Pauli word is a pair of bitmasks, as in the symplectic representation of
-Aaronson and Gottesman: x holds letters 1 and 3 (X, Y), z holds letters 2
-and 3 (Z, Y), and qubit 0 is the most significant bit.  Row r of the signed
-word has its one entry in column r ^ x, with phase
-sign * (-i)^#Y * (-1)^popcount(r & z); for one qubit Y[r][1 - r] = -i(-1)^r.
+A signed Pauli carries the x/z bitmasks of `gf4` (qubit 0 is the most
+significant bit).  Row r of the signed word has its one entry in column
+r ^ x, with phase sign * (-i)^#Y * (-1)^popcount(r & z); for one qubit
+Y[r][1 - r] = -i(-1)^r.
 
 The projector is one complex128 array in both modes.  All Pauli phases
 live in {1, i, -1, -i}, so its entries are Gaussian integers over 2^(n-k)
@@ -36,15 +35,11 @@ DIM_LIMIT = 12
 _UNITS = (1, -1j, -1, 1j)  # (-i)^m for m mod 4
 
 
-def _pauli(word, sign: int):
+def _pauli(sp: SignedPauli):
     """Column index and phase per row of the signed Pauli word."""
-    x = z = 0
-    for a in word:
-        x = (x << 1) | (a & 1)
-        z = (z << 1) | (a >> 1)
-    rows = np.arange(1 << len(word))
-    signs = np.where(np.bitwise_count(rows & z) & 1, -sign, sign)
-    return rows ^ x, _UNITS[(x & z).bit_count() % 4] * signs
+    rows = np.arange(1 << sp.n)
+    signs = np.where(np.bitwise_count(rows & sp.z) & 1, -sp.sign, sp.sign)
+    return rows ^ sp.x, _UNITS[(sp.x & sp.z).bit_count() % 4] * signs
 
 
 @dataclass(frozen=True)
@@ -69,7 +64,7 @@ def build_projector(paulis, n: int, k: int) -> DenseOperator:
     rows = np.arange(1 << n)
     mat = np.zeros((1 << n, 1 << n), dtype=np.complex128)
     for sp in paulis:
-        cols, phases = _pauli(sp.word, sp.sign)
+        cols, phases = _pauli(sp)
         mat[rows, cols] += phases
     mat /= 2 ** (n - k)
     # Scaled by 4^(n-k), every real or imaginary partial sum of mat @ mat is
@@ -138,7 +133,7 @@ def projection_prob(proj: DenseOperator, bloch: DensityVector, n: int):
 
 def logical_component(proj: DenseOperator, logical: SignedPauli, bloch: DensityVector, n: int):
     """tr(Pi rho(a)^n Q_L) for a signed logical word commuting with Pi."""
-    cols, phases = _pauli(logical.word, logical.sign)
+    cols, phases = _pauli(logical)
     # Q_L maps row r to column cols[r] = r ^ x, and cols is its own inverse
     pq = proj.mat[:, cols] * phases[cols]
     qp = phases[:, None] * proj.mat[cols, :]

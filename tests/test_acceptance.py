@@ -267,7 +267,7 @@ def test_criterion_07_oracle_equivalence(codes_dir):
     A = weight_enumerator(five)
     dmap = build_map(A)
     proj = build_projector(rall_signs(five), 5, 1)
-    logical = SignedPauli((2,) * 5, -1)
+    logical = SignedPauli.from_word((2,) * 5, -1)
     sqrt3 = math.sqrt(3)
     for _ in range(20):
         eps = rng.uniform(0.02, 0.48)

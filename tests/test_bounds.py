@@ -207,32 +207,10 @@ def test_selfdual_distance_bounds():
     assert classical_distance_bound_selfdual(6, False) == 4
 
 
-def test_bernstein_rows_are_sufficient():
-    from gf4msd.bounds import bernstein_rows, build_polytope
-    from gf4msd.distill import check_success_nonneg
-
-    fam = distillation_family(7, pin_trivial=False)
-    p = build_polytope(fam.dim, fam.names, classical_rows(fam) + bernstein_rows(fam))
-    v = lp_feasible(p)
-    assert v.status == "feasible"
-    ok, _ = check_success_nonneg(fam.enumerator_at(v.witness))
-    assert ok
-    # every vertex of the Bernstein-cut region satisfies the exact check
-    for vert in enumerate_vertices_2d(p):
-        ok, _ = check_success_nonneg(fam.enumerator_at(vert))
-        assert ok
-
-
 def test_selfdual_quantum_filter():
     assert not quantum_filter_selfdual_enumerator(selfdual_extremal_enumerator(12))
     hexa = Enumerator.from_pairs(6, {0: 1, 4: 45, 6: 18})
     assert quantum_filter_selfdual_enumerator(hexa)
-
-
-def test_polytope_json_roundtrip():
-    p = unit_square()
-    again = Polytope.from_json(p.to_json())
-    assert again == p
 
 
 def test_trivial_rows_dropped_and_false_rows_flag():

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 from gf4msd.cli import main
+from gf4msd.gf4 import random_maximal_self_orthogonal_code
 
 
 def run_cli(capsys, *argv):
@@ -202,3 +204,51 @@ def test_out_flag_writes_file(tmp_path, capsys, codes_dir):
     code = main(["analyze", str(codes_dir / "five_qubit.g4c"), "--out", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["n"] == 5
+
+
+# sha256 of `analyze` stdout on the shipped codes and on seeded maximal codes
+# (random.Random(n)), and of `search` on the shipped database, recorded
+# before codeword enumeration became one packed stream
+ANALYZE_SHA256 = {
+    "five_qubit": "0d24975ede7a8947f4e9f794ae5c8a52f450a94e776f02d4e0f0120025d4c02c",
+    "five_qubit_product": "d933cb8802fe581d7f01b4ca657ce12d9cde945ec02cf35bae6492f6c6d63068",
+    "hexacode": "5da6ea6af1f63d439b24e10c65347cfb891265a03af3e88366bab2a0e2132c86",
+    "two_qubit": "a9c2ac3c21cc9556899d1f5d3d181a0d86298d7d7dbe746ed998730bf3053d29",
+}
+SEEDED_ANALYZE_SHA256 = {
+    13: "8e9e12dd2fe48212b61ee39131e2c8e68ed48728c3406e4612d97503b07a5eb1",
+    17: "3beb0f05679a3a799747ddd9d765b9f3102041d7edc2167066361e798c945118",
+    19: "ac9528eb78e9c31b0a038b298dedd2a463369caf5975a4635155595c649b8209",
+}
+SEARCH_SHA256 = "a3a034acaf6fda1072e6ded2f8098fb0eb374abe313d72fabdfff3d1b062d5fe"
+
+
+def _digest(capsys, *argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0, argv
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_analyze_golden_digests(capsys, codes_dir):
+    for name, digest in ANALYZE_SHA256.items():
+        assert _digest(capsys, "analyze", str(codes_dir / (name + ".g4c"))) == digest, name
+
+
+def test_analyze_seeded_maximal_golden_digests(tmp_path, capsys):
+    for n, digest in SEEDED_ANALYZE_SHA256.items():
+        code = random_maximal_self_orthogonal_code(random.Random(n), n)
+        path = tmp_path / ("seed%d.g4c" % n)
+        path.write_text(code.to_text())
+        assert _digest(capsys, "analyze", str(path)) == digest, n
+
+
+def test_search_golden_digest(capsys, codes_dir):
+    assert _digest(capsys, "search", str(codes_dir / "selfdual6.g4cdb")) == SEARCH_SHA256
+
+
+def test_curve_malformed_json_is_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    for text in ("{}", '{"n": 5}', "[1, 2]", '{"n": 5, "coeffs": 3}', '{"n": 1, "coeffs": [1]}', "not json"):
+        f.write_text(text)
+        assert main(["curve", str(f)]) == 2, text
+        assert capsys.readouterr().err.startswith("parse error:"), text

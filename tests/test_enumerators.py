@@ -113,5 +113,3 @@ def test_serialization():
     assert again == FIVE_A
     frac = Enumerator(1, (Q(1, 2), 1))
     assert Enumerator.from_json(frac.to_json()) == frac
-    rows = FIVE_A.csv_rows()
-    assert rows[4] == (4, "15")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from gf4msd.gf4 import (
     Gf4Code,
     NotM3CodeError,
     ParseError,
+    SignedPauli,
     enumerate_codewords,
     gf4_conj,
     gf4_mul,
@@ -14,12 +16,15 @@ from gf4msd.gf4 import (
     hermitian_ip,
     is_self_dual,
     is_self_orthogonal,
+    pack,
     parse_code,
     parse_database,
     rall_signs,
     random_self_orthogonal_code,
     shorten,
+    unpack,
     vec_add,
+    vec_scale,
     weight,
     weight_enumerator,
     zero_code,
@@ -54,7 +59,7 @@ def test_hexacode_self_dual():
     assert is_self_dual(HEXA)
     dual = hermitian_dual(HEXA)
     assert dual.k == 3
-    words = list(enumerate_codewords(HEXA))
+    words = [unpack(6, w) for w in enumerate_codewords(HEXA)]
     assert len(words) == 64
     for i, u in enumerate(words):
         for v in words[i:]:
@@ -66,7 +71,7 @@ def test_hexacode_self_dual():
 def test_zero_code_dual_is_full_space():
     z = zero_code(4)
     assert weight_enumerator(z).coeffs == (1, 0, 0, 0, 0)
-    assert list(enumerate_codewords(z)) == [(0, 0, 0, 0)]
+    assert [unpack(4, w) for w in enumerate_codewords(z)] == [(0, 0, 0, 0)]
     assert hermitian_dual(z).k == 4
 
 
@@ -99,7 +104,7 @@ def test_shorten():
     assert is_self_orthogonal(s)
     # every shortened word extends by a zero back into the parent
     for w in enumerate_codewords(s):
-        assert HEXA.contains((0,) + w)
+        assert HEXA.contains((0,) + unpack(5, w))
     z = shorten(zero_code(4), 2)
     assert z.n == 3 and z.k == 0
     with pytest.raises(IndexError):
@@ -123,8 +128,9 @@ def test_rall_signs():
     signed = {str(s) for s in rall_signs(pair)}
     assert signed == {"+II", "-XX", "-YY", "-ZZ"}
     for s in rall_signs(FIVE):
-        assert s.sign == (1 if weight(s.word) % 4 == 0 else -1)
-        if weight(s.word) == 4:
+        word = unpack(s.n, (s.x << s.n) | s.z)
+        assert s.sign == (1 if weight(word) % 4 == 0 else -1)
+        if weight(word) == 4:
             assert s.sign == 1
     with pytest.raises(NotM3CodeError):
         rall_signs(Gf4Code(2, ((1, 0), (0, 1))))
@@ -170,9 +176,45 @@ def test_random_self_orthogonal_generator():
         code = random_self_orthogonal_code(rng, n)
         assert is_self_orthogonal(code)
         for w in enumerate_codewords(code):
-            assert weight(w) % 2 == 0
+            assert weight(unpack(n, w)) % 2 == 0
 
 
 def test_vec_helpers():
     assert vec_add((1, 2), (3, 0)) == (2, 2)
     assert weight((0, 1, 2, 0, 3)) == 3
+
+
+def test_packed_word_format():
+    # x holds letters 1 and 3, z letters 2 and 3, entry 0 most significant
+    assert pack((1, 2, 3, 0)) == (0b1010 << 4) | 0b0110
+    assert unpack(4, pack((1, 2, 3, 0))) == (1, 2, 3, 0)
+    sp = SignedPauli.from_word((1, 2, 3, 0), -1)
+    assert (sp.n, sp.x, sp.z, sp.sign) == (4, 0b1010, 0b0110, -1)
+    assert str(sp) == "-XZYI"
+
+
+def _reference_codewords(code):
+    """sum_i s_i g_i over every scalar vector, s_0 most significant."""
+    multiples = [[vec_scale(s, g) for s in range(4)] for g in code.generators]
+    for terms in itertools.product(*multiples):
+        acc = (0,) * code.n
+        for t in terms:
+            acc = vec_add(acc, t)
+        yield acc
+
+
+def _random_code(rng, n, k):
+    while True:
+        try:
+            return Gf4Code(n, tuple(tuple(rng.randrange(4) for _ in range(n)) for _ in range(k)))
+        except ValueError:  # dependent generators
+            continue
+
+
+def test_packed_stream_matches_reference_in_order():
+    # k > 6 crosses the split of the stream into head products and a tail span
+    rng = random.Random(29)
+    for k in range(9):
+        code = _random_code(rng, k + 3, k)
+        words = [unpack(code.n, w) for w in enumerate_codewords(code)]
+        assert words == list(_reference_codewords(code)), k

@@ -28,10 +28,10 @@ FIVE_PRODUCT = Gf4Code.from_strings(["11000", "00110"])
 HEXA = Gf4Code.from_strings(["1001ww", "010w1w", "001ww1"])
 
 S1_GROUP = [
-    SignedPauli((0, 0), 1),
-    SignedPauli((1, 1), 1),
-    SignedPauli((3, 3), -1),
-    SignedPauli((2, 2), 1),
+    SignedPauli.from_word((0, 0), 1),
+    SignedPauli.from_word((1, 1), 1),
+    SignedPauli.from_word((3, 3), -1),
+    SignedPauli.from_word((2, 2), 1),
 ]
 
 
@@ -75,10 +75,10 @@ def test_bell_projector_from_plus_signs():
 
 def test_inconsistent_signs_rejected():
     bad = [
-        SignedPauli((0, 0), -1),
-        SignedPauli((1, 1), 1),
-        SignedPauli((3, 3), -1),
-        SignedPauli((2, 2), 1),
+        SignedPauli.from_word((0, 0), -1),
+        SignedPauli.from_word((1, 1), 1),
+        SignedPauli.from_word((3, 3), -1),
+        SignedPauli.from_word((2, 2), 1),
     ]
     with pytest.raises(ValueError):
         build_projector(bad, 2, 0)
@@ -87,7 +87,7 @@ def test_inconsistent_signs_rejected():
 
 
 def test_identity_only_group():
-    proj = build_projector([SignedPauli((0, 0, 0), 1)], 3, 3)
+    proj = build_projector([SignedPauli.from_word((0, 0, 0), 1)], 3, 3)
     assert np.array_equal(proj.mat, np.eye(8))
 
 
@@ -120,13 +120,13 @@ def test_hexacode_projection():
 def test_logical_component_five_qubit():
     rng = random.Random(31)
     proj = build_projector(rall_signs(FIVE), 5, 1)
-    logical = SignedPauli((2,) * 5, -1)  # signed logical Z word
+    logical = SignedPauli.from_word((2,) * 5, -1)  # signed logical Z word
     for _ in range(6):
         rbar = rand_rbar(rng)
         got = logical_component(proj, logical, t_direction(rbar), 5)
         assert got == (10 * rbar**3 - 6 * rbar**5) / 16
     # identity logical reduces to the projection probability
-    ident = SignedPauli((0,) * 5, 1)
+    ident = SignedPauli.from_word((0,) * 5, 1)
     rbar = Q(1, 4)
     assert logical_component(proj, ident, t_direction(rbar), 5) == projection_prob(
         proj, t_direction(rbar), 5
@@ -135,7 +135,7 @@ def test_logical_component_five_qubit():
 
 def test_noncommuting_logical_rejected():
     proj = build_projector(rall_signs(FIVE), 5, 1)
-    bad = SignedPauli((1, 0, 0, 0, 0), 1)
+    bad = SignedPauli.from_word((1, 0, 0, 0, 0), 1)
     with pytest.raises(ValueError):
         logical_component(proj, bad, t_direction(Q(1, 4)), 5)
 
@@ -166,7 +166,7 @@ def test_oracle_eps_out_matches_map():
     A = weight_enumerator(FIVE)
     dmap = build_map(A)
     proj = build_projector(rall_signs(FIVE), 5, 1)
-    logical = SignedPauli((2,) * 5, -1)
+    logical = SignedPauli.from_word((2,) * 5, -1)
     sqrt3 = math.sqrt(3)
     for _ in range(20):
         rbar = rand_rbar(rng)
@@ -180,7 +180,7 @@ def test_oracle_eps_out_matches_map():
 
 def test_y_projector_is_not_transposed():
     # (I + Y)/2 with Y = [[0, -i], [i, 0]]; the transpose would flip the signs of i
-    proj = build_projector([SignedPauli((0,), 1), SignedPauli((3,), 1)], 1, 0)
+    proj = build_projector([SignedPauli.from_word((0,), 1), SignedPauli.from_word((3,), 1)], 1, 0)
     assert np.array_equal(proj.mat, np.array([[0.5, -0.5j], [0.5j, 0.5]]))
     assert projection_prob(proj, DensityVector(1, 0, Q(1, 3), 0), 1) == Q(2, 3)
 

@@ -8,7 +8,7 @@ from corpus import random_codes, random_family_params, random_maximal_codes, sam
 from gf4msd.distill import build_map, check_success_nonneg, noise_exponent
 from gf4msd.enumerators import macwilliams, transform_xy
 from gf4msd.exact import poly_eval, poly_mul, poly_pow, series_compose, series_inv, series_mul
-from gf4msd.gf4 import enumerate_codewords, hermitian_dual, shorten, weight_enumerator
+from gf4msd.gf4 import enumerate_codewords, hermitian_dual, shorten, unpack, weight_enumerator
 from gf4msd.invariants import expand_family, h_series, params_from_enumerator
 
 CODES = random_codes()
@@ -66,6 +66,7 @@ def test_shortening_monotonicity():
         coord = rng.randrange(code.n)
         s = shorten(code, coord)
         for w in enumerate_codewords(s):
+            w = unpack(s.n, w)
             assert code.contains(w[:coord] + (0,) + w[coord:])
 
 
