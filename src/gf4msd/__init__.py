@@ -8,6 +8,7 @@ oracle that cross-checks every formula on small codes.
 """
 
 from .enumerators import (
+    DomainError,
     Enumerator,
     MacWilliamsError,
     alt_odd_eval,
@@ -51,7 +52,6 @@ from .distill import (
     DistillMap,
     NoiseExponent,
     QuantumVerdict,
-    Sqrt3,
     ThresholdReport,
     bernstein_certificate,
     build_map,
@@ -62,6 +62,7 @@ from .distill import (
     noise_exponent,
     quantum_verdict,
     threshold,
+    threshold_slack,
 )
 from .bounds import (
     LatticeSpec,

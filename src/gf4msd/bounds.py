@@ -16,9 +16,15 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import simplex
-from .distill import DegenerateMapError, _n_poly, _odd_part_poly, quantum_verdict
-from .enumerators import Enumerator, alt_odd_eval, signed_eval, signed_poly, transform_xy
-from .exact import Q, poly_add, poly_scale, rref
+from .distill import (
+    DegenerateMapError,
+    _map_polys,
+    check_success_nonneg,
+    quantum_verdict,
+    threshold_slack,
+)
+from .enumerators import DomainError, Enumerator, signed_eval, transform_xy
+from .exact import Q, rref
 from .invariants import (
     InvariantParams,
     SelfDualParams,
@@ -27,7 +33,6 @@ from .invariants import (
     num_cprime,
     num_dprime,
 )
-from .roots import poly_nonneg_on
 
 SENSES = ("<=", ">=", "==")
 
@@ -333,7 +338,7 @@ def count_lattice_points(polytope: Polytope, lattice: LatticeSpec, extra_filter=
     Returns (count, sorted points).
     """
     if polytope.dim > 3:
-        raise ValueError("lattice enumeration supports dim <= 3")
+        raise DomainError("lattice enumeration supports dim <= 3")
     if len(lattice.moduli) != polytope.dim:
         raise ValueError("lattice dimension mismatch")
     ranges = []
@@ -407,11 +412,7 @@ class AffineFamily:
         """Constraint func(A,B,C) <sense> rhs, with func linear memberwise."""
         base = func(*self.members[0])
         coeffs = tuple(func(*m) for m in self.members[1:])
-        if sense == ">=":
-            return LinConstraint(coeffs, ">=", Q(rhs) - base)
-        if sense == "<=":
-            return LinConstraint(coeffs, "<=", Q(rhs) - base)
-        return LinConstraint(coeffs, "==", Q(rhs) - base)
+        return LinConstraint(coeffs, sense, Q(rhs) - base)
 
 
 def _triple(A: Enumerator, divisor) -> tuple:
@@ -426,7 +427,7 @@ def distillation_family(n: int, pin_trivial: bool = True) -> AffineFamily:
     and, for n >= 7, c1' = 3(5 - n)/2 (no weight-2 stabilizer).
     """
     if not is_odd_family_length(n):
-        raise ValueError("need odd n >= 5")
+        raise DomainError("need odd n >= 5")
     nc, nd = num_cprime(n), num_dprime(n)
     cp = [Q(0)] * nc
     dp = [Q(0)] * nd
@@ -456,7 +457,7 @@ def distillation_family(n: int, pin_trivial: bool = True) -> AffineFamily:
 def selfdual_family(n: int) -> AffineFamily:
     """Self-dual family for even n, pinned to c0 = 1; B = A and C = 0."""
     if not is_selfdual_length(n):
-        raise ValueError("need even n >= 6")
+        raise DomainError("need even n >= 6")
     nc = n // 6 + 1
     zero = Enumerator(n, (0,) * (n + 1))
     c0 = [Q(0)] * nc
@@ -491,10 +492,7 @@ def _success_at(t):
 
 def numerator_coefficient_rows(fam: AffineFamily, lam: int, count: int):
     """Equality rows forcing the first `count` numerator coefficients to 0."""
-    polys = [
-        poly_add(_n_poly(A), poly_scale(_odd_part_poly(C), lam))
-        for (A, B, C) in fam.members
-    ]
+    polys = [_map_polys(A, C, lam)[0] for (A, B, C) in fam.members]
     rows = []
     for t in range(count):
         base = polys[0][t] if t < len(polys[0]) else Q(0)
@@ -515,15 +513,9 @@ def classical_rows(fam: AffineFamily):
 def quantum_rows_distill(fam: AffineFamily):
     """Linearized quantum cuts: N(0) >= 0, N(eps_max) >= 0 and the
     sign-resolved threshold inequality for both logical sign choices."""
-    n0 = _success_at(Q(1, 3))
-    nmax = _success_at(Q(1, 9))
-    rows = [fam.row(n0, ">="), fam.row(nmax, ">=")]
+    rows = [fam.row(_success_at(Q(1, 3)), ">="), fam.row(_success_at(Q(1, 9)), ">=")]
     for lam in (1, -1):
-        def f(A, B, C, lam=lam):
-            # 3 N(eps_max) + lam sum_j C_{2j+1} (-1)^j 9^(-j)
-            return 3 * nmax(A, B, C) + lam * 3 * alt_odd_eval(C, Q(1, 3))
-
-        rows.append(fam.row(f, ">="))
+        rows.append(fam.row(lambda A, B, C, lam=lam: threshold_slack(A, C, lam), ">="))
     return rows
 
 
@@ -591,7 +583,7 @@ def max_nu_bound(n: int, use_quantum: bool = False, with_witness: bool = False):
     (bound, witness point, family) instead of the bare bound.
     """
     if not is_nu_length(n):
-        raise ValueError("n must be congruent to +-1 mod 6")
+        raise DomainError("n must be congruent to +-1 mod 6")
     m = (n - (n % 6)) // 6
     kmax = 2 * m + 1 if n % 6 == 5 else 2 * m
     fam = distillation_family(n, pin_trivial=True)
@@ -708,15 +700,11 @@ def quantum_filter_distill(fam: AffineFamily):
     return ok
 
 
-def quantum_filter_selfdual_enumerator(A: Enumerator) -> bool:
-    """Exact verdict A(1, i rbar) >= 0 for all rbar^2 in [0, 1/3]."""
-    good, _ = poly_nonneg_on(signed_poly(A), 0, Q(1, 3))
-    return good
-
-
 def quantum_filter_selfdual(fam: AffineFamily):
+    """Exact verdict A(1, i rbar) >= 0 for all rbar^2 in [0, 1/3]."""
+
     def ok(point) -> bool:
-        return quantum_filter_selfdual_enumerator(fam.enumerator_at(point))
+        return check_success_nonneg(fam.enumerator_at(point))[0]
 
     return ok
 

@@ -5,8 +5,9 @@ Every subcommand takes --out.  Numeric output defaults to exact rational
 strings; analyze, extremal and curve take --decimal and --precision
 digits, search always prints thresholds as decimals of --precision
 digits, and analyze, search and verify, which enumerate codewords, take
---budget.  Exit codes: 0 success, 2 parse error, 3 mathematical
-inconsistency, 4 enumeration budget exceeded.
+--budget.  Exit codes: 0 success, 2 parse error, 3 domain error (a
+mathematical inconsistency), 4 enumeration budget exceeded; any other
+error propagates.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import sys
 
 from . import bounds, distill, gf4, invariants, oracle
-from .enumerators import Enumerator, MacWilliamsError, macwilliams, signed_eval
+from .enumerators import DomainError, Enumerator, macwilliams, signed_eval
 from .exact import Q, decimal_str, q_to_str
 
 EXIT_OK = 0
@@ -82,20 +83,14 @@ def _analyze_report(code: gf4.Gf4Code, budget: int, out: _Output):
     report["C"] = json.loads(C.to_json())
     if report["self_dual"]:
         val = signed_eval(A, Q(1, 3))
-        ok_interval = bounds.quantum_filter_selfdual_enumerator(A)
         report["state_check"] = {
             "signed_eval_pure": out.num(val),
             "nonneg_pure": val >= 0,
-            "nonneg_interval": ok_interval,
+            "nonneg_interval": distill.check_success_nonneg(A)[0],
         }
     if code.n % 2 and code.k == (code.n - 1) // 2 and code.n % 6 in (1, 5):
-        dmap = distill.build_map(A)
-        ne = distill.noise_exponent(dmap)
-        other = distill.build_map(A, lam=-dmap.lam)
+        ne, thr_nat, thr_other, best = _sign_thresholds(A)
         verdict = distill.quantum_verdict(A)
-        thr_nat = distill.threshold(dmap)
-        thr_other = distill.threshold(other)
-        best = _better_threshold(thr_nat, thr_other)
         report["distill"] = {
             "class": "5" if code.n % 6 == 5 else "1",
             "nu": ne.nu,
@@ -116,12 +111,19 @@ def _analyze_report(code: gf4.Gf4Code, budget: int, out: _Output):
     return report
 
 
-def _better_threshold(a, b):
-    if a.status != "ok":
-        return b
-    if b.status != "ok":
-        return a
-    return a if a.low >= b.low else b
+def _sign_thresholds(A):
+    """Noise exponent of the natural-sign map, the thresholds of both sign
+    maps, and the better of the two."""
+    dmap = distill.build_map(A)
+    nat = distill.threshold(dmap)
+    other = distill.threshold(distill.build_map(A, lam=-dmap.lam))
+    if nat.status != "ok":
+        best = other
+    elif other.status != "ok":
+        best = nat
+    else:
+        best = nat if nat.low >= other.low else other
+    return distill.noise_exponent(dmap), nat, other, best
 
 
 def cmd_analyze(args) -> int:
@@ -162,13 +164,9 @@ def cmd_search(args) -> int:
                 "source": "%d:%d" % (idx, coord),
             }
             if short.n % 6 in (1, 5) and short.k == (short.n - 1) // 2 and A.is_even_only():
-                dmap = distill.build_map(A)
-                ne = distill.noise_exponent(dmap)
-                rep = distill.threshold(dmap)
-                other = distill.threshold(distill.build_map(A, lam=-dmap.lam))
-                rep = _better_threshold(rep, other)
+                ne, _, _, best = _sign_thresholds(A)
                 entry["nu"] = ne.nu
-                entry["threshold"] = rep
+                entry["threshold"] = best
             rows.append(entry)
 
     def sort_key(e):
@@ -253,10 +251,6 @@ def cmd_curve(args) -> int:
     out = _Output(args)
     with open(args.file) as fh:
         A = Enumerator.from_json(fh.read())
-    if not A.is_even_only():
-        raise MacWilliamsError("curve needs an even-only enumerator")
-    if A.n % 6 not in (1, 5):
-        raise MacWilliamsError("n must be congruent to +-1 mod 6")
     dmap = distill.build_map(A)
     rep = distill.threshold(dmap)
     lines = ["epsilon,epsilon_out"]
@@ -277,7 +271,7 @@ def cmd_verify(args) -> int:
     budget = 4**args.budget
     code = _load_code(args.file)
     if code.n > oracle.DIM_LIMIT:
-        raise MacWilliamsError("verify supports n <= %d" % oracle.DIM_LIMIT)
+        raise DomainError("verify supports n <= %d" % oracle.DIM_LIMIT)
     rng = random.Random(args.seed)
     A = gf4.weight_enumerator(code, budget)
     signed = gf4.rall_signs(code, budget)
@@ -383,7 +377,7 @@ def main(argv=None) -> int:
     except gf4.BudgetExceededError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    except (MacWilliamsError, gf4.NotM3CodeError, distill.DegenerateMapError, ValueError) as exc:
+    except DomainError as exc:
         print("inconsistency: %s" % exc, file=sys.stderr)
         return EXIT_MATH
 

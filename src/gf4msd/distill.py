@@ -1,15 +1,22 @@
 """Exact one-round distillation maps derived from weight enumerators.
 
-For an even-only enumerator A of odd length n = +-1 mod 6, the output
+For an even-only enumerator A of odd length n = +-1 mod 6 with logical
+enumerator C, write u = 1 - 2 eps and t = rbar^2 = u^2 / 3.  The output
 error rate is the exact rational function
 
     eps_out(eps) = M(eps) / (2 N(eps)),
 
-with N(eps) = sum_j A_{2j} (-(1-2 eps)^2 / 3)^j and M(eps) adding the
-logical contribution weighted by a sign choice lam in {+1, -1}; the
-natural choice is +1 for n = 5 mod 6 and -1 for n = 1 mod 6.  Thresholds
-are isolated exactly; constraint verdicts never touch floating point
-(evaluations at the octahedron boundary live in Q[sqrt(3)]).
+with N = A(1, i rbar) = signed_eval(A, t) and
+
+    M - 2 eps N = u (signed_eval(A, t) + lam sum_j C_{2j+1} (-1)^j t^j / 3),
+
+where lam in {+1, -1} is the logical sign choice; the natural choice is
++1 for n = 5 mod 6 and -1 for n = 1 mod 6.  Thresholds are isolated
+exactly.  The quantum consistency constraints are decided over Q in t:
+success nonnegativity N >= 0 for t in [0, 1/3], and eps_out >= eps at the
+stabilizer-octahedron boundary eps_max = (1 - 1/sqrt(3)) / 2, where
+u = 1/sqrt(3), t = 1/9 and sqrt(3) (M - 2 eps N) is the rational
+threshold_slack.  No verdict touches floating point.
 """
 
 from __future__ import annotations
@@ -17,7 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumerators import Enumerator, transform_xy
+from .enumerators import (
+    DomainError,
+    Enumerator,
+    alt_odd_eval,
+    signed_eval,
+    signed_poly,
+    transform_xy,
+)
 from .exact import (
     Q,
     decimal_str,
@@ -26,76 +40,14 @@ from .exact import (
     poly_add,
     poly_eval,
     poly_mul,
-    poly_pow,
     poly_scale,
     poly_sub,
 )
 from .roots import bernstein_coefficients, isolate_roots, poly_nonneg_on, refine_root
 
 
-class DegenerateMapError(ValueError):
+class DegenerateMapError(DomainError):
     pass
-
-
-@dataclass(frozen=True)
-class Sqrt3:
-    """Exact element a + b*sqrt(3) of Q[sqrt(3)]."""
-
-    a: Fraction
-    b: Fraction
-
-    def __add__(self, other):
-        other = _lift(other)
-        return Sqrt3(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _lift(other)
-        return Sqrt3(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other):
-        other = _lift(other)
-        return Sqrt3(
-            self.a * other.a + 3 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return 0 if a == 0 else (1 if a > 0 else -1)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against 3 b^2
-        if a * a > 3 * b * b:
-            return 1 if a > 0 else -1
-        if a * a < 3 * b * b:
-            return 1 if b > 0 else -1
-        return 0
-
-
-def _lift(x) -> Sqrt3:
-    if isinstance(x, Sqrt3):
-        return x
-    return Sqrt3(Q(x), Q(0))
-
-
-# boundary of the single-qubit stabilizer octahedron: (1 - 1/sqrt(3)) / 2
-EPS_MAX = Sqrt3(Q(1, 2), Q(-1, 6))
-
-
-def eval_sqrt3(p, x: Sqrt3) -> Sqrt3:
-    acc = _lift(0)
-    for c in reversed(p):
-        acc = acc * x + _lift(c)
-    return acc
 
 
 def natural_sign(n: int) -> int:
@@ -103,7 +55,7 @@ def natural_sign(n: int) -> int:
         return 1
     if n % 6 == 1:
         return -1
-    raise ValueError("n must be congruent to +-1 mod 6")
+    raise DomainError("n must be congruent to +-1 mod 6")
 
 
 @dataclass(frozen=True)
@@ -136,61 +88,55 @@ class DistillMap:
         return num, den
 
 
-def _n_poly(A: Enumerator) -> tuple:
-    base = poly_scale(poly_pow((1, -2), 2), Q(-1, 3))  # -(1-2e)^2/3
+def _in_eps(q) -> tuple:
+    """q(t) at t = (1 - 2 eps)^2 / 3, as a polynomial in eps."""
     out: tuple = ()
-    power: tuple = (1,)
-    for j in range(0, A.n + 1, 2):
-        if A.coeffs[j]:
-            out = poly_add(out, poly_scale(power, A.coeffs[j]))
-        power = poly_mul(power, base)
-    return out
-
-
-def _odd_part_poly(C: Enumerator) -> tuple:
-    """sum_j C_{2j+1} (-1)^j (1-2e)^(2j+1) / 3^(j+1) as an exact polynomial."""
-    out: tuple = ()
-    lin = (1, -2)
-    for j in range(0, (C.n - 1) // 2 + 1):
-        c = C.coeffs[2 * j + 1]
+    power: tuple = (1,)  # (1 - 2 eps)^(2j), integral
+    for j, c in enumerate(q):
         if c:
-            term = poly_scale(poly_pow(lin, 2 * j + 1), Q((-1) ** j * c, 3 ** (j + 1)))
-            out = poly_add(out, term)
+            out = poly_add(out, poly_scale(power, Q(c, 3**j)))
+        power = poly_mul(power, (1, -4, 4))
     return out
 
 
-def _dual(A: Enumerator) -> Enumerator:
+def _map_polys(A: Enumerator, C: Enumerator, lam) -> tuple:
+    """(M, N) in eps, linear in (A, C); A even-only and C odd-only."""
+    n_poly = _in_eps(signed_poly(A))
+    odd = [Q((-1) ** j * C.coeffs[2 * j + 1], 3) for j in range((C.n + 1) // 2)]
+    m_poly = poly_add(n_poly, poly_scale(poly_mul((1, -2), _in_eps(odd)), lam))
+    return m_poly, n_poly
+
+
+def _logical(A: Enumerator) -> Enumerator:
+    """C = B - A after the checks every map and verdict rests on.
+
+    A(1, 1) > 0 with A even-only also rules out N = 0 identically.
+    """
+    if A.n % 6 not in (1, 5):
+        raise DomainError("n = %d is not congruent to +-1 mod 6" % A.n)
+    if not A.is_even_only():
+        raise DomainError("stabilizer enumerator must be even-only")
     total = A.total()
     if total <= 0:
-        raise ValueError("enumerator total A(1,1) must be positive")
-    return transform_xy(A).scale(Q(1, total))
+        raise DomainError("enumerator total A(1,1) must be positive")
+    C = transform_xy(A).scale(Q(1, total)) - A
+    if not C.is_odd_only():
+        raise DomainError("logical enumerator must be odd-only")
+    return C
 
 
-def build_map(A: Enumerator, lam: int | None = None, B: Enumerator | None = None) -> DistillMap:
+def build_map(A: Enumerator, lam: int | None = None) -> DistillMap:
     """Distillation map for an even-only enumerator A, n = +-1 mod 6.
 
     lam selects the logical sign class; None takes the natural choice for
-    n mod 6.  B may be supplied to skip the dual transform.
+    n mod 6.
     """
-    n = A.n
-    if n % 6 not in (1, 5):
-        raise ValueError("n = %d is not congruent to +-1 mod 6" % n)
-    if not A.is_even_only():
-        raise ValueError("stabilizer enumerator must be even-only")
+    C = _logical(A)
     if lam is None:
-        lam = natural_sign(n)
+        lam = natural_sign(A.n)
     if lam not in (1, -1):
-        raise ValueError("lam must be +1 or -1")
-    if B is None:
-        B = _dual(A)
-    C = B - A
-    if not C.is_odd_only():
-        raise ValueError("logical enumerator must be odd-only")
-    n_poly = _n_poly(A)
-    m_poly = poly_add(n_poly, poly_scale(_odd_part_poly(C), lam))
-    if not n_poly:
-        raise DegenerateMapError("N is identically zero")
-    return DistillMap(n, lam, m_poly, n_poly)
+        raise DomainError("lam must be +1 or -1")
+    return DistillMap(A.n, lam, *_map_polys(A, C, lam))
 
 
 @dataclass(frozen=True)
@@ -272,7 +218,7 @@ class QuantumVerdict:
     success_nonneg: bool
     threshold_ok_plus: bool  # lam = -1 map (n = 1 mod 6 natural choice)
     threshold_ok_minus: bool  # lam = +1 map
-    success_witness: Fraction | None = None
+    success_witness: Fraction | None = None  # rbar^2 in [0, 1/3]
     threshold_witness_plus: Fraction | None = None
     threshold_witness_minus: Fraction | None = None
 
@@ -282,29 +228,33 @@ class QuantumVerdict:
 
 
 def check_success_nonneg(A: Enumerator):
-    """Decide N(eps) >= 0 on [0, 1] exactly; witness is a rational eps."""
-    n_poly = _n_poly(A)
-    ok, witness = poly_nonneg_on(n_poly, 0, 1)
-    return ok, witness
+    """Decide N = A(1, i rbar) >= 0 for rbar^2 in [0, 1/3] exactly.
+
+    Returns (True, None) or (False, witness), the witness a rational
+    rbar^2 with signed_eval(A, witness) < 0.
+    """
+    return poly_nonneg_on(signed_poly(A), 0, Q(1, 3))
 
 
-def _threshold_ok(dmap: DistillMap):
-    """(ok, witness) for eps_out(eps_max) >= eps_max, decided in Q[sqrt(3)]."""
-    slack = eval_sqrt3(dmap.fixed_point_poly(), EPS_MAX)
-    den_sign = eval_sqrt3(dmap.n_poly, EPS_MAX).sign()
-    if den_sign == 0:
+def threshold_slack(A: Enumerator, C: Enumerator, lam: int) -> Fraction:
+    """sqrt(3) (M - 2 eps N) at eps_max, a rational linear functional of (A, C).
+
+    At eps_max, u = 1/sqrt(3) and t = 1/9, so this is
+    signed_eval(A, 1/9) + lam * alt_odd_eval(C, 1/3).
+    """
+    return signed_eval(A, Q(1, 9)) + lam * alt_odd_eval(C, Q(1, 3))
+
+
+def _threshold_ok(A: Enumerator, C: Enumerator, lam: int):
+    """(ok, witness) for eps_out(eps_max) >= eps_max: the slack may not
+    have the sign opposite to N(eps_max), and is the witness if it does."""
+    n_max = signed_eval(A, Q(1, 9))
+    if n_max == 0:
         raise DegenerateMapError("N(eps_max) = 0; threshold test degenerate")
-    if slack.sign() in (0, den_sign):
+    slack = threshold_slack(A, C, lam)
+    if slack == 0 or (slack > 0) == (n_max > 0):
         return True, None
-    # for even-only A the slack is a pure sqrt(3) multiple, so
-    # sqrt(3) * slack = 3 b is the rational violated quantity
-    return False, 3 * slack.b if slack.a == 0 else None
-
-
-def _sign_maps(A: Enumerator):
-    """The maps for lam = -1 and lam = +1, sharing one dual transform."""
-    B = _dual(A)
-    return [build_map(A, lam=lam, B=B) for lam in (-1, 1)]
+    return False, slack
 
 
 def check_threshold_constraint(A: Enumerator):
@@ -312,18 +262,18 @@ def check_threshold_constraint(A: Enumerator):
 
     eps_max = (1 - 1/sqrt(3))/2 is the stabilizer-octahedron boundary; a
     map crossing below it would purify undistillable states.  Returns
-    {lam: (ok, witness)} where the witness is the exact rational value of
-    sqrt(3) * (M - 2 eps N)(eps_max), negative exactly on violation.
+    {lam: (ok, witness)} where the witness is the exact rational
+    threshold_slack, of sign opposite to N(eps_max) exactly on violation.
     N(eps_max) = 0 raises a degenerate-map error.
     """
-    return {dmap.lam: _threshold_ok(dmap) for dmap in _sign_maps(A)}
+    C = _logical(A)
+    return {lam: _threshold_ok(A, C, lam) for lam in (-1, 1)}
 
 
 def quantum_verdict(A: Enumerator) -> QuantumVerdict:
     """Both consistency constraints with exact witnesses on failure."""
-    maps = _sign_maps(A)
-    ok_s, wit_s = poly_nonneg_on(maps[0].n_poly, 0, 1)
-    thr = {dmap.lam: _threshold_ok(dmap) for dmap in maps}
+    thr = check_threshold_constraint(A)
+    ok_s, wit_s = check_success_nonneg(A)
     return QuantumVerdict(
         success_nonneg=ok_s,
         threshold_ok_plus=thr[-1][0],
@@ -347,6 +297,8 @@ def bernstein_certificate(p, degree: int):
 
 def curve_rows(dmap: DistillMap, grid: int = 512):
     """(eps, eps_out) pairs on a uniform grid over [0, 1/2]."""
+    if grid < 1:
+        raise DomainError("grid must be a positive integer")
     rows = []
     for i in range(grid + 1):
         eps = Q(i, 2 * grid)

@@ -17,7 +17,11 @@ from math import comb
 from .exact import Q, as_int_if_possible, poly_eval, q_from_str, q_to_str
 
 
-class MacWilliamsError(ValueError):
+class DomainError(ValueError):
+    """Input outside the mathematical domain of a command: exit code 3."""
+
+
+class MacWilliamsError(DomainError):
     """The dual transform produced evidence the input was not a code enumerator."""
 
 

@@ -23,7 +23,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .enumerators import Enumerator, ParseError
+from .enumerators import DomainError, Enumerator, ParseError
 
 GF4_CHARS = "01wW"
 PAULI_CHARS = "IXZY"  # indexed by field element
@@ -43,7 +43,7 @@ class BudgetExceededError(RuntimeError):
     pass
 
 
-class NotM3CodeError(ValueError):
+class NotM3CodeError(DomainError):
     pass
 
 

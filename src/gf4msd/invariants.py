@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumerators import Enumerator
+from .enumerators import DomainError, Enumerator
 from .exact import (
     Q,
     as_int_if_possible,
@@ -85,7 +85,7 @@ class HSeries:
 def h_series(order: int) -> HSeries:
     """Power-series coefficients H_j = (-4)^j (1/2)_j / (2)_j = (-1)^j Catalan(j)."""
     if order < 0:
-        raise ValueError("order must be nonnegative")
+        raise DomainError("order must be nonnegative")
     return HSeries(order, tuple((-1) ** j * catalan(j) for j in range(order + 1)))
 
 
@@ -187,7 +187,7 @@ def extremal_distillation_params(n: int) -> InvariantParams:
     matching d-sums; the c/d unknowns are then pulled back to (c', d').
     """
     if n % 6 not in (1, 5):
-        raise ValueError("n must be congruent to +-1 mod 6")
+        raise DomainError("n must be congruent to +-1 mod 6")
     c0 = Q(2) ** (n - 1)
     if n % 6 == 5:
         m = (n - 5) // 6
@@ -262,7 +262,7 @@ def selfdual_extremal_params(n: int) -> SelfDualParams:
     forces A_2 = A_4 = ... to vanish up to the extremal distance.
     """
     if n % 2 or n < 6:
-        raise ValueError("n must be even and at least 6")
+        raise DomainError("n must be even and at least 6")
     cs = [Q(1)]
     for j in range(1, n // 6 + 1):
         s = Q(0)

@@ -332,9 +332,11 @@ def test_criterion_08b_fake_enumerator_success_violation():
     for E in (violator, B):
         assert all(Q(c).denominator == 1 and c >= 0 and c % 3 == 0 for c in E.coeffs[1:])
     assert check_threshold_constraint(violator) == {-1: (True, None), 1: (True, None)}
+    # the witness is rbar^2 = 1/3, that is eps = 0
     ok, witness = check_success_nonneg(violator)
-    assert (ok, witness) == (False, 0)
-    n0 = poly_eval(build_map(violator).n_poly, witness)
+    assert (ok, witness) == (False, Q(1, 3))
+    n0 = signed_eval(violator, witness)
+    assert n0 == poly_eval(build_map(violator).n_poly, 0)
     assert n0 == 1 - Q(198, 27) + Q(495, 81) - Q(330, 243) == Q(-128, 81)
     print("criterion 8b (success constraint rejects a classical point): PASS")
 
@@ -384,7 +386,7 @@ def test_criterion_10_property_corpora():
         if ok:
             assert neg is None
         else:
-            assert poly_eval(dmap.n_poly, witness) < 0
+            assert signed_eval(A, witness) < 0
         sampled += 1
     assert sampled >= 100
     print("criterion 10: PASS (%.1fs)" % (time.time() - t0))

@@ -18,9 +18,9 @@ from gf4msd.bounds import (
     lp_feasible,
     max_distance_bound,
     max_nu_bound,
-    quantum_filter_selfdual_enumerator,
     selfdual_family,
 )
+from gf4msd.distill import check_success_nonneg
 from gf4msd.enumerators import Enumerator
 from gf4msd.invariants import selfdual_extremal_enumerator
 
@@ -112,6 +112,12 @@ def test_lattice_counts_small():
     c7q, pts7q, _ = lattice_search(7, use_quantum=True)
     assert c7q == 6
     assert (Q(-3), Q(-6)) in pts7q
+
+
+def test_lattice_counts_n11():
+    classical, _, _ = lattice_search(11, use_quantum=False)
+    quantum, _, _ = lattice_search(11, use_quantum=True)
+    assert (classical, quantum) == (1051, 79)
 
 
 def test_lattice_moduli_derivation():
@@ -208,9 +214,9 @@ def test_selfdual_distance_bounds():
 
 
 def test_selfdual_quantum_filter():
-    assert not quantum_filter_selfdual_enumerator(selfdual_extremal_enumerator(12))
+    assert not check_success_nonneg(selfdual_extremal_enumerator(12))[0]
     hexa = Enumerator.from_pairs(6, {0: 1, 4: 45, 6: 18})
-    assert quantum_filter_selfdual_enumerator(hexa)
+    assert check_success_nonneg(hexa) == (True, None)
 
 
 def test_trivial_rows_dropped_and_false_rows_flag():

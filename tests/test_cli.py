@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from gf4msd import bounds
 from gf4msd.cli import main
-from gf4msd.gf4 import random_maximal_self_orthogonal_code
+from gf4msd.distill import DegenerateMapError
+from gf4msd.enumerators import DomainError, MacWilliamsError
+from gf4msd.gf4 import NotM3CodeError, random_maximal_self_orthogonal_code
 
 
 def run_cli(capsys, *argv):
@@ -173,10 +176,56 @@ def test_curve_roundtrip(tmp_path, capsys, codes_dir):
     assert lines[-1].startswith("threshold,0.172673")
 
 
+def test_curve_rejects_an_empty_grid(tmp_path, capsys):
+    # --grid 0 used to end in a ZeroDivisionError traceback
+    f = tmp_path / "five.json"
+    f.write_text(json.dumps({"n": 5, "coeffs": [1, 0, 0, 0, 15, 0]}))
+    for grid in ("0", "-2"):
+        assert main(["curve", str(f), "--grid", grid]) == 3
+        assert capsys.readouterr().err == "inconsistency: grid must be a positive integer\n"
+
+
 def test_curve_class_mismatch(tmp_path):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({"n": 9, "coeffs": [1] + [0] * 9}))
     assert main(["curve", str(f)]) == 3
+
+
+# argument checks reachable from CLI input: exit 3 with these messages,
+# recorded before the CLI caught only domain errors
+DOMAIN_ERRORS = [
+    (("extremal", "--n", "9", "--family", "distill"), "n must be congruent to +-1 mod 6"),
+    (("extremal", "--n", "7", "--family", "selfdual"), "n must be even and at least 6"),
+    (("extremal", "--n", "-1", "--family", "distill"), "order must be nonnegative"),
+    (("lattice", "--n", "3"), "need odd n >= 5"),
+    (("lattice", "--n", "4"), "need even n >= 6"),
+    (("lattice", "--n", "9", "--quantum"), "n = 9 is not congruent to +-1 mod 6"),
+    (("lattice", "--n", "24"), "lattice enumeration supports dim <= 3"),
+    (("bounds", "--target", "nu", "--start", "1", "--stop", "1"), "need odd n >= 5"),
+    (({"n": 5, "coeffs": [1, 0, -2, 0, 0, 0]},), "enumerator total A(1,1) must be positive"),
+    (({"n": 5, "coeffs": [1, 0, 0, 0, 1, 0]},), "logical enumerator must be odd-only"),
+]
+
+
+@pytest.mark.parametrize("argv,message", DOMAIN_ERRORS)
+def test_domain_errors_exit_3(tmp_path, capsys, argv, message):
+    if isinstance(argv[0], dict):
+        f = tmp_path / "enum.json"
+        f.write_text(json.dumps(argv[0]))
+        argv = ("curve", str(f))
+    assert main(list(argv)) == 3
+    assert capsys.readouterr().err == "inconsistency: %s\n" % message
+
+
+def test_other_value_errors_propagate(monkeypatch):
+    assert all(issubclass(e, DomainError) for e in (MacWilliamsError, NotM3CodeError, DegenerateMapError))
+
+    def broken(*args, **kwargs):
+        raise ValueError("a programming error")
+
+    monkeypatch.setattr(bounds, "lattice_search", broken)
+    with pytest.raises(ValueError, match="a programming error"):
+        main(["lattice", "--n", "7"])
 
 
 def test_verify_subcommand(capsys, codes_dir):
@@ -191,6 +240,15 @@ def test_lattice_subcommand(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "count,6"
+
+
+# sha256 of `lattice --n 11 --quantum` stdout (79 points), recorded before
+# the quantum constraints were decided over Q in rbar^2
+LATTICE_11_QUANTUM_SHA256 = "99ab038a6506971a5c1cf1c189ef6adbc657b140afe7b54a3d17bfe77d882565"
+
+
+def test_lattice_n11_quantum_golden_digest(capsys):
+    assert _digest(capsys, "lattice", "--n", "11", "--quantum") == LATTICE_11_QUANTUM_SHA256
 
 
 def test_deterministic_output(capsys, codes_dir):

@@ -4,20 +4,18 @@ from fractions import Fraction as Q
 import pytest
 
 from gf4msd.distill import (
-    EPS_MAX,
-    Sqrt3,
     bernstein_certificate,
     build_map,
     check_success_nonneg,
     check_threshold_constraint,
     curve_rows,
-    eval_sqrt3,
     natural_sign,
     noise_exponent,
     quantum_verdict,
     threshold,
+    threshold_slack,
 )
-from gf4msd.enumerators import Enumerator
+from gf4msd.enumerators import Enumerator, macwilliams, signed_eval
 from gf4msd.exact import poly_eval, poly_mul, poly_pow, poly_scale
 from gf4msd.invariants import InvariantParams, expand_family
 
@@ -37,21 +35,6 @@ PUTATIVE_25 = Enumerator.from_pairs(
      16: 2805963, 18: 5398860, 20: 5548959, 22: 2268459, 24: 136485},
 )
 FAKE_11 = Enumerator.from_pairs(11, {0: 1, 2: 11, 4: 138, 6: 22, 8: 645, 10: 207})
-
-
-def test_sqrt3_arithmetic():
-    a = Sqrt3(Q(1), Q(1))
-    b = Sqrt3(Q(2), Q(-1))
-    assert (a * b) == Sqrt3(Q(-1), Q(1))
-    assert (a + b) == Sqrt3(Q(3), Q(0))
-    assert Sqrt3(Q(-2), Q(1)).sign() == -1  # sqrt3 < 2
-    assert Sqrt3(Q(-3, 2), Q(1)).sign() == 1  # sqrt3 > 3/2
-    assert Sqrt3(Q(0), Q(0)).sign() == 0
-    assert Sqrt3(Q(3), Q(-1)).sign() == 1
-    assert Sqrt3(Q(-3), Q(1)).sign() == -1
-    # eps_max = (1 - 1/sqrt3)/2: 6*eps_max - 3 = -sqrt3
-    v = EPS_MAX * 6 - Sqrt3(Q(3), Q(0))
-    assert v == Sqrt3(Q(0), Q(-1))
 
 
 def test_five_qubit_map_exact():
@@ -217,9 +200,8 @@ def test_success_nonneg_examples():
     corner = expand_family(InvariantParams(5, (1,), (9,)))
     ok, wit = check_success_nonneg(corner)
     assert not ok
-    # witness is a rational eps with N < 0
-    m = build_map(corner)
-    assert poly_eval(m.n_poly, wit) < 0
+    # witness is a rational rbar^2 in [0, 1/3] with N < 0
+    assert 0 <= wit <= Q(1, 3) and signed_eval(corner, wit) < 0
 
 
 def test_threshold_constraint_n7_ratio_form():
@@ -242,11 +224,31 @@ def test_threshold_constraint_slack_is_rational():
     assert not ok_minus and slack == Q(-5152, 6561)
 
 
-def test_eps_max_evaluation_in_field_extension():
-    m = build_map(FIVE_A)
-    val = eval_sqrt3(m.fixed_point_poly(), EPS_MAX)
-    # pure sqrt(3) multiple, positive (threshold below eps_max)
-    assert val.a == 0 and val.b > 0
+def test_rational_threshold_identity():
+    # with u = 1 - 2 eps and t = u^2 / 3: N = signed_eval(A, t) and
+    # M - 2 eps N = u q(t), q(t) = signed_eval(A, t) + lam sum_j C_{2j+1} (-1)^j t^j / 3;
+    # at eps_max, u = 1/sqrt(3) and t = 1/9, so sqrt(3) (M - 2 eps N) = q(1/9)
+    for A in (FIVE_A, FAKE_11, PUTATIVE_19, PUTATIVE_23):
+        C = macwilliams(A, A.total()) - A
+        for lam in (1, -1):
+            m = build_map(A, lam=lam)
+
+            def q(t):
+                odd = sum(C.coeffs[2 * j + 1] * (-t) ** j for j in range((A.n + 1) // 2))
+                return signed_eval(A, t) + lam * Q(odd, 3)
+
+            # both sides of each identity have degree <= n in eps
+            p, n_poly = m.fixed_point_poly(), m.n_poly
+            assert len(p) <= A.n + 1 and len(n_poly) <= A.n + 1
+            for i in range(A.n + 1):
+                eps = Q(i, 7) - Q(1, 3)
+                u = 1 - 2 * eps
+                assert poly_eval(p, eps) == u * q(u * u / 3), (A.n, lam, eps)
+                assert poly_eval(n_poly, eps) == signed_eval(A, u * u / 3), (A.n, lam, eps)
+            assert threshold_slack(A, C, lam) == q(Q(1, 9)), (A.n, lam)
+    # the five-qubit threshold lies below eps_max: positive slack, N(eps_max) > 0
+    C5 = macwilliams(FIVE_A, 16) - FIVE_A
+    assert threshold_slack(FIVE_A, C5, 1) > 0 and signed_eval(FIVE_A, Q(1, 9)) > 0
 
 
 def test_bernstein_certificates():

@@ -2,7 +2,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from gf4msd.enumerators import Enumerator, signed_eval
+from gf4msd.enumerators import Enumerator, signed_eval, transform_xy
+from gf4msd.exact import poly_add, poly_pow, poly_scale, rref
 from gf4msd.invariants import (
     InvariantParams,
     SelfDualParams,
@@ -15,6 +16,7 @@ from gf4msd.invariants import (
     params_from_enumerator,
     selfdual_extremal_enumerator,
     selfdual_extremal_params,
+    unit_family_basis,
 )
 
 # frozen classification values for the extremal distillation family
@@ -86,6 +88,41 @@ def test_extremal_distillation_rows():
         assert A == Enumerator.from_pairs(n, row), n
         assert A.coeffs[2] == extremal_A2(n)
         assert A.coeffs[2] < 0
+
+
+def _numerator_poly(A, lam):
+    # M(eps) = N + lam sum_j C_{2j+1} (-1)^j (1 - 2 eps)^(2j+1) / 3^(j+1) with
+    # N = sum_j A_{2j} (-(1 - 2 eps)^2 / 3)^j and C = A(x + 3y, x - y) / 2^(n-1) - A
+    n = A.n
+    C = transform_xy(A).scale(Q(1, 2 ** (n - 1))) - A
+    m = ()
+    for j in range(n // 2 + 1):
+        m = poly_add(m, poly_scale(poly_pow((1, -2), 2 * j), Q((-1) ** j * A.coeffs[2 * j], 3**j)))
+    for j in range((n + 1) // 2):
+        coeff = Q(lam * (-1) ** j * C.coeffs[2 * j + 1], 3 ** (j + 1))
+        m = poly_add(m, poly_scale(poly_pow((1, -2), 2 * j + 1), coeff))
+    return m
+
+
+def test_extremal_is_the_maximal_cancellation_member():
+    # A_0 = 1 and M_0 = ... = M_{t-1} = 0 over the unit family basis, for the
+    # smallest t with a unique solution, solved here without the H series
+    for n in (5, 7, 11, 13, 17, 19, 23):
+        lam = 1 if n % 6 == 5 else -1
+        basis = unit_family_basis(n)
+        polys = [_numerator_poly(b, lam) for b in basis]
+        k = len(basis)
+        a0_row = [b.coeffs[0] for b in basis] + [1]
+        for t in range(1, n + 2):
+            m_rows = [[p[i] if i < len(p) else 0 for p in polys] + [0] for i in range(t)]
+            pivot_rows, leftover, pivot_cols = rref([a0_row] + m_rows, k)
+            if len(pivot_cols) == k:
+                break
+        assert len(pivot_cols) == k and all(row[k] == 0 for row in leftover), n
+        A = Enumerator(n, (0,) * (n + 1))
+        for row, b in zip(pivot_rows, basis):
+            A = A + b.scale(row[k])
+        assert A == extremal_distillation_enumerator(n), n
 
 
 def test_extremal_a2_closed_form():
