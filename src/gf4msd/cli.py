@@ -5,9 +5,9 @@ Every subcommand takes --out.  Numeric output defaults to exact rational
 strings; analyze, extremal and curve take --decimal and --precision
 digits, search always prints thresholds as decimals of --precision
 digits, and analyze, search and verify, which enumerate codewords, take
---budget.  Exit codes: 0 success, 2 parse error, 3 domain error (a
-mathematical inconsistency), 4 enumeration budget exceeded; any other
-error propagates.
+--budget.  Exit codes: 0 success, 2 parse error or unreadable input file,
+3 domain error (a mathematical inconsistency), 4 enumeration budget
+exceeded; any other error propagates.
 """
 
 from __future__ import annotations
@@ -49,10 +49,20 @@ class _Output:
             sys.stdout.write(text)
 
 
+class InputError(Exception):
+    """An input file that cannot be read."""
+
+
+def _read(path) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError("cannot read %s: %s" % (path, exc.strerror or exc)) from None
+
+
 def _load_code(path):
-    with open(path) as fh:
-        text = fh.read()
-    return gf4.parse_code(text)
+    return gf4.parse_code(_read(path))
 
 
 def _threshold_blob(rep: distill.ThresholdReport, out: _Output):
@@ -145,8 +155,7 @@ def _baseline_interval():
 def cmd_search(args) -> int:
     out = _Output(args)
     budget = 4**args.budget
-    with open(args.file) as fh:
-        codes = gf4.parse_database(fh.read())
+    codes = gf4.parse_database(_read(args.file))
     baseline = _baseline_interval()
     seen = {}
     rows = []
@@ -249,8 +258,7 @@ def cmd_extremal(args) -> int:
 
 def cmd_curve(args) -> int:
     out = _Output(args)
-    with open(args.file) as fh:
-        A = Enumerator.from_json(fh.read())
+    A = Enumerator.from_json(_read(args.file))
     dmap = distill.build_map(A)
     rep = distill.threshold(dmap)
     lines = ["epsilon,epsilon_out"]
@@ -373,6 +381,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except gf4.ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
+    except InputError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_PARSE
     except gf4.BudgetExceededError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)

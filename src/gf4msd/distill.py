@@ -38,7 +38,9 @@ from .exact import (
     ord_at_zero,
     poly,
     poly_add,
+    poly_divmod,
     poly_eval,
+    poly_gcd,
     poly_mul,
     poly_scale,
     poly_sub,
@@ -77,8 +79,6 @@ class DistillMap:
 
     def canonical_fraction(self):
         """(numerator, denominator) reduced and scaled to denominator(0) = 1."""
-        from .exact import poly_divmod, poly_gcd
-
         g = poly_gcd(self.m_poly, poly_scale(self.n_poly, 2))
         num = poly_divmod(self.m_poly, g)[0]
         den = poly_divmod(poly_scale(self.n_poly, 2), g)[0]
@@ -178,25 +178,20 @@ class ThresholdReport:
 def threshold(dmap: DistillMap, width=Q(1, 10**12)) -> ThresholdReport:
     """Smallest fixed point of the map in (0, 1/2), isolated exactly.
 
-    The bracketing interval has p = M - 2 eps N of opposite signs at its
-    endpoints (or is a single exact rational root) and is refined to the
-    requested width.  The stability flag checks eps_out < eps just below.
+    The bracketing interval holds the smallest root of p = M - 2 eps N in
+    (0, 1/2) strictly inside (or is a single exact rational root) and is
+    refined to the requested width.  The stability flag checks
+    eps_out < eps just below.
     """
     p_full = dmap.fixed_point_poly()
-    p = p_full
-    if not p:
+    if not p_full:
         return ThresholdReport("identity")
-    # strip the forced fixed points at 0 and 1/2
-    from .exact import poly_divmod
-
-    while p and poly_eval(p, 0) == 0:
-        p = poly_divmod(p, (0, 1))[0]
-    while p and poly_eval(p, Q(1, 2)) == 0:
-        p = poly_divmod(p, (-1, 2))[0]
-    if not p or not any(c for c in p):
-        return ThresholdReport("identity")
+    # isolating on (0, 1/2] leaves out the forced fixed point at 0; strip
+    # the one at 1/2 so that every isolated root is interior
     half = Q(1, 2)
-    # roots at 0 and 1/2 are stripped, so every isolated root is interior
+    p = p_full
+    while poly_eval(p, half) == 0:
+        p = poly_divmod(p, (-1, 2))[0]
     intervals = isolate_roots(p, 0, half)
     if not intervals:
         return ThresholdReport("no_threshold")

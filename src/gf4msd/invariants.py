@@ -188,6 +188,8 @@ def extremal_distillation_params(n: int) -> InvariantParams:
     """
     if n % 6 not in (1, 5):
         raise DomainError("n must be congruent to +-1 mod 6")
+    if n < 5:
+        raise DomainError("need odd n >= 5")
     c0 = Q(2) ** (n - 1)
     if n % 6 == 5:
         m = (n - 5) // 6
@@ -211,8 +213,6 @@ def extremal_distillation_params(n: int) -> InvariantParams:
             c[m - t] = -acc
     else:
         m = (n - 1) // 6
-        if m == 0:
-            return InvariantParams(n, (Q(1),), ())
         H = h_series(2 * m).coeffs
         # series H*S~1 - (4/9)*S~2 with S~1 = sum c_{m-j} phi^j (c_0 known)
         # and S~2 = sum d_{m-1-j} phi^j; rows t = 0..2m-1.

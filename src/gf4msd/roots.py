@@ -1,40 +1,30 @@
 """Exact real-root analysis for rational polynomials.
 
-Sturm chains, root isolation by bisection, interval refinement, and
-sign-constancy decisions on closed intervals.  Everything is exact; no
-floating point enters any verdict.
+One Sturm chain per polynomial decides everything here.  Its sign
+variations V count the distinct real roots of p in the half-open interval
+(a, b] as V(a) - V(b), for every a < b and whether or not a or b is a
+root: a root at a is not counted, a root at b is.  Root isolation is
+plain bisection on these counts, a root on the right end of a cell comes
+back as the exact interval (r, r), and sign decisions on closed intervals
+test the two ends and one point left of each root.  Everything is exact;
+no floating point enters any verdict.
 """
 
 from __future__ import annotations
 
-from .exact import (
-    Q,
-    poly,
-    poly_degree,
-    poly_deriv,
-    poly_divmod,
-    poly_eval,
-    poly_gcd,
-    poly_neg,
-    poly_scale,
-)
-
-
-def square_free(p) -> tuple:
-    """Square-free part of p (monic)."""
-    p = poly(Q(a) for a in p)
-    if poly_degree(p) < 1:
-        return p
-    g = poly_gcd(p, poly_deriv(p))
-    if poly_degree(g) < 1:
-        return poly_scale(p, Q(1) / p[-1])
-    q_, r = poly_divmod(p, g)
-    assert not r
-    return poly_scale(q_, Q(1) / q_[-1])
+from .exact import Q, poly, poly_degree, poly_deriv, poly_divmod, poly_eval, poly_neg
 
 
 def sturm_chain(p) -> list:
+    """Sturm chain of p: the remainder sequence of (p, p'), divided by its
+    last entry g = gcd(p, p') when g is not constant.
+
+    chain[0] is then the square-free part of p, consecutive entries share
+    no root, and the sign variations count distinct roots on (a, b].
+    """
     chain = [poly(Q(a) for a in p)]
+    if not chain[0]:
+        raise ValueError("zero polynomial has no isolated roots")
     d = poly_deriv(chain[0])
     if d:
         chain.append(d)
@@ -43,154 +33,107 @@ def sturm_chain(p) -> list:
         if not r:
             break
         chain.append(poly_neg(r))
+    g = chain[-1]
+    if poly_degree(g) > 0:
+        chain = [poly_divmod(f, g)[0] for f in chain]
     return chain
 
 
 def _variations(chain, x) -> int:
-    signs = []
-    for f in chain:
-        v = poly_eval(f, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    count = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            count += 1
-    return count
+    signs = [v > 0 for v in (poly_eval(f, x) for f in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def count_roots(p, a, b) -> int:
-    """Distinct real roots of p in the half-open interval (a, b].
-
-    Requires p(a) != 0.
-    """
-    p = square_free(p)
-    if not p:
-        raise ValueError("zero polynomial has no isolated roots")
-    if poly_eval(p, a) == 0:
-        raise ValueError("left endpoint is a root")
+    """Distinct real roots of p in the half-open interval (a, b]."""
     chain = sturm_chain(p)
     return _variations(chain, a) - _variations(chain, b)
 
 
-def isolate_roots(p, a, b) -> list:
-    """Disjoint rational intervals each holding one distinct root of p in (a, b].
-
-    Returns (lo, hi) pairs with lo == hi for roots hit exactly.  Interval
-    endpoints that are not exact roots have p != 0.  Requires p(a) != 0.
-    """
-    h = square_free(p)
-    if not h:
-        raise ValueError("zero polynomial")
-    if poly_eval(h, a) == 0:
-        raise ValueError("left endpoint is a root")
-    chain = sturm_chain(h)
-
+def _cells(chain, a, b) -> list:
+    """Bisection cells (lo, hi] of (a, b], increasing, one distinct root each."""
     out = []
 
-    def recurse(lo, hi, nroots):
-        if nroots == 0:
-            return
-        if nroots == 1:
+    def split(lo, vlo, hi, vhi):
+        if vlo - vhi == 1:
             out.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        if poly_eval(h, mid) == 0:
-            # shrink a margin around the exact root until it holds no other
-            eps = (hi - lo) / 4
-            while True:
-                left_hi, right_lo = mid - eps, mid + eps
-                while poly_eval(h, left_hi) == 0:
-                    left_hi = (left_hi + mid) / 2
-                while poly_eval(h, right_lo) == 0:
-                    right_lo = (mid + right_lo) / 2
-                if _variations(chain, left_hi) - _variations(chain, right_lo) == 1:
-                    break
-                eps = eps / 2
-            nl = _variations(chain, lo) - _variations(chain, left_hi)
-            recurse(lo, left_hi, nl)
-            out.append((mid, mid))
-            nr = _variations(chain, right_lo) - _variations(chain, hi)
-            recurse(right_lo, hi, nr)
-            return
-        lo_n = _variations(chain, lo) - _variations(chain, mid)
-        recurse(lo, mid, lo_n)
-        recurse(mid, hi, nroots - lo_n)
+        elif vlo - vhi > 1:
+            mid = (lo + hi) / 2
+            vmid = _variations(chain, mid)
+            split(lo, vlo, mid, vmid)
+            split(mid, vmid, hi, vhi)
 
-    total = _variations(chain, a) - _variations(chain, b)
-    recurse(Q(a), Q(b), total)
-    out.sort()
+    a, b = Q(a), Q(b)
+    split(a, _variations(chain, a), b, _variations(chain, b))
     return out
 
 
+def isolate_roots(p, a, b) -> list:
+    """Disjoint increasing rational intervals, one per distinct root of p in (a, b].
+
+    A root on the right end of its bisection cell comes back as (r, r);
+    any other interval (lo, hi) holds its root strictly inside, with
+    p(hi) != 0.
+    """
+    chain = sturm_chain(p)
+    return [(hi, hi) if poly_eval(chain[0], hi) == 0 else (lo, hi) for lo, hi in _cells(chain, a, b)]
+
+
 def refine_root(p, lo, hi, width) -> tuple:
-    """Shrink an isolating interval by bisection to the requested width."""
-    h = square_free(p)
+    """Shrink an isolating interval of isolate_roots to the requested width.
+
+    Bisection against the sign of the square-free part at hi; a midpoint
+    that is the root comes back as (mid, mid).
+    """
+    h = sturm_chain(p)[0]
     lo, hi = Q(lo), Q(hi)
-    if lo == hi:
-        return lo, hi
-    flo = poly_eval(h, lo)
-    if flo == 0:
-        return lo, lo
-    if poly_eval(h, hi) == 0:
-        # nudge the right endpoint inward until the sign change is exposed
-        chain = sturm_chain(h)
-        while True:
-            mid = (lo + hi) / 2
-            if poly_eval(h, mid) == 0:
-                return mid, mid
-            if _variations(chain, lo) - _variations(chain, mid) == 1:
-                hi = mid
-                break
-            lo = mid
+    s = poly_eval(h, hi)
+    if s == 0:
+        return hi, hi
     while hi - lo > width:
         mid = (lo + hi) / 2
-        fm = poly_eval(h, mid)
-        if fm == 0:
+        v = poly_eval(h, mid)
+        if v == 0:
             return mid, mid
-        if (flo > 0) != (fm > 0):
+        if (v > 0) == (s > 0):
             hi = mid
         else:
-            lo, flo = mid, fm
+            lo = mid
     return lo, hi
+
+
+def _left_of_root(h, lo, hi):
+    """A point of [lo, r) off the roots of h, r being its one root in (lo, hi]."""
+    if poly_eval(h, lo):
+        return lo
+    s = poly_eval(h, hi)
+    while True:
+        mid = (lo + hi) / 2
+        v = poly_eval(h, mid)
+        if s == 0 or v * s < 0:
+            return mid
+        hi, s = mid, v
 
 
 def poly_nonneg_on(p, a, b):
     """Decide p(x) >= 0 for all x in [a, b] exactly.
 
     Returns (True, None) or (False, witness) with a rational witness where
-    p(witness) < 0.
+    p(witness) < 0.  Between consecutive roots the sign of p is constant,
+    so a, b and one point left of each root in (a, b] decide it.
     """
     p = poly(Q(c) for c in p)
     a, b = Q(a), Q(b)
     if not p:
         return True, None
-    va, vb = poly_eval(p, a), poly_eval(p, b)
-    if va < 0:
-        return False, a
-    if vb < 0:
-        return False, b
-    h = square_free(p)
-    # sample one point inside every root-free stretch of [a, b]
-    lo = a
-    while poly_eval(h, lo) == 0:
-        lo = lo + (b - lo) / 2**20
-        if lo >= b:
-            return True, None
-    if poly_eval(p, lo) < 0:
-        return False, lo
-    intervals = isolate_roots(h, lo, b)
-    samples = [lo, b]
-    prev_hi = lo
-    for ilo, ihi in intervals:
-        samples.append(ilo)
-        samples.append(ihi)
-        samples.append(prev_hi + (ilo - prev_hi) / 2)
-        prev_hi = ihi
-    samples.append(prev_hi + (b - prev_hi) / 2)
-    for s in samples:
-        if a <= s <= b and poly_eval(p, s) < 0:
-            return False, s
+    for x in (a, b):
+        if poly_eval(p, x) < 0:
+            return False, x
+    chain = sturm_chain(p)
+    for lo, hi in _cells(chain, a, b):
+        x = _left_of_root(chain[0], lo, hi)
+        if poly_eval(p, x) < 0:
+            return False, x
     return True, None
 
 

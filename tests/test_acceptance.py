@@ -18,6 +18,7 @@ documented definitions:
   enumerator that passes the threshold test.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -206,13 +207,20 @@ def _selfdual12_recount():
     return found
 
 
+QUANTUM12_SHA256 = "524248686b2b5d2d7844b326e7e562a5bfcc9cd70ec039c25f6ca8ace26e6e3b"
+
+
 def test_criterion_05b_lattice_counts_n12():
     t0 = time.time()
     classical, points, _ = lattice_search(12, use_quantum=False)
-    quantum, _, _ = lattice_search(12, use_quantum=True)
+    quantum, qpoints, _ = lattice_search(12, use_quantum=True)
     elapsed = time.time() - t0
     assert elapsed < 60.0, elapsed
     assert quantum == 570
+    # the 570 points themselves, recorded before root isolation moved to
+    # one Sturm chain per polynomial
+    text = "\n".join(",".join(str(v) for v in p) for p in qpoints)
+    assert hashlib.sha256(text.encode()).hexdigest() == QUANTUM12_SHA256
     print("criterion 5b (quantum count): PASS (%.1fs)" % elapsed)
     # 1885, not the formerly reported 2919: an independent brute-force
     # recount in coefficient space finds the same 1885 points

@@ -196,7 +196,7 @@ def test_curve_class_mismatch(tmp_path):
 DOMAIN_ERRORS = [
     (("extremal", "--n", "9", "--family", "distill"), "n must be congruent to +-1 mod 6"),
     (("extremal", "--n", "7", "--family", "selfdual"), "n must be even and at least 6"),
-    (("extremal", "--n", "-1", "--family", "distill"), "order must be nonnegative"),
+    (("extremal", "--n", "-1", "--family", "distill"), "need odd n >= 5"),
     (("lattice", "--n", "3"), "need odd n >= 5"),
     (("lattice", "--n", "4"), "need even n >= 6"),
     (("lattice", "--n", "9", "--quantum"), "n = 9 is not congruent to +-1 mod 6"),
@@ -204,7 +204,17 @@ DOMAIN_ERRORS = [
     (("bounds", "--target", "nu", "--start", "1", "--stop", "1"), "need odd n >= 5"),
     (({"n": 5, "coeffs": [1, 0, -2, 0, 0, 0]},), "enumerator total A(1,1) must be positive"),
     (({"n": 5, "coeffs": [1, 0, 0, 0, 1, 0]},), "logical enumerator must be odd-only"),
+    (("extremal", "--n", "1", "--family", "distill"), "need odd n >= 5"),
 ]
+
+
+@pytest.mark.parametrize("command", ["analyze", "search", "verify", "curve"])
+def test_missing_input_file_exit_2(tmp_path, capsys, command):
+    missing = tmp_path / "missing.txt"
+    assert main([command, str(missing)]) == 2
+    assert capsys.readouterr().err == "cannot read %s: No such file or directory\n" % missing
+    assert main([command, str(tmp_path)]) == 2  # a directory
+    assert capsys.readouterr().err == "cannot read %s: Is a directory\n" % tmp_path
 
 
 @pytest.mark.parametrize("argv,message", DOMAIN_ERRORS)

@@ -1,21 +1,23 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gf4msd.exact import poly_eval, poly_mul
+from gf4msd.exact import poly_eval, poly_mul, poly_pow, poly_scale
 from gf4msd.roots import (
     bernstein_coefficients,
     count_roots,
     isolate_roots,
     poly_nonneg_on,
     refine_root,
-    square_free,
+    sturm_chain,
 )
 
 
 def test_square_free_strips_multiplicity():
-    p = poly_mul((1, -2), poly_mul((1, -2), (3, 1)))  # (x-... wait roots 1/2 double, -3
-    h = square_free(p)
+    p = poly_mul((1, -2), poly_mul((1, -2), (3, 1)))  # roots 1/2 (double) and -3
+    h = sturm_chain(p)[0]
     assert poly_eval(h, Q(1, 2)) == 0
     assert poly_eval(h, -3) == 0
     # degree dropped by one
@@ -36,9 +38,19 @@ def test_count_and_isolate():
     assert lo <= Q(1, 3) <= hi
 
 
-def test_isolate_rejects_root_endpoint():
+def test_half_open_interval_contract():
+    # (a, b] excludes a root at a and includes a root at b
+    assert isolate_roots((0, 1), 0, 1) == [] and count_roots((0, 1), 0, 1) == 0
+    assert isolate_roots((-1, 1), 0, 1) == [(1, 1)] and count_roots((-1, 1), 0, 1) == 1
+    assert poly_nonneg_on((0, 1), 0, 1) == (True, None)
+    ok, wit = poly_nonneg_on((0, -1), 0, 1)
+    assert not ok and 0 < wit <= 1
     with pytest.raises(ValueError):
-        isolate_roots((0, 1), 0, 1)
+        count_roots((), 0, 1)
+
+
+def test_refine_root_at_right_end():
+    assert refine_root((-1, 1), 0, 1, Q(1, 1000)) == (1, 1)
 
 
 def test_exact_root_hits():
@@ -76,3 +88,53 @@ def test_bernstein_basics():
     assert coeffs[0] == Q(-1, 2) and coeffs[-1] == Q(1, 2)
     with pytest.raises(ValueError):
         bernstein_coefficients((1, 2, 3), 1)
+
+
+# Rationals on a dyadic grid (which bisection of integer ends hits exactly)
+# and with small odd denominators (which it never hits).
+RATIONALS = st.one_of(
+    st.builds(lambda k, e: Q(k, 2**e), st.integers(-16, 16), st.integers(0, 4)),
+    st.builds(Q, st.integers(-20, 20), st.sampled_from((3, 5, 7, 9))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    roots=st.lists(RATIONALS, min_size=1, max_size=5, unique=True),
+    data=st.data(),
+)
+def test_roots_agree_with_known_factorization(roots, data):
+    mults = [data.draw(st.integers(1, 3)) for _ in roots]
+    p = (data.draw(st.sampled_from((Q(1), Q(-2), Q(3, 7)))),)
+    for r, m in zip(roots, mults):
+        p = poly_mul(p, poly_pow((-r, 1), m))
+    ends = st.one_of(st.sampled_from(roots), RATIONALS)
+    a, b = sorted((data.draw(ends), data.draw(ends)))
+    if a == b:
+        b = a + 1
+    inside = sorted(r for r in roots if a < r <= b)
+
+    assert count_roots(p, a, b) == len(inside)
+    ivs = isolate_roots(p, a, b)
+    assert len(ivs) == len(inside)
+    width = data.draw(st.sampled_from((Q(1, 3), Q(1, 64), Q(1, 1000))))
+    for i, ((lo, hi), r) in enumerate(zip(ivs, inside)):
+        assert a <= lo <= r <= hi <= b
+        assert lo == hi == r or lo < r < hi
+        if i + 1 < len(ivs):
+            assert hi <= ivs[i + 1][0] and hi < inside[i + 1]
+        rlo, rhi = refine_root(p, lo, hi, width)
+        assert lo <= rlo <= r <= rhi <= hi and rhi - rlo <= width
+
+    # the sign of p is constant between consecutive roots
+    cuts = sorted({a, b, *(r for r in roots if a < r < b)})
+    samples = cuts + [(x + y) / 2 for x, y in zip(cuts, cuts[1:])]
+    ok, wit = poly_nonneg_on(p, a, b)
+    assert ok == all(poly_eval(p, x) >= 0 for x in samples)
+    if not ok:
+        assert a <= wit <= b and poly_eval(p, wit) < 0
+    # the same decision for -p
+    ok, wit = poly_nonneg_on(poly_scale(p, -1), a, b)
+    assert ok == all(poly_eval(p, x) <= 0 for x in samples)
+    if not ok:
+        assert a <= wit <= b and poly_eval(p, wit) > 0
