@@ -65,6 +65,13 @@ def _load_code(path):
     return gf4.parse_code(_read(path))
 
 
+def _budget(args) -> int:
+    """The codeword budget 4^k of --budget k."""
+    if args.budget < 0:
+        raise DomainError("budget must be a nonnegative integer")
+    return 4**args.budget
+
+
 def _threshold_blob(rep: distill.ThresholdReport, out: _Output):
     if rep.status != "ok":
         return {"status": rep.status}
@@ -138,8 +145,9 @@ def _sign_thresholds(A):
 
 def cmd_analyze(args) -> int:
     out = _Output(args)
+    budget = _budget(args)
     code = _load_code(args.file)
-    report = _analyze_report(code, 4**args.budget, out)
+    report = _analyze_report(code, budget, out)
     out.emit(json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
@@ -154,7 +162,7 @@ def _baseline_interval():
 
 def cmd_search(args) -> int:
     out = _Output(args)
-    budget = 4**args.budget
+    budget = _budget(args)
     codes = gf4.parse_database(_read(args.file))
     baseline = _baseline_interval()
     seen = {}
@@ -276,7 +284,9 @@ def cmd_verify(args) -> int:
     out = _Output(args)
     import random
 
-    budget = 4**args.budget
+    budget = _budget(args)
+    if args.trials < 1:
+        raise DomainError("trials must be a positive integer")
     code = _load_code(args.file)
     if code.n > oracle.DIM_LIMIT:
         raise DomainError("verify supports n <= %d" % oracle.DIM_LIMIT)

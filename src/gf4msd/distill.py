@@ -45,7 +45,7 @@ from .exact import (
     poly_scale,
     poly_sub,
 )
-from .roots import bernstein_coefficients, isolate_roots, poly_nonneg_on, refine_root
+from .roots import _cells, _refine, bernstein_coefficients, poly_nonneg_on, sturm_chain
 
 
 class DegenerateMapError(DomainError):
@@ -192,10 +192,11 @@ def threshold(dmap: DistillMap, width=Q(1, 10**12)) -> ThresholdReport:
     p = p_full
     while poly_eval(p, half) == 0:
         p = poly_divmod(p, (-1, 2))[0]
-    intervals = isolate_roots(p, 0, half)
-    if not intervals:
+    chain = sturm_chain(p)
+    cell = next(_cells(chain, 0, half), None)
+    if cell is None:
         return ThresholdReport("no_threshold")
-    lo, hi = refine_root(p, *intervals[0], width=width)
+    lo, hi = _refine(chain[0], *cell, width)
     # stability: sign of eps_out - eps at a point between 0 and the root
     probe = lo / 2 if lo > 0 else lo
     pm = poly_eval(p_full, probe)

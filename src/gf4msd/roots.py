@@ -50,22 +50,20 @@ def count_roots(p, a, b) -> int:
     return _variations(chain, a) - _variations(chain, b)
 
 
-def _cells(chain, a, b) -> list:
-    """Bisection cells (lo, hi] of (a, b], increasing, one distinct root each."""
-    out = []
+def _cells(chain, a, b):
+    """Yield bisection cells (lo, hi] of (a, b] in increasing order, one distinct root each."""
 
     def split(lo, vlo, hi, vhi):
         if vlo - vhi == 1:
-            out.append((lo, hi))
+            yield lo, hi
         elif vlo - vhi > 1:
             mid = (lo + hi) / 2
             vmid = _variations(chain, mid)
-            split(lo, vlo, mid, vmid)
-            split(mid, vmid, hi, vhi)
+            yield from split(lo, vlo, mid, vmid)
+            yield from split(mid, vmid, hi, vhi)
 
     a, b = Q(a), Q(b)
-    split(a, _variations(chain, a), b, _variations(chain, b))
-    return out
+    return split(a, _variations(chain, a), b, _variations(chain, b))
 
 
 def isolate_roots(p, a, b) -> list:
@@ -80,13 +78,13 @@ def isolate_roots(p, a, b) -> list:
 
 
 def refine_root(p, lo, hi, width) -> tuple:
-    """Shrink an isolating interval of isolate_roots to the requested width.
+    """Shrink an isolating interval of isolate_roots to the requested width."""
+    return _refine(sturm_chain(p)[0], Q(lo), Q(hi), width)
 
-    Bisection against the sign of the square-free part at hi; a midpoint
-    that is the root comes back as (mid, mid).
-    """
-    h = sturm_chain(p)[0]
-    lo, hi = Q(lo), Q(hi)
+
+def _refine(h, lo, hi, width) -> tuple:
+    """Bisection of (lo, hi] against the sign of the square-free h at hi;
+    a root at hi or at a midpoint comes back as (r, r)."""
     s = poly_eval(h, hi)
     if s == 0:
         return hi, hi

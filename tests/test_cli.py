@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 import random
 
 import pytest
@@ -8,7 +9,10 @@ from gf4msd import bounds
 from gf4msd.cli import main
 from gf4msd.distill import DegenerateMapError
 from gf4msd.enumerators import DomainError, MacWilliamsError
-from gf4msd.gf4 import NotM3CodeError, random_maximal_self_orthogonal_code
+from gf4msd.gf4 import NotM3CodeError, random_maximal_self_orthogonal_code, random_self_orthogonal_code
+
+CODES = pathlib.Path(__file__).resolve().parents[1] / "codes"
+FIVE_QUBIT = str(CODES / "five_qubit.g4c")
 
 
 def run_cli(capsys, *argv):
@@ -205,6 +209,11 @@ DOMAIN_ERRORS = [
     (({"n": 5, "coeffs": [1, 0, -2, 0, 0, 0]},), "enumerator total A(1,1) must be positive"),
     (({"n": 5, "coeffs": [1, 0, 0, 0, 1, 0]},), "logical enumerator must be odd-only"),
     (("extremal", "--n", "1", "--family", "distill"), "need odd n >= 5"),
+    (("verify", FIVE_QUBIT, "--trials", "0"), "trials must be a positive integer"),
+    (("verify", FIVE_QUBIT, "--trials", "-1"), "trials must be a positive integer"),
+    (("analyze", FIVE_QUBIT, "--budget", "-1"), "budget must be a nonnegative integer"),
+    (("search", str(CODES / "selfdual6.g4cdb"), "--budget", "-1"), "budget must be a nonnegative integer"),
+    (("verify", FIVE_QUBIT, "--budget", "-1"), "budget must be a nonnegative integer"),
 ]
 
 
@@ -276,7 +285,9 @@ def test_out_flag_writes_file(tmp_path, capsys, codes_dir):
 
 # sha256 of `analyze` stdout on the shipped codes and on seeded maximal codes
 # (random.Random(n)), and of `search` on the shipped database, recorded
-# before codeword enumeration became one packed stream
+# before codeword enumeration became one packed stream; n = 23 and the
+# seeded [20, 10] search were recorded before weight enumerators were
+# tallied in numpy blocks
 ANALYZE_SHA256 = {
     "five_qubit": "0d24975ede7a8947f4e9f794ae5c8a52f450a94e776f02d4e0f0120025d4c02c",
     "five_qubit_product": "d933cb8802fe581d7f01b4ca657ce12d9cde945ec02cf35bae6492f6c6d63068",
@@ -287,8 +298,11 @@ SEEDED_ANALYZE_SHA256 = {
     13: "8e9e12dd2fe48212b61ee39131e2c8e68ed48728c3406e4612d97503b07a5eb1",
     17: "3beb0f05679a3a799747ddd9d765b9f3102041d7edc2167066361e798c945118",
     19: "ac9528eb78e9c31b0a038b298dedd2a463369caf5975a4635155595c649b8209",
+    23: "116c2a493ba0cdfa4a908d79106eff9e006007fce403ce0aef15ad34c72600c9",
 }
 SEARCH_SHA256 = "a3a034acaf6fda1072e6ded2f8098fb0eb374abe313d72fabdfff3d1b062d5fe"
+# a database of one self-dual [20, 10] code grown from random.Random(20)
+SEEDED_SEARCH_SHA256 = "466ed006c9bb567540e26963e30deb43c9441611beaee7e39689f1f94438f2bb"
 
 
 def _digest(capsys, *argv):
@@ -312,6 +326,16 @@ def test_analyze_seeded_maximal_golden_digests(tmp_path, capsys):
 
 def test_search_golden_digest(capsys, codes_dir):
     assert _digest(capsys, "search", str(codes_dir / "selfdual6.g4cdb")) == SEARCH_SHA256
+
+
+def test_search_seeded_selfdual_golden_digest(tmp_path, capsys):
+    rng = random.Random(20)
+    code = random_self_orthogonal_code(rng, 20, target_k=10)
+    while code.k != 10:
+        code = random_self_orthogonal_code(rng, 20, target_k=10)
+    path = tmp_path / "selfdual20.g4cdb"
+    path.write_text(code.to_text())
+    assert _digest(capsys, "search", str(path)) == SEEDED_SEARCH_SHA256
 
 
 def test_curve_malformed_json_is_a_parse_error(tmp_path, capsys):

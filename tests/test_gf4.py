@@ -1,8 +1,10 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from gf4msd import gf4
 from gf4msd.gf4 import (
     BudgetExceededError,
     Gf4Code,
@@ -218,3 +220,24 @@ def test_packed_stream_matches_reference_in_order():
         code = _random_code(rng, k + 3, k)
         words = [unpack(code.n, w) for w in enumerate_codewords(code)]
         assert words == list(_reference_codewords(code)), k
+
+
+@pytest.mark.parametrize(
+    "n,k",
+    [(k + 3, k) for k in range(9)] + [(n, k) for n in (63, 64, 65, 70) for k in (0, 1, 3)],
+)
+def test_weight_enumerator_matches_stream_tally(monkeypatch, n, k):
+    # k > 6 tallies several head combinations; n = 64 is the last length
+    # whose x and z masks fit one 64-bit limb
+    code = _random_code(random.Random(n * 16 + k), n, k)
+    A = weight_enumerator(code)
+    tally = Counter(weight(unpack(n, w)) for w in enumerate_codewords(code))
+    assert A.coeffs == tuple(tally[j] for j in range(n + 1))
+    assert all(type(a) is int for a in A.coeffs) and sum(A.coeffs) == 4**k
+
+    def no_work(word):
+        raise AssertionError("work started before the budget check")
+
+    monkeypatch.setattr(gf4, "pack", no_work)
+    with pytest.raises(BudgetExceededError, match="4\\^%d codewords exceed budget %d" % (k, 4**k - 1)):
+        weight_enumerator(code, budget=4**k - 1)
