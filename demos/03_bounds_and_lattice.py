@@ -30,11 +30,12 @@ for n in (5, 7):
 print()
 print("noise-suppression bounds (classical LP):")
 for n in (5, 7, 11, 13, 17, 19, 23):
-    print("  n=%2d  nu <= %d" % (n, max_nu_bound(n)))
+    print("  n=%2d  nu <= %d" % (n, max_nu_bound(n, quantum=False)[0]))
 
 print()
 print("distance bounds:")
-print("  n=11 classical:", max_distance_bound(11, False), " with quantum cut:", max_distance_bound(11, True))
-print("  n=23 with quantum cut:", max_distance_bound(23, True))
-print("  self-dual n=12 classical:", classical_distance_bound_selfdual(12, False),
-      " with quantum cut:", classical_distance_bound_selfdual(12, True))
+classical, quantum, _, _ = max_distance_bound(11)
+print("  n=11 classical:", classical, " with quantum cut:", quantum)
+print("  n=23 with quantum cut:", max_distance_bound(23)[1])
+classical, quantum, _, _ = classical_distance_bound_selfdual(12)
+print("  self-dual n=12 classical:", classical, " with quantum cut:", quantum)

@@ -538,8 +538,8 @@ def quantum_rows_selfdual(fam: AffineFamily, grid: int = 16):
 
 
 def is_nu_length(n: int) -> bool:
-    """Lengths max_nu_bound accepts: n = +-1 mod 6."""
-    return n % 6 in (1, 5)
+    """Lengths max_nu_bound accepts: n >= 5 with n = +-1 mod 6."""
+    return n >= 5 and n % 6 in (1, 5)
 
 
 def is_odd_family_length(n: int) -> bool:
@@ -552,102 +552,82 @@ def is_selfdual_length(n: int) -> bool:
     return n % 2 == 0 and n >= 6
 
 
-def nu_value(n: int, level: int) -> int:
-    return (2 if n % 6 == 5 else 1) + 3 * level
+def _feasible(fam: AffineFamily, rows) -> LpVerdict:
+    return lp_feasible(build_polytope(fam.dim, fam.names, rows))
 
 
-def _bisect(fam: AffineFamily, rows_at, lo: int, hi: int, witness=None):
-    """Largest level in [lo, hi] whose rows_at(level) are feasible.
+def _bound(fam: AffineFamily, cuts, eq_rows, sizes, value):
+    """Classical and quantum bounds of one family build.
 
-    Feasibility must fall monotonically with the level and is assumed, not
-    probed, at lo; witness is lo's feasible point when the caller has one.
-    Returns (level, witness), the witness None only if lo is returned
-    without one.
+    Level i keeps the classical rows and the first sizes[i] equality rows,
+    and its feasibility falls monotonically with i.  The classical level is
+    bisected over the levels; its witness is the LP solution at that level.
+    The quantum cuts only add rows, so the quantum level cannot exceed the
+    classical one and is searched downward from it; cuts None skips that
+    search.  Returns (classical bound, quantum bound or None, witness, fam),
+    the bound of level i being value(sizes[i]).
     """
+    base = classical_rows(fam)
+    lo, hi, witness = -1, len(sizes) - 1, None
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        v = lp_feasible(build_polytope(fam.dim, fam.names, rows_at(mid)))
+        v = _feasible(fam, base + eq_rows[: sizes[mid]])
         if v.status == "feasible":
             lo, witness = mid, v.witness
         else:
             hi = mid - 1
-    return lo, witness
+    level = lo
+    if cuts is not None:
+        base = base + cuts
+        while level >= 0 and _feasible(fam, base + eq_rows[: sizes[level]]).status != "feasible":
+            level -= 1
+    if level < 0:
+        raise RuntimeError("no feasible level for n=%d" % fam.n)
+    quantum = None if cuts is None else value(sizes[level])
+    return value(sizes[lo]), quantum, witness, fam
 
 
-def max_nu_bound(n: int, use_quantum: bool = False, with_witness: bool = False):
-    """Largest noise-suppression exponent consistent with the cuts.
+def max_nu_bound(n: int, quantum: bool = True):
+    """Largest noise-suppression exponents consistent with the cuts.
 
-    Feasibility of the cancellation levels is monotone, so the boundary
-    level is located by bisection; non-trivial pins (no weight-1 logical,
-    no weight-2 stabilizer) always apply.  With with_witness, returns
-    (bound, witness point, family) instead of the bare bound.
+    Level i forces the first nu = 2 + 3i (n = 5 mod 6) or 1 + 3i (n = 1
+    mod 6) numerator coefficients to vanish; the non-trivial pins (no
+    weight-1 logical, no weight-2 stabilizer) always apply.  Returns
+    (classical nu, quantum nu or None, witness, family).
     """
     if not is_nu_length(n):
-        raise DomainError("n must be congruent to +-1 mod 6")
-    m = (n - (n % 6)) // 6
-    kmax = 2 * m + 1 if n % 6 == 5 else 2 * m
+        raise DomainError("n must be at least 5 and congruent to +-1 mod 6")
+    five = n % 6 == 5
+    # levels 0..2m+1 for n = 6m + 5, 0..2m for n = 6m + 1
+    sizes = [(2 if five else 1) + 3 * i for i in range(2 * (n // 6) + 1 + five)]
     fam = distillation_family(n, pin_trivial=True)
-    base_rows = classical_rows(fam)
-    if use_quantum:
-        base_rows = base_rows + quantum_rows_distill(fam)
-    lam = 1 if n % 6 == 5 else -1
-    all_eq = numerator_coefficient_rows(fam, lam, nu_value(n, kmax))
-
-    def rows_at(level):
-        return base_rows + all_eq[: nu_value(n, level)]
-
-    # bisecting [floor - 1, floor] probes the floor alone
-    level, witness = _bisect(fam, rows_at, -1, 0)
-    if level < 0:
-        raise RuntimeError("no feasible cancellation level for n=%d" % n)
-    level, witness = _bisect(fam, rows_at, 0, kmax, witness)
-    bound = nu_value(n, level)
-    return (bound, witness, fam) if with_witness else bound
+    eq_rows = numerator_coefficient_rows(fam, 1 if five else -1, sizes[-1])
+    cuts = quantum_rows_distill(fam) if quantum else None
+    return _bound(fam, cuts, eq_rows, sizes, lambda nu: nu)
 
 
-def max_distance_bound(n: int, use_quantum: bool = False, with_witness: bool = False):
-    """Largest quantum distance with a feasible enumerator (odd n >= 5).
+def max_distance_bound(n: int, quantum: bool = True):
+    """Largest quantum distance 2i + 1 with a feasible enumerator (odd n >= 5).
 
-    The quantum flag adds the nonnegative success probability of pure
-    inputs, N(0) >= 0, which is what strengthens the classical bound.
+    Level i forces C_1, C_3, ..., C_{2i-1} to vanish.  The quantum cut is
+    the nonnegative success probability of pure inputs, N(0) >= 0, which is
+    what strengthens the classical bound.  Returns (classical, quantum or
+    None, witness, family).
     """
     fam = distillation_family(n, pin_trivial=False)
-    base_rows = classical_rows(fam)
-    if use_quantum:
-        base_rows = base_rows + [fam.row(_success_at(Q(1, 3)), ">=")]
-    c_rows = [fam.row(_coeff("C", j), "==") for j in range(1, n, 2)]
-
-    def rows_at(level):  # distance 2 * level + 1
-        return base_rows + c_rows[:level]
-
-    # distance 3 (level 1) is probed alone first; if infeasible the bound is 1
-    level, witness = _bisect(fam, rows_at, 0, 1)
-    if level == 1:
-        level, witness = _bisect(fam, rows_at, 1, (n - 1) // 2, witness)
-    bound = 2 * level + 1
-    return (bound, witness, fam) if with_witness else bound
+    eq_rows = [fam.row(_coeff("C", j), "==") for j in range(1, n, 2)]
+    cuts = [fam.row(_success_at(Q(1, 3)), ">=")] if quantum else None
+    return _bound(fam, cuts, eq_rows, range(len(eq_rows) + 1), lambda i: 2 * i + 1)
 
 
-def classical_distance_bound_selfdual(
-    n: int, use_quantum: bool = False, with_witness: bool = False
-):
-    """Largest classical distance of a self-dual enumerator of even length."""
+def classical_distance_bound_selfdual(n: int, quantum: bool = True):
+    """Largest classical distance 2i + 2 of a self-dual enumerator of even
+    length; level i forces A_2, A_4, ..., A_{2i} to vanish.  Returns
+    (classical, quantum or None, witness, family)."""
     fam = selfdual_family(n)
-    base_rows = classical_rows(fam)
-    if use_quantum:
-        base_rows = base_rows + quantum_rows_selfdual(fam)
-    a_rows = [fam.row(_coeff("A", j), "==") for j in range(2, n + 1, 2)]
-
-    def rows_at(level):  # distance 2 * level
-        return base_rows + a_rows[: level - 1]
-
-    # distance 2 (level 1) is never probed unless its witness is asked for
-    level, witness = _bisect(fam, rows_at, 1, n // 2 + 1)
-    if with_witness:
-        if witness is None:
-            _, witness = _bisect(fam, rows_at, level - 1, level)
-        return 2 * level, witness, fam
-    return 2 * level
+    eq_rows = [fam.row(_coeff("A", j), "==") for j in range(2, n + 1, 2)]
+    cuts = quantum_rows_selfdual(fam) if quantum else None
+    return _bound(fam, cuts, eq_rows, range(len(eq_rows) + 1), lambda i: 2 * i + 2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ Every subcommand takes --out.  Numeric output defaults to exact rational
 strings; analyze, extremal and curve take --decimal and --precision
 digits, search always prints thresholds as decimals of --precision
 digits, and analyze, search and verify, which enumerate codewords, take
---budget.  Exit codes: 0 success, 2 parse error or unreadable input file,
+--budget.  bounds makes one driver call per admissible length, which
+builds the family once and decides both columns, the quantum search
+starting at the classical level; --classical-only skips the quantum
+search.  Exit codes: 0 success, 2 parse error or unreadable input file,
 3 domain error (a mathematical inconsistency), 4 enumeration budget
 exceeded; any other error propagates.
 """
@@ -224,14 +227,9 @@ def cmd_bounds(args) -> int:
     for n in range(args.start, args.stop + 1):
         if not admissible(n):
             continue
-        classical, witness, fam = driver(n, False, with_witness=True)
-        quantum = "" if args.classical_only else driver(n, True)
-        wit_str = ""
-        if witness is not None:
-            wit_str = ";".join(
-                "%s=%s" % (name, q_to_str(v)) for name, v in zip(fam.names, witness)
-            )
-        lines.append("%d,%s,%s,%s" % (n, classical, quantum, wit_str))
+        classical, quantum, witness, fam = driver(n, quantum=not args.classical_only)
+        wit_str = ";".join("%s=%s" % (name, q_to_str(v)) for name, v in zip(fam.names, witness))
+        lines.append("%d,%s,%s,%s" % (n, classical, "" if quantum is None else quantum, wit_str))
     out.emit("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -352,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=("nu", "distance", "classical-distance"), required=True)
     p.add_argument("--start", type=int, required=True)
     p.add_argument("--stop", type=int, required=True)
-    p.add_argument("--classical-only", action="store_true")
+    p.add_argument("--classical-only", action="store_true", help="skip the quantum search")
     common(p)
     p.set_defaults(func=cmd_bounds)
 

@@ -241,11 +241,9 @@ def test_criterion_06_bound_sweeps(monkeypatch):
     monkeypatch.setattr(bounds, "lp_feasible", recording_lp_feasible)
     t0 = time.time()
     for n, expect in THEOREM_NU.items():
-        assert max_nu_bound(n, False) == expect, n
-        assert max_nu_bound(n, True) == expect, n
-    assert max_distance_bound(11, True) == 3
-    assert max_distance_bound(23, True) == 7
-    assert max_distance_bound(11, False) == 5
+        assert max_nu_bound(n)[:2] == (expect, expect), n
+    assert max_distance_bound(11)[:2] == (5, 3)
+    assert max_distance_bound(23)[1] == 7
     elapsed = time.time() - t0
     assert elapsed < 600.0, elapsed
     # every bound rests on certified LP verdicts, the infeasible ones that

@@ -14,10 +14,12 @@ from gf4msd.bounds import (
     distillation_family,
     enumerate_vertices_2d,
     integral_lattice,
+    is_nu_length,
     lattice_search,
     lp_feasible,
     max_distance_bound,
     max_nu_bound,
+    numerator_coefficient_rows,
     selfdual_family,
 )
 from gf4msd.distill import check_success_nonneg
@@ -173,25 +175,25 @@ def test_count_lattice_points_direct():
 
 
 def test_nu_bounds_small():
-    assert max_nu_bound(5) == 2
-    assert max_nu_bound(7) == 1
-    assert max_nu_bound(11) == 2
-    assert max_nu_bound(13) == 1
-    assert max_nu_bound(17) == 5
+    assert max_nu_bound(5, quantum=False)[0] == 2
+    assert max_nu_bound(7, quantum=False)[0] == 1
+    assert max_nu_bound(11, quantum=False)[0] == 2
+    assert max_nu_bound(13, quantum=False)[0] == 1
+    assert max_nu_bound(17, quantum=False)[0] == 5
     with pytest.raises(ValueError):
         max_nu_bound(9)
 
 
 def test_nu_bounds_quantum_unchanged_small():
     for n in (5, 7, 11, 13):
-        assert max_nu_bound(n, use_quantum=True) == max_nu_bound(n, False)
+        classical, quantum, _, _ = max_nu_bound(n)
+        assert quantum == classical
 
 
 def test_distance_bounds():
-    assert max_distance_bound(11, False) == 5
-    assert max_distance_bound(11, True) == 3
-    assert max_distance_bound(23, True) == 7
-    assert max_distance_bound(13, False) == 5
+    assert max_distance_bound(11)[:2] == (5, 3)
+    assert max_distance_bound(23)[1] == 7
+    assert max_distance_bound(13, quantum=False)[0] == 5
 
 
 def test_distance_bound_sweep():
@@ -203,14 +205,40 @@ def test_distance_bound_sweep():
         17: (7, 7), 23: (9, 7), 29: (11, 11), 35: (13, 11),
     }
     for n, (classical, quantum) in expected.items():
-        assert max_distance_bound(n, False) == classical, n
-        assert max_distance_bound(n, True) == quantum, n
+        assert max_distance_bound(n)[:2] == (classical, quantum), n
 
 
 def test_selfdual_distance_bounds():
-    assert classical_distance_bound_selfdual(12, False) == 6
-    assert classical_distance_bound_selfdual(12, True) == 4
-    assert classical_distance_bound_selfdual(6, False) == 4
+    assert classical_distance_bound_selfdual(12)[:2] == (6, 4)
+    assert classical_distance_bound_selfdual(6, quantum=False)[0] == 4
+
+
+def _level_rows(driver, fam, bound):
+    """The equality rows of the level whose bound is `bound`."""
+    if driver is max_nu_bound:
+        return numerator_coefficient_rows(fam, 1 if fam.n % 6 == 5 else -1, bound)
+    if driver is max_distance_bound:  # C_1, C_3, ..., C_{bound-2}
+        return [fam.row(lambda A, B, C, j=j: C.coeffs[j], "==") for j in range(1, bound - 1, 2)]
+    # A_2, A_4, ..., A_{bound-2}
+    return [fam.row(lambda A, B, C, j=j: A.coeffs[j], "==") for j in range(2, bound - 1, 2)]
+
+
+@pytest.mark.parametrize(
+    "driver,lengths",
+    [
+        (max_nu_bound, [n for n in range(5, 20) if is_nu_length(n)]),
+        (max_distance_bound, range(5, 16, 2)),
+        (classical_distance_bound_selfdual, range(6, 21, 2)),
+    ],
+)
+def test_driver_bounds_and_witness(driver, lengths):
+    # the quantum rows only add cuts, and the witness is a point of the
+    # classical rows plus the equality rows of the reported level
+    for n in lengths:
+        classical, quantum, witness, fam = driver(n)
+        assert quantum <= classical, n
+        rows = classical_rows(fam) + _level_rows(driver, fam, classical)
+        assert build_polytope(fam.dim, fam.names, rows).contains(witness), n
 
 
 def test_selfdual_quantum_filter():

@@ -90,6 +90,37 @@ def test_bounds_distance_table(capsys):
     assert "d0=-6" in lines[1]
 
 
+def test_bounds_nu_skips_short_lengths(capsys):
+    # n = -7, -5, -1 and 1 are +-1 mod 6 but shorter than the family
+    code, out = run_cli(capsys, "bounds", "--target", "nu", "--start", "-7", "--stop", "7")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("5,2,2,") and lines[2].startswith("7,1,1,")
+
+
+@pytest.mark.parametrize(
+    "target,start,stop", [("nu", 5, 13), ("distance", 5, 11), ("classical-distance", 6, 12)]
+)
+def test_bounds_classical_only_builds_no_quantum_row(capsys, monkeypatch, target, start, stop):
+    argv = ("bounds", "--target", target, "--start", str(start), "--stop", str(stop))
+    code, full = run_cli(capsys, *argv)
+    assert code == 0
+
+    def no_quantum_row(*args, **kwargs):
+        raise AssertionError("a quantum row was built")
+
+    for name in ("quantum_rows_distill", "quantum_rows_selfdual", "signed_eval"):
+        monkeypatch.setattr(bounds, name, no_quantum_row)
+    code, out = run_cli(capsys, *argv, "--classical-only")
+    assert code == 0
+    # the same rows with the quantum column left empty
+    expect = [line.split(",") for line in full.splitlines()]
+    for row in expect[1:]:
+        row[2] = ""
+    assert out.splitlines() == [",".join(row) for row in expect]
+
+
 def test_bounds_nu_classical_only(capsys):
     code, out = run_cli(
         capsys, "bounds", "--target", "nu", "--start", "5", "--stop", "7", "--classical-only"
@@ -100,7 +131,8 @@ def test_bounds_nu_classical_only(capsys):
 
 
 # sha256 of stdout, recorded before the bound drivers shared one bisection
-# helper and one elimination kernel; they pin every witness column
+# helper and one elimination kernel (the longer bounds sweeps: before each
+# driver decided both bounds in one call); they pin every witness column
 GOLDEN_SHA256 = {
     ("bounds", "--target", "nu", "--start", "5", "--stop", "25"):
         "32d8a8bce206fa7e7bc28152b43266f44bd4433d203bc19915de75feaf2a6e72",
@@ -108,6 +140,12 @@ GOLDEN_SHA256 = {
         "0b8274b022dac7f9bc7fc23482839ec83f30f1686fafe9c5191d73224a317cb8",
     ("bounds", "--target", "classical-distance", "--start", "6", "--stop", "24"):
         "6e6e797a57e1224be125481dfea370fff170f05816ea050b8b3be3443dcc9e61",
+    ("bounds", "--target", "nu", "--start", "29", "--stop", "29"):
+        "250334b2ced0ac00d105b1daeeea1c9bee5d67180f860b94e45fb0625981dcaf",
+    ("bounds", "--target", "distance", "--start", "17", "--stop", "23"):
+        "eb9518cc60f520391983aedf25a4136424f51db3911d04ab173393d5832f808a",
+    ("bounds", "--target", "classical-distance", "--start", "26", "--stop", "32"):
+        "13007dc3c08b7191888ab1173b9ddef36808d9c468f4f5df98f8ffb97f495608",
     ("lattice", "--n", "7"):
         "b08041e0321f05bcdbb8822fdb01cd96b04cc4a95671c500e91b348cb9b675e1",
     ("lattice", "--n", "7", "--quantum"):
@@ -205,7 +243,7 @@ DOMAIN_ERRORS = [
     (("lattice", "--n", "4"), "need even n >= 6"),
     (("lattice", "--n", "9", "--quantum"), "n = 9 is not congruent to +-1 mod 6"),
     (("lattice", "--n", "24"), "lattice enumeration supports dim <= 3"),
-    (("bounds", "--target", "nu", "--start", "1", "--stop", "1"), "need odd n >= 5"),
+    (("lattice", "--n", "1", "--quantum"), "need odd n >= 5"),
     (({"n": 5, "coeffs": [1, 0, -2, 0, 0, 0]},), "enumerator total A(1,1) must be positive"),
     (({"n": 5, "coeffs": [1, 0, 0, 0, 1, 0]},), "logical enumerator must be odd-only"),
     (("extremal", "--n", "1", "--family", "distill"), "need odd n >= 5"),
