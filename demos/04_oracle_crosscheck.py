@@ -1,6 +1,6 @@
-"""Independent dense-matrix validation of the enumerator formulas.
+"""Independent validation of the enumerator formulas by the stabilizer group.
 
-Builds stabilizer projectors from signed Pauli words and compares
+Checks the signed Pauli group of each code directly and compares its
 projection probabilities against the signed enumerator evaluation --
 exact rational equality, no tolerance.
 """

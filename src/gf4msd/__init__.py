@@ -3,8 +3,8 @@ linear Hermitian self-orthogonal GF(4) codes.
 
 The library is exact end to end: big-integer enumerator algebra, rational
 distillation maps with Sturm-isolated thresholds, an exact-rational
-simplex for the linear-programming bounds, and a dense Gaussian-integer
-oracle that cross-checks every formula on small codes.
+simplex for the linear-programming bounds, and a matrix-free
+stabilizer-group oracle that cross-checks every formula exactly.
 """
 
 from .enumerators import (

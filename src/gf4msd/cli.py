@@ -35,6 +35,8 @@ class _Output:
     def __init__(self, args):
         self.decimal = getattr(args, "decimal", False)
         self.precision = getattr(args, "precision", 12)
+        if self.precision < 0:
+            raise DomainError("precision must be a nonnegative integer")
         self.path = getattr(args, "out", None)
 
     def num(self, x):
@@ -286,24 +288,16 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise DomainError("trials must be a positive integer")
     code = _load_code(args.file)
-    if code.n > oracle.DIM_LIMIT:
-        raise DomainError("verify supports n <= %d" % oracle.DIM_LIMIT)
     rng = random.Random(args.seed)
     A = gf4.weight_enumerator(code, budget)
-    signed = gf4.rall_signs(code, budget)
-    proj = oracle.build_projector(signed, code.n, code.n - 2 * code.k)
     k = code.n - 2 * code.k
+    proj = oracle.build_projector(gf4.rall_signs(code, budget), code.n, k)
     checks = {"projector_valid": True, "mode": proj.mode}
     trials = []
-    exact_mode = proj.mode == "exact"
     for _ in range(args.trials):
         rbar = Q(rng.randint(-5, 5), rng.randint(9, 18))
         eta = oracle.projection_prob(proj, oracle.t_direction(rbar), code.n)
-        expect = signed_eval(A, rbar * rbar) / 2 ** (code.n - k)
-        if exact_mode:
-            ok = eta == expect
-        else:
-            ok = abs(eta - float(expect)) < 1e-10
+        ok = eta == signed_eval(A, rbar * rbar) / 2 ** (code.n - k)
         trials.append({"rbar2": q_to_str(rbar * rbar), "match": ok})
         if not ok:
             checks["projector_valid"] = False
@@ -366,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=512, help="curve grid points")
     p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("verify", help="dense-oracle cross-check of a generator file")
+    p = sub.add_parser("verify", help="exact stabilizer-group oracle cross-check of a generator file")
     p.add_argument("file")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=2024)

@@ -54,13 +54,17 @@ def catalan(j: int) -> int:
 
 
 def decimal_str(x, digits: int = 12) -> str:
-    """Render a rational as a decimal string, rounded to `digits` places."""
+    """Render a rational as a decimal string, rounded to `digits` >= 0 places."""
+    if digits < 0:
+        raise ValueError("digits must be nonnegative")
     x = Q(x)
     sign = "-" if x < 0 else ""
     x = abs(x)
     scaled = x * 10**digits
     # round half away from zero
     units = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
+    if not digits:
+        return sign + str(units)
     s = str(units).rjust(digits + 1, "0")
     return "%s%s.%s" % (sign, s[:-digits], s[-digits:])
 

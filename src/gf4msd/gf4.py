@@ -282,9 +282,8 @@ def weight_enumerator(code: Gf4Code, budget: int = DEFAULT_BUDGET) -> Enumerator
     array of x and z limbs, and each head is XORed into it and tallied by
     popcount(x | z), in exact integer arithmetic.
     """
-    # imported on first use: gf4 loads before the rest of the package, and
-    # importing numpy that early (instead of with the oracle, last) raises
-    # a CLI process's peak RSS by about 1.7 MiB
+    # imported on first use, so that importing the package or the CLI, and
+    # every subcommand that enumerates no codewords, runs without numpy
     import numpy as np
 
     heads, tail = _split(code, budget)

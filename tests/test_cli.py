@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import pathlib
 import random
 
@@ -252,6 +253,9 @@ DOMAIN_ERRORS = [
     (("analyze", FIVE_QUBIT, "--budget", "-1"), "budget must be a nonnegative integer"),
     (("search", str(CODES / "selfdual6.g4cdb"), "--budget", "-1"), "budget must be a nonnegative integer"),
     (("verify", FIVE_QUBIT, "--budget", "-1"), "budget must be a nonnegative integer"),
+    (("analyze", FIVE_QUBIT, "--decimal", "--precision", "-1"), "precision must be a nonnegative integer"),
+    (("search", str(CODES / "selfdual6.g4cdb"), "--precision", "-1"), "precision must be a nonnegative integer"),
+    (("extremal", "--n", "13", "--family", "distill", "--precision", "-1"), "precision must be a nonnegative integer"),
 ]
 
 
@@ -283,6 +287,51 @@ def test_other_value_errors_propagate(monkeypatch):
     monkeypatch.setattr(bounds, "lattice_search", broken)
     with pytest.raises(ValueError, match="a programming error"):
         main(["lattice", "--n", "7"])
+
+
+def test_analyze_precision_zero_renders_integers(capsys, codes_dir):
+    code, out = run_cli(capsys, "analyze", str(codes_dir / "five_qubit.g4c"), "--decimal", "--precision", "0")
+    assert code == 0
+    rep = json.loads(out)["distill"]
+    assert rep["leading_coefficient"] == "5"
+    assert rep["threshold_natural_sign"]["decimal"] == "0"
+    assert rep["threshold_best"]["decimal"] == "0"
+
+
+def test_search_precision_zero_renders_integers(capsys, codes_dir):
+    code, out = run_cli(capsys, "search", str(codes_dir / "selfdual6.g4cdb"), "--precision", "0")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[2] == "0"
+
+
+@pytest.mark.parametrize("n", [7, 11, 13])
+def test_verify_random_maximal_codes_exactly(tmp_path, capsys, n):
+    code = random_maximal_self_orthogonal_code(random.Random(n), n)
+    path = tmp_path / ("maximal%d.g4c" % n)
+    path.write_text(code.to_text())
+    rc, out = run_cli(capsys, "verify", str(path), "--trials", "4", "--seed", "3")
+    assert rc == 0
+    rep = json.loads(out)
+    assert rep["mode"] == "exact" and rep["projector_valid"] and rep["all_match"]
+    assert len(rep["trials"]) == 4 and all(t["match"] for t in rep["trials"])
+
+
+def test_verify_reach_is_limited_only_by_the_budget(tmp_path, capsys):
+    path = tmp_path / "maximal13.g4c"
+    path.write_text(random_maximal_self_orthogonal_code(random.Random(13), 13).to_text())
+    assert main(["verify", str(path), "--budget", "5"]) == 4
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
+def test_import_leaves_numpy_unloaded():
+    import subprocess
+    import sys
+
+    probe = "import sys, gf4msd.cli; print('numpy' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(CODES.parent / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_verify_subcommand(capsys, codes_dir):

@@ -50,6 +50,17 @@ def test_decimal_rendering():
     assert decimal_str(Q(5), 2) == "5.00"
 
 
+def test_decimal_rendering_without_digits():
+    # zero digits render the rounded integer, with no decimal point
+    assert decimal_str(Q(5), 0) == "5"
+    assert decimal_str(Q(1, 2), 0) == "1"
+    assert decimal_str(Q(-3, 2), 0) == "-2"
+    assert decimal_str(Q(7, 4), 0) == "2"
+    assert decimal_str(Q(1, 10), 0) == "0"
+    with pytest.raises(ValueError):
+        decimal_str(Q(1, 3), -1)
+
+
 def test_poly_basics():
     p = poly([1, 0, 3, 0])
     assert p == (1, 0, 3)
