@@ -16,14 +16,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import simplex
-from .distill import (
-    DegenerateMapError,
-    _map_polys,
-    check_success_nonneg,
-    quantum_verdict,
-    threshold_slack,
-)
-from .enumerators import DomainError, Enumerator, signed_eval, transform_xy
+from .distill import _check_length, _map_polys, quantum_verdict, threshold_slack  # noqa: F401
+from .enumerators import DomainError, Enumerator, signed_eval, signed_poly, transform_xy
 from .exact import Q, rref
 from .invariants import (
     InvariantParams,
@@ -33,6 +27,7 @@ from .invariants import (
     num_cprime,
     num_dprime,
 )
+from .roots import poly_nonneg_on
 
 SENSES = ("<=", ">=", "==")
 
@@ -667,24 +662,34 @@ def integral_lattice(fam: AffineFamily) -> LatticeSpec:
 
 
 def quantum_filter_distill(fam: AffineFamily):
-    """Exact nonlinear verdict: success nonnegativity on the physical
-    interval plus the octahedron threshold test for both sign choices."""
+    """Exact nonlinear verdict: the octahedron threshold test for both sign
+    choices on affine rows in the point (N(eps_max) = 0 fails), then
+    success nonnegativity on the physical interval."""
+    funcs = [_success_at(Q(1, 9))] + [lambda A, B, C, lam=lam: threshold_slack(A, C, lam) for lam in (-1, 1)]
+    rows = [fam.row(f, "==") for f in funcs]  # N(eps_max) and both slacks
+    success = quantum_filter_selfdual(fam)
 
     def ok(point) -> bool:
-        A = fam.enumerator_at(point)
-        try:
-            return quantum_verdict(A).all_ok
-        except DegenerateMapError:
+        _check_length(fam.n)
+        n_max, *slacks = (sum(c * v for c, v in zip(r.coeffs, point)) - r.rhs for r in rows)
+        if n_max == 0 or any(s < 0 if n_max > 0 else s > 0 for s in slacks):
             return False
+        return success(point)
 
     return ok
 
 
 def quantum_filter_selfdual(fam: AffineFamily):
-    """Exact verdict A(1, i rbar) >= 0 for all rbar^2 in [0, 1/3]."""
+    """Exact verdict A(1, i rbar) >= 0 for all rbar^2 in [0, 1/3], on the
+    signed polynomials of the members combined by the point's coordinates."""
+    base, *steps = (signed_poly(A) for A, _, _ in fam.members)
 
     def ok(point) -> bool:
-        return check_success_nonneg(fam.enumerator_at(point))[0]
+        d = lcm(*(v.denominator for v in point))  # a positive scale keeps the verdict
+        p = [d * x for x in base]
+        for k, s in zip((int(v * d) for v in point), steps):
+            p = [x + k * y for x, y in zip(p, s)]
+        return poly_nonneg_on(p, 0, Q(1, 3))[0]
 
     return ok
 

@@ -107,13 +107,17 @@ def _map_polys(A: Enumerator, C: Enumerator, lam) -> tuple:
     return m_poly, n_poly
 
 
+def _check_length(n: int) -> None:
+    if n % 6 not in (1, 5):
+        raise DomainError("n = %d is not congruent to +-1 mod 6" % n)
+
+
 def _logical(A: Enumerator) -> Enumerator:
     """C = B - A after the checks every map and verdict rests on.
 
     A(1, 1) > 0 with A even-only also rules out N = 0 identically.
     """
-    if A.n % 6 not in (1, 5):
-        raise DomainError("n = %d is not congruent to +-1 mod 6" % A.n)
+    _check_length(A.n)
     if not A.is_even_only():
         raise DomainError("stabilizer enumerator must be even-only")
     total = A.total()

@@ -58,11 +58,10 @@ def decimal_str(x, digits: int = 12) -> str:
     if digits < 0:
         raise ValueError("digits must be nonnegative")
     x = Q(x)
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    scaled = x * 10**digits
-    # round half away from zero
+    scaled = abs(x) * 10**digits
+    # round half away from zero; a value that rounds to zero has no sign
     units = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
+    sign = "-" if x < 0 and units else ""
     if not digits:
         return sign + str(units)
     s = str(units).rjust(digits + 1, "0")

@@ -1,4 +1,4 @@
-"""Exact real-root analysis for rational polynomials.
+"""Exact real-root analysis for rational polynomials, in integer arithmetic.
 
 One Sturm chain per polynomial decides everything here.  Its sign
 variations V count the distinct real roots of p in the half-open interval
@@ -6,48 +6,90 @@ variations V count the distinct real roots of p in the half-open interval
 root: a root at a is not counted, a root at b is.  Root isolation is
 plain bisection on these counts, a root on the right end of a cell comes
 back as the exact interval (r, r), and sign decisions on closed intervals
-test the two ends and one point left of each root.  Everything is exact;
-no floating point enters any verdict.
+test the two ends and one point left of each root.  Chain entries are
+primitive integer polynomials, positive multiples of the rational Sturm
+entries, and only signs are read: p at u/v (v > 0) is the integer
+v^deg p(u/v) by Horner.  Positive scaling keeps every sign, so every
+result is that of the rational chain, and no floating point enters.
 """
 
 from __future__ import annotations
 
-from .exact import Q, poly, poly_degree, poly_deriv, poly_divmod, poly_eval, poly_neg
+from math import gcd, lcm
+
+from .exact import Q, poly, poly_degree, poly_deriv
+
+
+def _primitive(p) -> tuple:
+    """The primitive integer polynomial that is a positive multiple of p."""
+    if not all(isinstance(c, int) for c in p):
+        p = [Q(c) for c in p]
+        den = lcm(*(c.denominator for c in p))
+        p = [c.numerator * (den // c.denominator) for c in p]
+    g = gcd(*p) or 1
+    return poly(c // g for c in p)
+
+
+def _pdivmod(a, b) -> tuple:
+    """(q, r) with k a = q b + r over Z, k > 0: positive multiples of a div b and a mod b."""
+    r, q = list(a), []
+    m, s = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    for k in range(len(a) - len(b), -1, -1):
+        t = r.pop()
+        g = gcd(t, m)
+        c, f = s * t // g, m // g  # f r - c x^k b clears the top term
+        if f > 1:
+            q, r = [x * f for x in q], [x * f for x in r]
+        q.append(c)
+        for i in range(len(b) - 1):
+            r[k + i] -= c * b[i]
+    return tuple(reversed(q)), poly(r)
+
+
+def _sign(p, x) -> int:
+    """v^deg p(u/v) for x = u/v, v > 0: an integer with the sign of p(x)."""
+    u, v = x.numerator, x.denominator
+    acc, w = 0, 1
+    for c in reversed(p):
+        acc = acc * u + c * w
+        w *= v
+    return acc
 
 
 def sturm_chain(p) -> list:
-    """Sturm chain of p: the remainder sequence of (p, p'), divided by its
-    last entry g = gcd(p, p') when g is not constant.
+    """Sturm chain of p as primitive integer polynomials: the remainder
+    sequence of (p, p'), divided by its last entry g = gcd(p, p') when g
+    is not constant.
 
     chain[0] is then the square-free part of p, consecutive entries share
     no root, and the sign variations count distinct roots on (a, b].
     """
-    chain = [poly(Q(a) for a in p)]
+    chain = [_primitive(p)]
     if not chain[0]:
         raise ValueError("zero polynomial has no isolated roots")
-    d = poly_deriv(chain[0])
+    d = _primitive(poly_deriv(chain[0]))
     if d:
         chain.append(d)
     while poly_degree(chain[-1]) > 0:
-        r = poly_divmod(chain[-2], chain[-1])[1]
+        r = _pdivmod(chain[-2], chain[-1])[1]
         if not r:
             break
-        chain.append(poly_neg(r))
+        chain.append(_primitive([-c for c in r]))
     g = chain[-1]
     if poly_degree(g) > 0:
-        chain = [poly_divmod(f, g)[0] for f in chain]
+        chain = [_primitive(_pdivmod(f, g)[0]) for f in chain]
     return chain
 
 
 def _variations(chain, x) -> int:
-    signs = [v > 0 for v in (poly_eval(f, x) for f in chain) if v]
+    signs = [v > 0 for v in (_sign(f, x) for f in chain) if v]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def count_roots(p, a, b) -> int:
     """Distinct real roots of p in the half-open interval (a, b]."""
     chain = sturm_chain(p)
-    return _variations(chain, a) - _variations(chain, b)
+    return _variations(chain, Q(a)) - _variations(chain, Q(b))
 
 
 def _cells(chain, a, b):
@@ -74,7 +116,7 @@ def isolate_roots(p, a, b) -> list:
     p(hi) != 0.
     """
     chain = sturm_chain(p)
-    return [(hi, hi) if poly_eval(chain[0], hi) == 0 else (lo, hi) for lo, hi in _cells(chain, a, b)]
+    return [(hi, hi) if _sign(chain[0], hi) == 0 else (lo, hi) for lo, hi in _cells(chain, a, b)]
 
 
 def refine_root(p, lo, hi, width) -> tuple:
@@ -85,12 +127,12 @@ def refine_root(p, lo, hi, width) -> tuple:
 def _refine(h, lo, hi, width) -> tuple:
     """Bisection of (lo, hi] against the sign of the square-free h at hi;
     a root at hi or at a midpoint comes back as (r, r)."""
-    s = poly_eval(h, hi)
+    s = _sign(h, hi)
     if s == 0:
         return hi, hi
     while hi - lo > width:
         mid = (lo + hi) / 2
-        v = poly_eval(h, mid)
+        v = _sign(h, mid)
         if v == 0:
             return mid, mid
         if (v > 0) == (s > 0):
@@ -102,12 +144,12 @@ def _refine(h, lo, hi, width) -> tuple:
 
 def _left_of_root(h, lo, hi):
     """A point of [lo, r) off the roots of h, r being its one root in (lo, hi]."""
-    if poly_eval(h, lo):
+    if _sign(h, lo):
         return lo
-    s = poly_eval(h, hi)
+    s = _sign(h, hi)
     while True:
         mid = (lo + hi) / 2
-        v = poly_eval(h, mid)
+        v = _sign(h, mid)
         if s == 0 or v * s < 0:
             return mid
         hi, s = mid, v
@@ -120,17 +162,17 @@ def poly_nonneg_on(p, a, b):
     p(witness) < 0.  Between consecutive roots the sign of p is constant,
     so a, b and one point left of each root in (a, b] decide it.
     """
-    p = poly(Q(c) for c in p)
+    p = _primitive(p)
     a, b = Q(a), Q(b)
     if not p:
         return True, None
     for x in (a, b):
-        if poly_eval(p, x) < 0:
+        if _sign(p, x) < 0:
             return False, x
     chain = sturm_chain(p)
     for lo, hi in _cells(chain, a, b):
         x = _left_of_root(chain[0], lo, hi)
-        if poly_eval(p, x) < 0:
+        if _sign(p, x) < 0:
             return False, x
     return True, None
 

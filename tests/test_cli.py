@@ -357,6 +357,15 @@ def test_lattice_n11_quantum_golden_digest(capsys):
     assert _digest(capsys, "lattice", "--n", "11", "--quantum") == LATTICE_11_QUANTUM_SHA256
 
 
+# sha256 of `lattice --n 14 --quantum` stdout (2139 points), recorded before
+# the Sturm chains became primitive integer polynomials
+LATTICE_14_QUANTUM_SHA256 = "22e50b1e0a6fb2d50b570e83fbdf44085ec438a4c7c308b637ec231ea3bde9b7"
+
+
+def test_lattice_n14_quantum_golden_digest(capsys):
+    assert _digest(capsys, "lattice", "--n", "14", "--quantum") == LATTICE_14_QUANTUM_SHA256
+
+
 def test_deterministic_output(capsys, codes_dir):
     _, out1 = run_cli(capsys, "analyze", str(codes_dir / "five_qubit.g4c"))
     _, out2 = run_cli(capsys, "analyze", str(codes_dir / "five_qubit.g4c"))

@@ -57,6 +57,10 @@ def test_decimal_rendering_without_digits():
     assert decimal_str(Q(-3, 2), 0) == "-2"
     assert decimal_str(Q(7, 4), 0) == "2"
     assert decimal_str(Q(1, 10), 0) == "0"
+    # a negative value that rounds to zero prints without a sign
+    assert decimal_str(Q(-1, 10), 0) == "0"
+    assert decimal_str(Q(-1, 10**6), 3) == "0.000"
+    assert decimal_str(Q(-1, 2), 0) == "-1"
     with pytest.raises(ValueError):
         decimal_str(Q(1, 3), -1)
 

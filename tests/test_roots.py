@@ -1,11 +1,23 @@
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gf4msd.exact import poly_eval, poly_mul, poly_pow, poly_scale
+from gf4msd.exact import (
+    poly,
+    poly_degree,
+    poly_deriv,
+    poly_divmod,
+    poly_eval,
+    poly_mul,
+    poly_neg,
+    poly_pow,
+    poly_scale,
+)
 from gf4msd.roots import (
+    _sign,
     bernstein_coefficients,
     count_roots,
     isolate_roots,
@@ -138,3 +150,114 @@ def test_roots_agree_with_known_factorization(roots, data):
     assert ok == all(poly_eval(p, x) <= 0 for x in samples)
     if not ok:
         assert a <= wit <= b and poly_eval(p, wit) > 0
+
+
+def test_sign_is_the_scaled_horner_value():
+    p = (3, 0, -4, 1)  # x^3 - 4x^2 + 3, a root at 1
+    for x in (Q(0), Q(-2), Q(-7, 3), Q(5, 10**30 + 7), Q(10**20 + 1, 3)):
+        assert _sign(p, x) == x.denominator**3 * poly_eval(p, x)
+    assert _sign(p, Q(1)) == 0 and _sign(p, -1) == -2
+    assert _sign((-5,), Q(1, 7)) == -5 and _sign((0, 7), Q(0)) == 0
+
+
+# Reference: the rational Sturm algorithm, evaluated in Fractions, that the
+# integer kernel must reproduce exactly.
+
+
+def _ref_chain(p):
+    chain = [poly(Q(a) for a in p)]
+    if poly_deriv(chain[0]):
+        chain.append(poly_deriv(chain[0]))
+    while poly_degree(chain[-1]) > 0:
+        r = poly_divmod(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append(poly_neg(r))
+    g = chain[-1]
+    return [poly_divmod(f, g)[0] for f in chain] if poly_degree(g) > 0 else chain
+
+
+def _ref_variations(chain, x):
+    signs = [v > 0 for v in (poly_eval(f, x) for f in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _ref_cells(chain, lo, hi):
+    drop = _ref_variations(chain, lo) - _ref_variations(chain, hi)
+    if drop <= 1:
+        return [(lo, hi)] * drop
+    mid = (lo + hi) / 2
+    return _ref_cells(chain, lo, mid) + _ref_cells(chain, mid, hi)
+
+
+def _ref_refine(h, lo, hi, width):
+    s = poly_eval(h, hi)
+    if s == 0:
+        return hi, hi
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v = poly_eval(h, mid)
+        if v == 0:
+            return mid, mid
+        lo, hi = (lo, mid) if (v > 0) == (s > 0) else (mid, hi)
+    return lo, hi
+
+
+def _ref_left_of_root(h, lo, hi):
+    if poly_eval(h, lo):
+        return lo
+    s = poly_eval(h, hi)
+    while True:
+        mid = (lo + hi) / 2
+        v = poly_eval(h, mid)
+        if s == 0 or v * s < 0:
+            return mid
+        hi, s = mid, v
+
+
+def _ref_nonneg(p, a, b):
+    for x in (a, b):
+        if poly_eval(p, x) < 0:
+            return False, x
+    chain = _ref_chain(p)
+    for lo, hi in _ref_cells(chain, a, b):
+        x = _ref_left_of_root(chain[0], lo, hi)
+        if poly_eval(p, x) < 0:
+            return False, x
+    return True, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    roots=st.lists(RATIONALS, max_size=4, unique=True),
+    cofactor=st.lists(RATIONALS, max_size=4),
+    data=st.data(),
+)
+def test_integer_kernel_matches_rational_reference(roots, cofactor, data):
+    # squared factors, a cofactor with any (or no) real roots, and ends that
+    # may be roots
+    p = tuple(cofactor) + (data.draw(st.sampled_from((Q(1), Q(-2), Q(3, 7)))),)
+    for r in roots:
+        p = poly_mul(p, poly_pow((-r, 1), data.draw(st.integers(1, 3))))
+    ends = st.one_of(st.sampled_from(roots), RATIONALS) if roots else RATIONALS
+    a, b = sorted((data.draw(ends), data.draw(ends)))
+    if a == b:
+        b = a + 1
+
+    ref = _ref_chain(p)
+    chain = sturm_chain(p)
+    assert len(chain) == len(ref)
+    for f, g in zip(chain, ref):
+        assert all(type(c) is int for c in f) and gcd(*f) == 1
+        k = f[-1] / g[-1]  # every entry a positive multiple of the rational one
+        assert k > 0 and tuple(k * c for c in g) == f
+
+    cells = _ref_cells(ref, a, b)
+    ivs = [(hi, hi) if poly_eval(ref[0], hi) == 0 else (lo, hi) for lo, hi in cells]
+    assert count_roots(p, a, b) == len(cells)
+    assert isolate_roots(p, a, b) == ivs
+    width = data.draw(st.sampled_from((Q(1, 3), Q(1, 64), Q(1, 1000))))
+    for lo, hi in ivs:
+        assert refine_root(p, lo, hi, width) == _ref_refine(ref[0], lo, hi, width)
+    for q in (p, poly_scale(p, -1)):
+        assert poly_nonneg_on(q, a, b) == _ref_nonneg(poly(q), a, b)
