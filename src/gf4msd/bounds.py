@@ -3,9 +3,12 @@
 Enumerator families are affine maps from a few free rational parameters to
 coefficient vectors; classical cuts demand nonnegative (dual) coefficients,
 quantum cuts demand nonnegative success probability and a threshold inside
-the stabilizer octahedron.  Feasibility questions run through the exact
-simplex; integral searches enumerate lattice points directly and apply the
-exact nonlinear verdicts as a post-filter.
+the stabilizer octahedron.  Each linear row is stored, from the moment it
+is built, as the primitive integer vector that is a positive multiple of
+the rational row, which keeps every verdict.  Feasibility questions run
+through the exact simplex once the equalities are substituted away;
+integral searches enumerate a lattice of positive integer moduli directly
+and apply the exact nonlinear verdicts as a post-filter.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import simplex
-from .distill import _check_length, _map_polys, quantum_verdict, threshold_slack  # noqa: F401
+from .distill import _check_length, _map_polys, quantum_verdict, slack_sign_ok, threshold_slack  # noqa: F401
 from .enumerators import DomainError, Enumerator, signed_eval, signed_poly, transform_xy
-from .exact import Q, rref
+from .exact import Q, primitive, rref, series
 from .invariants import (
     InvariantParams,
     SelfDualParams,
@@ -31,6 +34,9 @@ from .roots import poly_nonneg_on
 
 SENSES = ("<=", ">=", "==")
 
+# grid of the self-dual success cuts: rbar^2 in steps of 1 / (3 SUCCESS_GRID)
+SUCCESS_GRID = 16
+
 
 class UnboundedRegionError(RuntimeError):
     pass
@@ -38,18 +44,22 @@ class UnboundedRegionError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinConstraint:
+    """coeffs . x <sense> rhs, stored as the primitive integer row that is a
+    positive multiple of the one given; the scale keeps every verdict."""
+
     coeffs: tuple
     sense: str
-    rhs: Fraction
+    rhs: int
 
     def __post_init__(self):
         if self.sense not in SENSES:
             raise ValueError("sense must be one of %s" % (SENSES,))
-        object.__setattr__(self, "coeffs", tuple(Q(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", Q(self.rhs))
+        *coeffs, rhs = primitive((*self.coeffs, self.rhs))
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "rhs", rhs)
 
     def satisfied(self, point) -> bool:
-        v = sum(c * Q(p) for c, p in zip(self.coeffs, point))
+        v = sum(c * p for c, p in zip(self.coeffs, point))
         if self.sense == "<=":
             return v <= self.rhs
         if self.sense == ">=":
@@ -58,14 +68,7 @@ class LinConstraint:
 
     def is_trivial(self):
         """None if the constraint involves a variable, else its truth value."""
-        if any(self.coeffs):
-            return None
-        zero = Q(0)
-        if self.sense == "<=":
-            return zero <= self.rhs
-        if self.sense == ">=":
-            return zero >= self.rhs
-        return zero == self.rhs
+        return None if any(self.coeffs) else self.satisfied((0,) * len(self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -85,14 +88,13 @@ class Polytope:
 
 @dataclass(frozen=True)
 class LatticeSpec:
+    """The lattice of points whose i-th coordinate is a multiple of moduli[i]."""
+
     moduli: tuple
-    offsets: tuple
 
     def __post_init__(self):
-        if any(m <= 0 for m in self.moduli):
-            raise ValueError("moduli must be positive")
-        if len(self.moduli) != len(self.offsets):
-            raise ValueError("moduli/offsets length mismatch")
+        if any(not isinstance(m, int) or m <= 0 for m in self.moduli):
+            raise ValueError("moduli must be positive integers")
 
 
 def build_polytope(dim, names, rows):
@@ -118,55 +120,67 @@ class LpVerdict:
     certified: bool | None = None
 
 
-def _scaled(coeffs, rhs):
-    """Clear denominators and divide by the content; preserves the row."""
-    vals = list(coeffs) + [rhs]
-    denom = 1
-    for v in vals:
-        denom = denom * Q(v).denominator // gcd(denom, Q(v).denominator)
-    ints = [int(Q(v) * denom) for v in vals]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints[:-1], Q(ints[-1])
-
-
 def _split_rows(polytope):
-    """Integer (a_ub, b_ub, a_eq, b_eq) of the rows that are not trivially
-    true; >= rows are negated into <= rows."""
+    """Integer (a_ub, b_ub, a_eq, b_eq) of the rows; >= rows are negated
+    into <= rows."""
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for c in polytope.constraints:
-        if c.is_trivial() is True:
-            continue
-        coeffs, rhs = _scaled(c.coeffs, c.rhs)
-        if c.sense == "<=":
-            a_ub.append(coeffs)
-            b_ub.append(rhs)
-        elif c.sense == ">=":
-            a_ub.append([-v for v in coeffs])
-            b_ub.append(-rhs)
+        if c.sense == "==":
+            a_eq.append(c.coeffs)
+            b_eq.append(c.rhs)
+        elif c.sense == "<=":
+            a_ub.append(c.coeffs)
+            b_ub.append(c.rhs)
         else:
-            a_eq.append(coeffs)
-            b_eq.append(rhs)
+            a_ub.append(tuple(-v for v in c.coeffs))
+            b_ub.append(-c.rhs)
     return a_ub, b_ub, a_eq, b_eq
+
+
+@dataclass(frozen=True)
+class _Embedding:
+    """x_p = row[dim] - sum_j row[free[j]] t_j at each pivot column p of the
+    reduced equalities, and x_free[j] = t_j."""
+
+    dim: int
+    free: tuple
+    pivots: tuple  # (p, row) pairs
+
+    def __call__(self, t) -> tuple:
+        x = [None] * self.dim
+        for fc, v in zip(self.free, t):
+            x[fc] = v
+        for p, row in self.pivots:
+            x[p] = row[self.dim] - sum(row[fc] * v for fc, v in zip(self.free, t))
+        return tuple(x)
+
+    def substitute(self, coeffs):
+        """(a, k) with coeffs . x = a . t + k on the embedded points."""
+        a = [coeffs[fc] for fc in self.free]
+        k = 0
+        for p, row in self.pivots:
+            w = coeffs[p]
+            if w:
+                k += w * row[self.dim]
+                a = [v - w * row[fc] for v, fc in zip(a, self.free)]
+        return a, k
 
 
 def reduce_equalities(polytope: Polytope):
     """Eliminate == rows exactly, producing an inequality-only polytope.
 
     Returns (status, reduced, embed) where embed maps a reduced-space point
-    back to the original variables; status is "ok" or "infeasible".
-    Equality systems inconsistent over the rationals short-circuit with
-    ("infeasible", mu, None): mu weights the == rows, in order, so that
-    E^T mu = 0 and f.mu < 0 (a Farkas vector of the equalities alone).
+    back to the original variables; status is "ok" or "infeasible".  Each
+    pivot variable of the reduced row echelon form is substituted into the
+    inequality rows.  Equality systems inconsistent over the rationals
+    short-circuit with ("infeasible", mu, None): mu weights the == rows, in
+    order, so that E^T mu = 0 and f.mu < 0 (a Farkas vector of the
+    equalities alone).
     """
     eq_rows = [c for c in polytope.constraints if c.sense == "=="]
-    ineq_rows = [c for c in polytope.constraints if c.sense != "=="]
     dim = polytope.dim
     if not eq_rows:
-        return "ok", polytope, lambda t: t
+        return "ok", polytope, _Embedding(dim, range(dim), ())
     # each row carries, after the rhs, its combination of the original rows
     aug = [
         list(c.coeffs) + [c.rhs] + [int(i == r) for i in range(len(eq_rows))]
@@ -178,39 +192,21 @@ def reduce_equalities(polytope: Polytope):
             # the combination reads 0 = row[dim]; orient it to f.mu < 0
             sign = -1 if row[dim] > 0 else 1
             return "infeasible", tuple(sign * w for w in row[dim + 1 :]), None
-    free_cols = [c for c in range(dim) if c not in pivot_cols]
-    # v_col = base[col] + sum_j basis[col][j] * t_j
-    base = [Q(0)] * dim
-    basis = [[Q(0)] * len(free_cols) for _ in range(dim)]
-    for j, fc in enumerate(free_cols):
-        basis[fc][j] = Q(1)
-    for col, row in zip(pivot_cols, pivot_rows):
-        base[col] = row[dim]
-        for j, fc in enumerate(free_cols):
-            basis[col][j] = -row[fc]
-    new_rows = []
-    for c in ineq_rows:
-        const = sum(a * b for a, b in zip(c.coeffs, base))
-        coeffs = tuple(
-            sum(c.coeffs[i] * basis[i][j] for i in range(dim))
-            for j in range(len(free_cols))
-        )
-        new_rows.append(LinConstraint(coeffs, c.sense, c.rhs - const))
-    names = tuple(polytope.names[fc] for fc in free_cols)
-    reduced = build_polytope(len(free_cols), names, new_rows)
-
-    def embed(t):
-        return tuple(
-            base[i] + sum(basis[i][j] * Q(t[j]) for j in range(len(free_cols)))
-            for i in range(dim)
-        )
-
-    return "ok", reduced, embed
+    free = [c for c in range(dim) if c not in pivot_cols]
+    embed = _Embedding(dim, free, tuple(zip(pivot_cols, pivot_rows)))
+    rows = []
+    for c in polytope.constraints:
+        if c.sense != "==":
+            coeffs, k = embed.substitute(c.coeffs)
+            rows.append(LinConstraint(coeffs, c.sense, c.rhs - k))
+    names = tuple(polytope.names[fc] for fc in free)
+    return "ok", build_polytope(len(free), names, rows), embed
 
 
-def _infeasible(a_ub, b_ub, a_eq, b_eq, farkas) -> LpVerdict:
-    certified = simplex.certify_infeasible(a_ub, b_ub, a_eq, b_eq, farkas)
-    return LpVerdict("infeasible", certified=certified)
+def _certified(ok: bool) -> bool:
+    if not ok:
+        raise RuntimeError("an LP certificate failed its exact check")
+    return ok
 
 
 def lp_feasible(polytope: Polytope, objective=None, maximize=False) -> LpVerdict:
@@ -220,46 +216,52 @@ def lp_feasible(polytope: Polytope, objective=None, maximize=False) -> LpVerdict
     objective, reports a feasible witness or infeasibility; with one, also
     the exact optimum (or an improving ray when unbounded).  Every verdict
     is certified: an optimum by its duals, infeasibility by a Farkas
-    vector, unboundedness by a feasible point and a ray.
+    vector, unboundedness by a feasible point and a ray; a certificate that
+    fails its check raises RuntimeError.
     """
     status, reduced, embed = reduce_equalities(polytope)
     if status == "infeasible":
         eq_rows = [c for c in polytope.constraints if c.sense == "=="]
-        farkas = simplex.LpResult(simplex.INFEASIBLE, dual_ub=(), dual_eq=reduced)
-        return _infeasible(
-            (), (), [c.coeffs for c in eq_rows], [c.rhs for c in eq_rows], farkas
-        )
+        rows = ((), (), [c.coeffs for c in eq_rows], [c.rhs for c in eq_rows])
+        res = simplex.LpResult(simplex.INFEASIBLE, dual_ub=(), dual_eq=reduced)
+        return LpVerdict("infeasible", certified=_certified(simplex.certify_infeasible(*rows, res)))
     rows = _split_rows(reduced)
     if objective is None:
-        c = [Q(0)] * reduced.dim
-        c_orig = None
+        c = [0] * reduced.dim
     else:
-        c_orig = [Q(v) for v in objective]
-        # transform the objective through the equality elimination
-        zero = embed((Q(0),) * reduced.dim)
-        const = sum(a * b for a, b in zip(c_orig, zero))
-        c = []
-        for j in range(reduced.dim):
-            unit = [Q(0)] * reduced.dim
-            unit[j] = Q(1)
-            img = embed(unit)
-            c.append(sum(a * b for a, b in zip(c_orig, img)) - const)
+        c = embed.substitute(objective)[0]
         if maximize:
             c = [-v for v in c]
     res = simplex.solve(c, *rows)
     if res.status == simplex.INFEASIBLE:
-        return _infeasible(*rows, res)
+        return LpVerdict("infeasible", certified=_certified(simplex.certify_infeasible(*rows, res)))
     if res.status == simplex.UNBOUNDED:
-        ray = embed(res.ray)
-        zero = embed((Q(0),) * reduced.dim)
-        ray = tuple(r - z for r, z in zip(ray, zero))
-        return LpVerdict("unbounded", ray=ray, certified=simplex.certify_ray(c, *rows, res))
-    certified = simplex.certify_optimum(c, *rows, res)
-    optimum = None
+        zero = embed((0,) * reduced.dim)
+        ray = tuple(r - z for r, z in zip(embed(res.ray), zero))
+        return LpVerdict("unbounded", ray=ray, certified=_certified(simplex.certify_ray(c, *rows, res)))
+    certified = _certified(simplex.certify_optimum(c, *rows, res))
     witness = embed(res.x)
-    if objective is not None:
-        optimum = sum(a * b for a, b in zip(c_orig, witness))
+    optimum = None if objective is None else sum(Q(a) * b for a, b in zip(objective, witness))
     return LpVerdict("feasible", witness=witness, optimum=optimum, certified=certified)
+
+
+def _ranges(polytope: Polytope):
+    """Exact (min, max) of each variable over the polytope, or None when it
+    is empty; an unbounded variable raises UnboundedRegionError."""
+    out = []
+    for i in range(polytope.dim):
+        obj = [0] * polytope.dim
+        obj[i] = 1
+        ends = []
+        for mx in (False, True):
+            v = lp_feasible(polytope, objective=obj, maximize=mx)
+            if v.status == "infeasible":
+                return None
+            if v.status == "unbounded":
+                raise UnboundedRegionError("region is unbounded in %s" % polytope.names[i])
+            ends.append(v.optimum)
+        out.append(tuple(ends))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -296,26 +298,19 @@ def enumerate_vertices_2d(polytope: Polytope):
     """
     if polytope.dim != 2:
         raise ValueError("vertex enumeration requires dim = 2")
-    for i in range(2):
-        obj = [Q(0)] * 2
-        obj[i] = Q(1)
-        for mx in (False, True):
-            v = lp_feasible(polytope, objective=obj, maximize=mx)
-            if v.status == "unbounded":
-                raise UnboundedRegionError("region is unbounded in %s" % polytope.names[i])
-            if v.status == "infeasible":
-                return []
+    if _ranges(polytope) is None:
+        return []
     lines = [(c.coeffs, c.rhs) for c in polytope.constraints]
     pts = set()
     for i in range(len(lines)):
-        (a1, b1), r1 = lines[i][0], lines[i][1]
+        (a1, b1), r1 = lines[i]
         for j in range(i + 1, len(lines)):
-            (a2, b2), r2 = lines[j][0], lines[j][1]
+            (a2, b2), r2 = lines[j]
             det = a1 * b2 - b1 * a2
             if det == 0:
                 continue
-            x = (r1 * b2 - b1 * r2) / det
-            y = (a1 * r2 - r1 * a2) / det
+            x = Q(r1 * b2 - b1 * r2, det)
+            y = Q(a1 * r2 - r1 * a2, det)
             if polytope.contains((x, y)):
                 pts.add((x, y))
     return _ccw_sorted(list(pts))
@@ -330,36 +325,22 @@ def count_lattice_points(polytope: Polytope, lattice: LatticeSpec, extra_filter=
 
     Variable ranges come from LP; dimensions above 3 are rejected.  The
     optional filter (e.g. the exact quantum verdict) prunes the final list.
-    Returns (count, sorted points).
+    Returns (count, sorted points), each point a tuple of Fractions.
     """
     if polytope.dim > 3:
         raise DomainError("lattice enumeration supports dim <= 3")
     if len(lattice.moduli) != polytope.dim:
         raise ValueError("lattice dimension mismatch")
-    ranges = []
-    for i in range(polytope.dim):
-        obj = [Q(0)] * polytope.dim
-        obj[i] = Q(1)
-        lo = lp_feasible(polytope, objective=obj, maximize=False)
-        hi = lp_feasible(polytope, objective=obj, maximize=True)
-        if lo.status == "infeasible":
-            return 0, []
-        if lo.status == "unbounded" or hi.status == "unbounded":
-            raise UnboundedRegionError("polytope unbounded in variable %d" % i)
-        m, o = lattice.moduli[i], Q(lattice.offsets[i])
-        start = -((o - lo.optimum) // m)  # smallest t with o + t*m >= lo
-        stop = (hi.optimum - o) // m
-        ranges.append([o + t * m for t in range(int(start), int(stop) + 1)])
-
-    # membership by integer dot products: rows scaled to integers, points
-    # by the lcm of the lattice's denominators
-    scale = lcm(*(Q(v).denominator for v in (*lattice.moduli, *lattice.offsets)))
-    a_ub, b_ub, a_eq, b_eq = _split_rows(polytope)
+    ends = _ranges(polytope)
+    if ends is None:
+        return 0, []
+    # the multiples of m in [lo, hi], as ints for the integer row sums and
+    # as the Fractions handed out
+    ranges = [range(-(-lo // m) * m, hi // m * m + 1, m) for (lo, hi), m in zip(ends, lattice.moduli)]
+    values = [[Q(v) for v in r] for r in ranges]
+    a_ub, h, a_eq, f = _split_rows(polytope)
     cols = [[row[i] for row in a_ub + a_eq] for i in range(polytope.dim)]
-    h = [int(b) * scale for b in b_ub]
-    f = [int(b) * scale for b in b_eq]
     n_ub = len(h)
-    scaled = [[int(v * scale) for v in vals] for vals in ranges]
     found = []
 
     def rec(idx, partial, sums):
@@ -370,8 +351,8 @@ def count_lattice_points(polytope: Polytope, lattice: LatticeSpec, extra_filter=
                     found.append(point)
             return
         col = cols[idx]
-        for v, sv in zip(ranges[idx], scaled[idx]):
-            rec(idx + 1, partial + [v], [s + a * sv for s, a in zip(sums, col)])
+        for v, q in zip(ranges[idx], values[idx]):
+            rec(idx + 1, partial + [q], [s + a * v for s, a in zip(sums, col)])
 
     rec(0, [], [0] * (n_ub + len(f)))
     found.sort()
@@ -390,7 +371,6 @@ class AffineFamily:
     kind: str  # "distill" | "selfdual"
     names: tuple
     members: tuple  # (A, B, C) for the pinned base, then one per parameter
-    pins: tuple  # ((name, value), ...) for reporting
 
     @property
     def dim(self) -> int:
@@ -427,13 +407,10 @@ def distillation_family(n: int, pin_trivial: bool = True) -> AffineFamily:
     cp = [Q(0)] * nc
     dp = [Q(0)] * nd
     cp[0] = Q(1)
-    pins = [("c0", Q(1))]
     if pin_trivial:
         dp[0] = Q(-6)
-        pins.append(("d0", Q(-6)))
         if nc > 1:
             cp[1] = Q(3, 2) * (5 - n)
-            pins.append(("c1", Q(3, 2) * (5 - n)))
         free = [("c", j) for j in range(2, nc)] + [("d", j) for j in range(1, nd)]
     else:
         free = [("c", j) for j in range(1, nc)] + [("d", j) for j in range(0, nd)]
@@ -446,7 +423,7 @@ def distillation_family(n: int, pin_trivial: bool = True) -> AffineFamily:
         (c2 if kind == "c" else d2)[j] = Q(1)
         members.append(_triple(expand_family(InvariantParams(n, c2, d2)), divisor))
         names.append("%s%d" % (kind, j))
-    return AffineFamily(n, "distill", tuple(names), tuple(members), tuple(pins))
+    return AffineFamily(n, "distill", tuple(names), tuple(members))
 
 
 def selfdual_family(n: int) -> AffineFamily:
@@ -455,29 +432,20 @@ def selfdual_family(n: int) -> AffineFamily:
         raise DomainError("need even n >= 6")
     nc = n // 6 + 1
     zero = Enumerator(n, (0,) * (n + 1))
-    c0 = [Q(0)] * nc
-    c0[0] = Q(1)
-    members = [(expand_selfdual(SelfDualParams(n, c0)),) * 2 + (zero,)]
-    names = []
-    for j in range(1, nc):
-        cj = [Q(0)] * nc
-        cj[j] = Q(1)
-        A = expand_selfdual(SelfDualParams(n, cj))
+    members = []
+    for j in range(nc):  # the pinned base c0 = 1, then one member per free cj
+        A = expand_selfdual(SelfDualParams(n, [int(i == j) for i in range(nc)]))
         members.append((A, A, zero))
-        names.append("c%d" % j)
-    return AffineFamily(n, "selfdual", tuple(names), tuple(members), (("c0", Q(1)),))
+    names = tuple("c%d" % j for j in range(1, nc))
+    return AffineFamily(n, "selfdual", names, tuple(members))
 
 
 # linear functionals over (A, B, C)
 
 
 def _coeff(which, j):
-    idx = {"A": 0, "B": 1, "C": 2}[which]
-
-    def f(*triple):
-        return Q(triple[idx].coeffs[j])
-
-    return f
+    idx = "ABC".index(which)
+    return lambda *triple: triple[idx].coeffs[j]
 
 
 def _success_at(t):
@@ -487,22 +455,14 @@ def _success_at(t):
 
 def numerator_coefficient_rows(fam: AffineFamily, lam: int, count: int):
     """Equality rows forcing the first `count` numerator coefficients to 0."""
-    polys = [_map_polys(A, C, lam)[0] for (A, B, C) in fam.members]
-    rows = []
-    for t in range(count):
-        base = polys[0][t] if t < len(polys[0]) else Q(0)
-        coeffs = tuple(p[t] if t < len(p) else Q(0) for p in polys[1:])
-        rows.append(LinConstraint(coeffs, "==", -Q(base)))
-    return rows
+    base, *steps = (series(_map_polys(A, C, lam)[0], count - 1) for (A, B, C) in fam.members)
+    return [LinConstraint([p[t] for p in steps], "==", -base[t]) for t in range(count)]
 
 
 def classical_rows(fam: AffineFamily):
     """Nonnegativity of every dual (distill) or own (selfdual) coefficient."""
-    rows = []
     which = "B" if fam.kind == "distill" else "A"
-    for j in range(1, fam.n + 1):
-        rows.append(fam.row(_coeff(which, j), ">="))
-    return rows
+    return [fam.row(_coeff(which, j), ">=") for j in range(1, fam.n + 1)]
 
 
 def quantum_rows_distill(fam: AffineFamily):
@@ -514,17 +474,18 @@ def quantum_rows_distill(fam: AffineFamily):
     return rows
 
 
-def quantum_rows_selfdual(fam: AffineFamily, grid: int = 16):
-    """Success cuts A(1, i rbar) >= 0 on a rational grid of rbar^2 in
-    [0, 1/3], plus the eps -> 0 leading-coefficient sign condition."""
+def quantum_rows_selfdual(fam: AffineFamily):
+    """Success cuts A(1, i rbar) >= 0 at rbar^2 = i / (3 SUCCESS_GRID) for
+    i = 0..SUCCESS_GRID, plus the eps -> 0 leading-coefficient sign
+    condition."""
     rows = []
-    for i in range(grid + 1):
-        rows.append(fam.row(_success_at(Q(i, 3 * grid)), ">="))
+    for i in range(SUCCESS_GRID + 1):
+        rows.append(fam.row(_success_at(Q(i, 3 * SUCCESS_GRID)), ">="))
     jtop = fam.n // 6
     if jtop >= 1:
-        coeffs = [Q(0)] * fam.dim
-        coeffs[fam.names.index("c%d" % jtop)] = Q((-1) ** jtop)
-        rows.append(LinConstraint(tuple(coeffs), ">=", Q(0)))
+        coeffs = [0] * fam.dim
+        coeffs[fam.names.index("c%d" % jtop)] = (-1) ** jtop
+        rows.append(LinConstraint(coeffs, ">=", 0))
     return rows
 
 
@@ -629,16 +590,6 @@ def classical_distance_bound_selfdual(n: int, quantum: bool = True):
 # integral searches
 
 
-def _step_for(value: Fraction, modulus: int) -> int:
-    # smallest positive m with m * value in modulus * Z
-    v = Q(value)
-    if v == 0:
-        return 1
-    p, q_ = abs(v.numerator), v.denominator
-    target = modulus * q_
-    return target // gcd(p, target)
-
-
 def integral_lattice(fam: AffineFamily) -> LatticeSpec:
     """Per-variable moduli making every tracked coefficient an integer
     divisible by three (diagonal translation of the congruences)."""
@@ -650,29 +601,26 @@ def integral_lattice(fam: AffineFamily) -> LatticeSpec:
             raise ValueError("pinned base violates the divisibility lattice")
     moduli = []
     for member in fam.members[1:]:
-        enum = member[which]
-        m = 1
-        for j in range(1, fam.n + 1):
-            c = Q(enum.coeffs[j])
-            if c:
-                step = _step_for(c, 3)
-                m = m * step // gcd(m, step)
-        moduli.append(m)
-    return LatticeSpec(tuple(moduli), (0,) * fam.dim)
+        # the smallest m > 0 with m c in 3Z is 3 den(c) / gcd(num(c), 3)
+        coeffs = [Q(c) for c in member[which].coeffs[1 : fam.n + 1]]
+        moduli.append(lcm(*(3 * c.denominator // gcd(c.numerator, 3) for c in coeffs)))
+    return LatticeSpec(tuple(moduli))
 
 
 def quantum_filter_distill(fam: AffineFamily):
     """Exact nonlinear verdict: the octahedron threshold test for both sign
     choices on affine rows in the point (N(eps_max) = 0 fails), then
-    success nonnegativity on the physical interval."""
+    success nonnegativity on the physical interval.  A length n not
+    congruent to +-1 mod 6 has no map and raises here."""
+    _check_length(fam.n)
     funcs = [_success_at(Q(1, 9))] + [lambda A, B, C, lam=lam: threshold_slack(A, C, lam) for lam in (-1, 1)]
-    rows = [fam.row(f, "==") for f in funcs]  # N(eps_max) and both slacks
+    # positive multiples of N(eps_max) and both slacks: only signs are read
+    rows = [fam.row(f, "==") for f in funcs]
     success = quantum_filter_selfdual(fam)
 
     def ok(point) -> bool:
-        _check_length(fam.n)
         n_max, *slacks = (sum(c * v for c, v in zip(r.coeffs, point)) - r.rhs for r in rows)
-        if n_max == 0 or any(s < 0 if n_max > 0 else s > 0 for s in slacks):
+        if n_max == 0 or not all(slack_sign_ok(n_max, s) for s in slacks):
             return False
         return success(point)
 

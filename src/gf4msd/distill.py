@@ -245,14 +245,21 @@ def threshold_slack(A: Enumerator, C: Enumerator, lam: int) -> Fraction:
     return signed_eval(A, Q(1, 9)) + lam * alt_odd_eval(C, Q(1, 3))
 
 
+def slack_sign_ok(n_max, slack) -> bool:
+    """eps_out(eps_max) >= eps_max from the signs of N(eps_max) != 0 and
+    the threshold slack (or positive multiples of them): the slack may not
+    have the sign opposite to N(eps_max)."""
+    return slack == 0 or (slack > 0) == (n_max > 0)
+
+
 def _threshold_ok(A: Enumerator, C: Enumerator, lam: int):
-    """(ok, witness) for eps_out(eps_max) >= eps_max: the slack may not
-    have the sign opposite to N(eps_max), and is the witness if it does."""
+    """(ok, witness) for eps_out(eps_max) >= eps_max, the witness being the
+    slack when slack_sign_ok fails."""
     n_max = signed_eval(A, Q(1, 9))
     if n_max == 0:
         raise DegenerateMapError("N(eps_max) = 0; threshold test degenerate")
     slack = threshold_slack(A, C, lam)
-    if slack == 0 or (slack > 0) == (n_max > 0):
+    if slack_sign_ok(n_max, slack):
         return True, None
     return False, slack
 

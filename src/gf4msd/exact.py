@@ -9,7 +9,7 @@ Fractions; operations never introduce floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 Q = Fraction
 
@@ -31,6 +31,17 @@ def as_int_if_possible(x):
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     return x
+
+
+def primitive(values) -> tuple:
+    """The primitive integer vector (content 1) that is a positive multiple
+    of a rational vector; the zero vector stays zero."""
+    if not all(isinstance(v, int) for v in values):
+        values = [Q(v) for v in values]
+        den = lcm(*(v.denominator for v in values))
+        values = [v.numerator * (den // v.denominator) for v in values]
+    g = gcd(*values)
+    return tuple(v // g for v in values) if g > 1 else tuple(values)
 
 
 def binom(a: int, k: int) -> int:

@@ -15,19 +15,14 @@ result is that of the rational chain, and no floating point enters.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
-from .exact import Q, poly, poly_degree, poly_deriv
+from .exact import Q, poly, poly_degree, poly_deriv, primitive
 
 
 def _primitive(p) -> tuple:
     """The primitive integer polynomial that is a positive multiple of p."""
-    if not all(isinstance(c, int) for c in p):
-        p = [Q(c) for c in p]
-        den = lcm(*(c.denominator for c in p))
-        p = [c.numerator * (den // c.denominator) for c in p]
-    g = gcd(*p) or 1
-    return poly(c // g for c in p)
+    return poly(primitive(p))
 
 
 def _pdivmod(a, b) -> tuple:

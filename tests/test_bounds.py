@@ -1,7 +1,10 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gf4msd import simplex
 from gf4msd.bounds import (
     LatticeSpec,
     LinConstraint,
@@ -152,26 +155,29 @@ def test_filter_monotonicity():
 
 def test_count_lattice_points_direct():
     p = unit_square()
-    lat = LatticeSpec((1, 1), (0, 0))
+    lat = LatticeSpec((1, 1))
     count, pts = count_lattice_points(p, lat, extra_filter=None)
     assert count == 4
     count, pts = count_lattice_points(p, lat, extra_filter=lambda t: t[0] == t[1])
     assert count == 2
-    # rational offsets, an == row and fractional coefficients: the points
-    # are (5/2 + 3k, 4/3 - 4k) for k = -2..1, the same as filtering a
-    # larger box with Polytope.contains
+    # an == row and fractional coefficients: 4x + 3y = 14 holds the points
+    # (2 + 3k, 2 - 4k) for k = -2..2, the same as filtering a larger box
+    # with Polytope.contains
     seg = Polytope(2, ("x", "y"), (
         LinConstraint((Q(2, 3), Q(1, 2)), "==", Q(7, 3)),
         LinConstraint((Q(1, 2), Q(-1, 3)), "<=", 6),
         LinConstraint((1, 0), ">=", -5),
     ))
-    lat = LatticeSpec((1, 1), (Q(1, 2), Q(1, 3)))
-    box = [(Q(1, 2) + s, Q(1, 3) + t) for s in range(-20, 21) for t in range(-20, 21)]
+    box = [(Q(s), Q(t)) for s in range(-20, 21) for t in range(-20, 21)]
     expected = sorted(pt for pt in box if seg.contains(pt))
-    assert len(expected) == 4
-    assert count_lattice_points(seg, lat) == (4, expected)
+    assert expected == [(2 + 3 * k, 2 - 4 * k) for k in range(-2, 3)]
+    count, pts = count_lattice_points(seg, lat)
+    assert (count, pts) == (5, expected)
+    assert all(type(v) is Q for pt in pts for v in pt)
     count, pts = count_lattice_points(seg, lat, extra_filter=lambda t: t[0] > 0)
-    assert (count, pts) == (2, [pt for pt in expected if pt[0] > 0])
+    assert (count, pts) == (3, [pt for pt in expected if pt[0] > 0])
+    # a coarser lattice keeps the multiples: x in 2Z, y in 2Z
+    assert count_lattice_points(seg, LatticeSpec((2, 2)))[1] == [(-4, 10), (2, 2), (8, -6)]
 
 
 def test_nu_bounds_small():
@@ -265,4 +271,64 @@ def test_trivial_rows_dropped_and_false_rows_flag():
 def test_lattice_dim_guard():
     p = Polytope(4, tuple("abcd"), (LinConstraint((1, 0, 0, 0), "<=", 1),))
     with pytest.raises(ValueError):
-        count_lattice_points(p, LatticeSpec((1, 1, 1, 1), (0, 0, 0, 0)))
+        count_lattice_points(p, LatticeSpec((1, 1, 1, 1)))
+
+
+_RATIONAL = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+def _holds(v, sense, rhs):
+    return {"<=": v <= rhs, ">=": v >= rhs, "==": v == rhs}[sense]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_RATIONAL, min_size=1, max_size=3).flatmap(
+        lambda coeffs: st.tuples(
+            st.just(coeffs),
+            _RATIONAL,
+            st.sampled_from(["<=", ">=", "=="]),
+            st.lists(st.lists(_RATIONAL, min_size=len(coeffs), max_size=len(coeffs)), max_size=8),
+        )
+    )
+)
+def test_lin_constraint_normalization_keeps_satisfied(case):
+    coeffs, rhs, sense, points = case
+    row = LinConstraint(coeffs, sense, rhs)
+    assert all(type(v) is int for v in (*row.coeffs, row.rhs))
+    # a point on the hyperplane, so that == is also met
+    on_plane = [Q(0)] * len(coeffs)
+    if coeffs[-1]:
+        on_plane[-1] = rhs / coeffs[-1]
+    for pt in points + [on_plane]:
+        assert row.satisfied(pt) == _holds(sum(c * x for c, x in zip(coeffs, pt)), sense, rhs)
+    assert row.is_trivial() == (None if any(coeffs) else _holds(0, sense, rhs))
+
+
+def test_lp_with_equality_and_objective():
+    # x = 4 - 2y - 2z on (1/2)x + y + z = 2; 3x + 2y + z = 12 - 4y - 5z
+    p = Polytope(3, ("x", "y", "z"), (
+        LinConstraint((Q(1, 2), 1, 1), "==", 2),
+        LinConstraint((1, 0, 0), "<=", 3),
+        LinConstraint((1, 0, 0), ">=", 0),
+        LinConstraint((0, 1, 0), ">=", 0),
+        LinConstraint((0, 0, 1), ">=", 0),
+    ))
+    hi = lp_feasible(p, objective=[3, 2, 1], maximize=True)
+    assert (hi.status, hi.optimum, hi.witness, hi.certified) == ("feasible", 10, (3, Q(1, 2), 0), True)
+    lo = lp_feasible(p, objective=[3, 2, 1])
+    assert (lo.status, lo.optimum, lo.witness, lo.certified) == ("feasible", 2, (0, 0, 2), True)
+    assert all(type(v) is Q for v in hi.witness + lo.witness)
+    # with x >= 0 and z >= 0 dropped, z falls without bound along the line
+    ray_only = Polytope(3, ("x", "y", "z"), p.constraints[:2] + p.constraints[3:4])
+    v = lp_feasible(ray_only, objective=[0, 0, 1])
+    assert v.status == "unbounded" and v.certified is True
+    dx, dy, dz = v.ray
+    assert dz < 0 and dx / 2 + dy + dz == 0 and dx <= 0 and dy >= 0
+
+
+@pytest.mark.parametrize("check", ["certify_optimum", "certify_infeasible"])
+def test_uncertified_verdict_raises(monkeypatch, check):
+    monkeypatch.setattr(simplex, check, lambda *args: False)
+    with pytest.raises(RuntimeError, match="certificate"):
+        max_distance_bound(11)

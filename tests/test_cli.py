@@ -243,6 +243,7 @@ DOMAIN_ERRORS = [
     (("lattice", "--n", "3"), "need odd n >= 5"),
     (("lattice", "--n", "4"), "need even n >= 6"),
     (("lattice", "--n", "9", "--quantum"), "n = 9 is not congruent to +-1 mod 6"),
+    (("lattice", "--n", "15", "--quantum"), "n = 15 is not congruent to +-1 mod 6"),
     (("lattice", "--n", "24"), "lattice enumeration supports dim <= 3"),
     (("lattice", "--n", "1", "--quantum"), "need odd n >= 5"),
     (({"n": 5, "coeffs": [1, 0, -2, 0, 0, 0]},), "enumerator total A(1,1) must be positive"),
@@ -287,6 +288,13 @@ def test_other_value_errors_propagate(monkeypatch):
     monkeypatch.setattr(bounds, "lattice_search", broken)
     with pytest.raises(ValueError, match="a programming error"):
         main(["lattice", "--n", "7"])
+
+
+@pytest.mark.parametrize("check", ["certify_optimum", "certify_infeasible"])
+def test_uncertified_lp_verdict_propagates(monkeypatch, check):
+    monkeypatch.setattr(bounds.simplex, check, lambda *args: False)
+    with pytest.raises(RuntimeError, match="certificate"):
+        main(["bounds", "--target", "distance", "--start", "11", "--stop", "11"])
 
 
 def test_analyze_precision_zero_renders_integers(capsys, codes_dir):

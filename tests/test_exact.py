@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from gf4msd.exact import (
     poly_eval,
     poly_gcd,
     poly_mul,
+    primitive,
     q_from_str,
     q_to_str,
     rref,
@@ -145,6 +147,31 @@ def test_rref_properties(case):
     assert [r[:ncols] for r in s_piv] == [r[:ncols] for r in pivot_rows]
     if consistent:
         assert s_piv == pivot_rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-10**6, 10**6), _ENTRY), max_size=6))
+def test_primitive_properties(values):
+    out = primitive(values)
+    assert len(out) == len(values) and all(type(v) is int for v in out)
+    if not any(values):
+        assert out == (0,) * len(values)
+        return
+    assert gcd(*out) == 1
+    # a positive multiple: out = k * values with one k > 0 for every entry
+    i = next(i for i, v in enumerate(values) if v)
+    k = Q(out[i]) / Q(values[i])
+    assert k > 0 and all(o == k * Q(v) for o, v in zip(out, values))
+    assert primitive(out) == out
+    assert primitive(tuple(Q(v) for v in out)) == out
+
+
+def test_primitive_examples():
+    assert primitive([Q(2, 3), Q(1, 2), Q(-7, 3)]) == (4, 3, -14)
+    assert primitive((6, -4, 0)) == (3, -2, 0)
+    assert primitive((0, 0)) == (0, 0)
+    assert primitive(()) == ()
+    assert primitive((-5,)) == (-1,)
 
 
 def test_rref_examples():
