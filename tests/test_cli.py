@@ -243,7 +243,6 @@ DOMAIN_ERRORS = [
     (("lattice", "--n", "3"), "need odd n >= 5"),
     (("lattice", "--n", "4"), "need even n >= 6"),
     (("lattice", "--n", "9", "--quantum"), "n = 9 is not congruent to +-1 mod 6"),
-    (("lattice", "--n", "15", "--quantum"), "n = 15 is not congruent to +-1 mod 6"),
     (("lattice", "--n", "24"), "lattice enumeration supports dim <= 3"),
     (("lattice", "--n", "1", "--quantum"), "need odd n >= 5"),
     (({"n": 5, "coeffs": [1, 0, -2, 0, 0, 0]},), "enumerator total A(1,1) must be positive"),
@@ -257,6 +256,7 @@ DOMAIN_ERRORS = [
     (("analyze", FIVE_QUBIT, "--decimal", "--precision", "-1"), "precision must be a nonnegative integer"),
     (("search", str(CODES / "selfdual6.g4cdb"), "--precision", "-1"), "precision must be a nonnegative integer"),
     (("extremal", "--n", "13", "--family", "distill", "--precision", "-1"), "precision must be a nonnegative integer"),
+    (("lattice", "--n", "15", "--quantum"), "n = 15 is not congruent to +-1 mod 6"),
 ]
 
 
