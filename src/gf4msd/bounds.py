@@ -6,9 +6,10 @@ quantum cuts demand nonnegative success probability and a threshold inside
 the stabilizer octahedron.  Each linear row is stored, from the moment it
 is built, as the primitive integer vector that is a positive multiple of
 the rational row, which keeps every verdict.  Feasibility questions run
-through the exact simplex once the equalities are substituted away;
-integral searches enumerate a lattice of positive integer moduli directly
-and apply the exact nonlinear verdicts as a post-filter.
+through the exact simplex once the equalities are substituted away, and
+a bound driver eliminates its family's equalities once for all its
+levels; integral searches enumerate a lattice of positive integer moduli
+directly and apply the exact nonlinear verdicts as a post-filter.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import gcd, lcm
 from . import simplex
 from .distill import _check_length, _map_polys, quantum_verdict, slack_sign_ok, threshold_slack  # noqa: F401
 from .enumerators import DomainError, Enumerator, signed_eval, signed_poly, transform_xy
-from .exact import Q, primitive, rref, series
+from .exact import Q, poly_add, poly_mul, primitive, rref_steps, series
 from .invariants import (
     InvariantParams,
     SelfDualParams,
@@ -30,12 +31,15 @@ from .invariants import (
     num_cprime,
     num_dprime,
 )
-from .roots import poly_nonneg_on
+from .roots import bernstein_coefficients, poly_nonneg_on
 
 SENSES = ("<=", ">=", "==")
 
 # grid of the self-dual success cuts: rbar^2 in steps of 1 / (3 SUCCESS_GRID)
 SUCCESS_GRID = 16
+
+# pieces of [0, 1/3] on which Bernstein forms pre-decide the success filter
+BERNSTEIN_PIECES = 4
 
 
 class UnboundedRegionError(RuntimeError):
@@ -139,10 +143,11 @@ def _split_rows(polytope):
 
 @dataclass(frozen=True)
 class _Embedding:
-    """x_p = row[dim] - sum_j row[free[j]] t_j at each pivot column p of the
-    reduced equalities, and x_free[j] = t_j."""
+    """d x_p = row[dim] - sum_j row[free[j]] t_j at each pivot column p of the
+    fraction-free reduced equalities, and x_free[j] = t_j."""
 
     dim: int
+    d: int
     free: tuple
     pivots: tuple  # (p, row) pairs
 
@@ -151,12 +156,12 @@ class _Embedding:
         for fc, v in zip(self.free, t):
             x[fc] = v
         for p, row in self.pivots:
-            x[p] = row[self.dim] - sum(row[fc] * v for fc, v in zip(self.free, t))
+            x[p] = Q(row[self.dim] - sum(row[fc] * v for fc, v in zip(self.free, t)), self.d)
         return tuple(x)
 
     def substitute(self, coeffs):
-        """(a, k) with coeffs . x = a . t + k on the embedded points."""
-        a = [coeffs[fc] for fc in self.free]
+        """Integer (a, k) with d (coeffs . x) = a . t + k on the embedded points."""
+        a = [self.d * coeffs[fc] for fc in self.free]
         k = 0
         for p, row in self.pivots:
             w = coeffs[p]
@@ -164,6 +169,43 @@ class _Embedding:
                 k += w * row[self.dim]
                 a = [v - w * row[fc] for v, fc in zip(a, self.free)]
         return a, k
+
+    def reduce(self, polytope: Polytope) -> Polytope:
+        """The inequality rows of the polytope on the embedded points, over
+        the free variables; a positive multiple d keeps every row."""
+        rows = []
+        for c in polytope.constraints:
+            if c.sense != "==":
+                coeffs, k = self.substitute(c.coeffs)
+                rows.append(LinConstraint(coeffs, c.sense, self.d * c.rhs - k))
+        return build_polytope(len(self.free), tuple(polytope.names[fc] for fc in self.free), rows)
+
+
+def _eliminate(dim: int, eq_rows):
+    """The == rows eliminated once, row by row in list order, fraction-free.
+
+    Entry k is ("ok", embed) when the first k rows are consistent over the
+    rationals, embed mapping the free variables to their solutions, and
+    ("infeasible", mu) otherwise: mu weights those k rows so that
+    E^T mu = 0 and f.mu < 0 (a Farkas vector of the equalities alone).  The
+    elimination of a prefix is its unique reduced row echelon form, so entry
+    k is what eliminating the first k rows alone gives.
+    """
+    m = len(eq_rows)
+    # each row carries, after the rhs, its combination of the original rows
+    aug = [list(c.coeffs) + [c.rhs] + [int(i == r) for i in range(m)] for r, c in enumerate(eq_rows)]
+    out = [("ok", _Embedding(dim, 1, tuple(range(dim)), ()))]
+    for k, (d, pivots, leftover) in enumerate(rref_steps(aug, dim), 1):
+        bad = next((row for row, _ in leftover if row[dim]), None)
+        if bad is not None:
+            # the combination reads 0 = bad[dim]; orient it to f.mu < 0
+            sign = -1 if bad[dim] > 0 else 1
+            out.append(("infeasible", tuple(sign * w for w in bad[dim + 1 : dim + 1 + k])))
+        else:
+            cols = {p for p, _ in pivots}
+            free = tuple(c for c in range(dim) if c not in cols)
+            out.append(("ok", _Embedding(dim, d, free, pivots)))
+    return out
 
 
 def reduce_equalities(polytope: Polytope):
@@ -178,35 +220,23 @@ def reduce_equalities(polytope: Polytope):
     equalities alone).
     """
     eq_rows = [c for c in polytope.constraints if c.sense == "=="]
-    dim = polytope.dim
-    if not eq_rows:
-        return "ok", polytope, _Embedding(dim, range(dim), ())
-    # each row carries, after the rhs, its combination of the original rows
-    aug = [
-        list(c.coeffs) + [c.rhs] + [int(i == r) for i in range(len(eq_rows))]
-        for r, c in enumerate(eq_rows)
-    ]
-    pivot_rows, leftover, pivot_cols = rref(aug, dim)
-    for row in leftover:
-        if row[dim] != 0:
-            # the combination reads 0 = row[dim]; orient it to f.mu < 0
-            sign = -1 if row[dim] > 0 else 1
-            return "infeasible", tuple(sign * w for w in row[dim + 1 :]), None
-    free = [c for c in range(dim) if c not in pivot_cols]
-    embed = _Embedding(dim, free, tuple(zip(pivot_cols, pivot_rows)))
-    rows = []
-    for c in polytope.constraints:
-        if c.sense != "==":
-            coeffs, k = embed.substitute(c.coeffs)
-            rows.append(LinConstraint(coeffs, c.sense, c.rhs - k))
-    names = tuple(polytope.names[fc] for fc in free)
-    return "ok", build_polytope(len(free), names, rows), embed
+    status, embed = _eliminate(polytope.dim, eq_rows)[-1]
+    if status == "infeasible":
+        return status, embed, None
+    return "ok", embed.reduce(polytope) if eq_rows else polytope, embed
 
 
 def _certified(ok: bool) -> bool:
     if not ok:
         raise RuntimeError("an LP certificate failed its exact check")
     return ok
+
+
+def _equalities_infeasible(eq_rows, mu) -> LpVerdict:
+    """The verdict of == rows inconsistent over Q, certified by mu."""
+    rows = ((), (), [c.coeffs for c in eq_rows], [c.rhs for c in eq_rows])
+    res = simplex.LpResult(simplex.INFEASIBLE, dual_ub=(), dual_eq=mu)
+    return LpVerdict("infeasible", certified=_certified(simplex.certify_infeasible(*rows, res)))
 
 
 def lp_feasible(polytope: Polytope, objective=None, maximize=False) -> LpVerdict:
@@ -221,10 +251,7 @@ def lp_feasible(polytope: Polytope, objective=None, maximize=False) -> LpVerdict
     """
     status, reduced, embed = reduce_equalities(polytope)
     if status == "infeasible":
-        eq_rows = [c for c in polytope.constraints if c.sense == "=="]
-        rows = ((), (), [c.coeffs for c in eq_rows], [c.rhs for c in eq_rows])
-        res = simplex.LpResult(simplex.INFEASIBLE, dual_ub=(), dual_eq=reduced)
-        return LpVerdict("infeasible", certified=_certified(simplex.certify_infeasible(*rows, res)))
+        return _equalities_infeasible([c for c in polytope.constraints if c.sense == "=="], reduced)
     rows = _split_rows(reduced)
     if objective is None:
         c = [0] * reduced.dim
@@ -323,9 +350,13 @@ def enumerate_vertices_2d(polytope: Polytope):
 def count_lattice_points(polytope: Polytope, lattice: LatticeSpec, extra_filter=None):
     """Exact enumeration of lattice points inside the polytope.
 
-    Variable ranges come from LP; dimensions above 3 are rejected.  The
-    optional filter (e.g. the exact quantum verdict) prunes the final list.
-    Returns (count, sorted points), each point a tuple of Fractions.
+    Variable ranges come from LP; dimensions above 3 are rejected.  All
+    coordinates but the last run over their ranges, and the last one's
+    range is solved from the integer rows (a floor or ceiling per row, an
+    exact division per == row).  The optional filter (e.g. the exact
+    quantum verdict) is called with each such point as a tuple of ints.
+    Returns (count, points) with the points in lexicographic order, each a
+    tuple of Fractions.
     """
     if polytope.dim > 3:
         raise DomainError("lattice enumeration supports dim <= 3")
@@ -334,28 +365,60 @@ def count_lattice_points(polytope: Polytope, lattice: LatticeSpec, extra_filter=
     ends = _ranges(polytope)
     if ends is None:
         return 0, []
-    # the multiples of m in [lo, hi], as ints for the integer row sums and
-    # as the Fractions handed out
-    ranges = [range(-(-lo // m) * m, hi // m * m + 1, m) for (lo, hi), m in zip(ends, lattice.moduli)]
-    values = [[Q(v) for v in r] for r in ranges]
+    if not polytope.dim:  # the one point ()
+        found = [()] if polytope.contains(()) and (extra_filter is None or extra_filter(())) else []
+        return len(found), found
+    last = polytope.dim - 1
+    # the multiples of m in [lo, hi] for each coordinate but the last
+    ranges = [range(-(-lo // m) * m, hi // m * m + 1, m) for (lo, hi), m in zip(ends[:last], lattice.moduli)]
+    m = lattice.moduli[last]
+    lo_end, hi_end = -(-ends[last][0] // 1), ends[last][1] // 1  # the integers of its LP range
     a_ub, h, a_eq, f = _split_rows(polytope)
-    cols = [[row[i] for row in a_ub + a_eq] for i in range(polytope.dim)]
-    n_ub = len(h)
+    # the rows as a . prefix + c x_last <= b (ub) or == b (eq)
+    ub = [(row[last], b) for row, b in zip(a_ub, h)]
+    eq = [(row[last], b) for row, b in zip(a_eq, f)]
+    cols = [[row[i] for row in a_ub + a_eq] for i in range(last)]
+    n_ub = len(ub)
     found = []
+    fractions = {}  # one Fraction per value, shared by the points
 
-    def rec(idx, partial, sums):
-        if idx == polytope.dim:
-            if all(s <= b for s, b in zip(sums, h)) and sums[n_ub:] == f:
-                point = tuple(partial)
-                if extra_filter is None or extra_filter(point):
-                    found.append(point)
+    def fraction(v):
+        q = fractions.get(v)
+        if q is None:
+            q = fractions[v] = Q(v)
+        return q
+
+    def solve_last(prefix, q_prefix, sums):
+        lo, hi = lo_end, hi_end
+        for (c, b), s in zip(ub, sums):
+            r = b - s
+            if c > 0:
+                hi = min(hi, r // c)
+            elif c < 0:
+                lo = max(lo, -(r // -c))
+            elif r < 0:
+                return
+        for (c, b), s in zip(eq, sums[n_ub:]):
+            r = b - s
+            if c:
+                if r % c:
+                    return
+                lo, hi = max(lo, r // c), min(hi, r // c)
+            elif r:
+                return
+        for v in range(-(-lo // m) * m, hi // m * m + 1, m):
+            if extra_filter is None or extra_filter(prefix + (v,)):
+                found.append(q_prefix + (fraction(v),))
+
+    def rec(idx, prefix, q_prefix, sums):
+        if idx == last:
+            solve_last(prefix, q_prefix, sums)
             return
         col = cols[idx]
-        for v, q in zip(ranges[idx], values[idx]):
-            rec(idx + 1, partial + [q], [s + a * v for s, a in zip(sums, col)])
+        for v in ranges[idx]:
+            rec(idx + 1, prefix + (v,), q_prefix + (fraction(v),), [s + a * v for s, a in zip(sums, col)])
 
-    rec(0, [], [0] * (n_ub + len(f)))
-    found.sort()
+    rec(0, (), (), [0] * (n_ub + len(eq)))
     return len(found), found
 
 
@@ -474,13 +537,17 @@ def quantum_rows_distill(fam: AffineFamily):
     return rows
 
 
-def quantum_rows_selfdual(fam: AffineFamily):
+def success_rows(fam: AffineFamily):
     """Success cuts A(1, i rbar) >= 0 at rbar^2 = i / (3 SUCCESS_GRID) for
-    i = 0..SUCCESS_GRID, plus the eps -> 0 leading-coefficient sign
-    condition."""
-    rows = []
-    for i in range(SUCCESS_GRID + 1):
-        rows.append(fam.row(_success_at(Q(i, 3 * SUCCESS_GRID)), ">="))
+    i = 0..SUCCESS_GRID: necessary conditions of success nonnegativity on
+    all of [0, 1/3]."""
+    return [fam.row(_success_at(Q(i, 3 * SUCCESS_GRID)), ">=") for i in range(SUCCESS_GRID + 1)]
+
+
+def quantum_rows_selfdual(fam: AffineFamily):
+    """The success cuts of success_rows plus the eps -> 0
+    leading-coefficient sign condition."""
+    rows = success_rows(fam)
     jtop = fam.n // 6
     if jtop >= 1:
         coeffs = [0] * fam.dim
@@ -508,34 +575,44 @@ def is_selfdual_length(n: int) -> bool:
     return n % 2 == 0 and n >= 6
 
 
-def _feasible(fam: AffineFamily, rows) -> LpVerdict:
-    return lp_feasible(build_polytope(fam.dim, fam.names, rows))
-
-
 def _bound(fam: AffineFamily, cuts, eq_rows, sizes, value):
     """Classical and quantum bounds of one family build.
 
     Level i keeps the classical rows and the first sizes[i] equality rows,
-    and its feasibility falls monotonically with i.  The classical level is
-    bisected over the levels; its witness is the LP solution at that level.
-    The quantum cuts only add rows, so the quantum level cannot exceed the
-    classical one and is searched downward from it; cuts None skips that
-    search.  Returns (classical bound, quantum bound or None, witness, fam),
-    the bound of level i being value(sizes[i]).
+    and its feasibility falls monotonically with i.  The equality rows are
+    eliminated once, and each level substitutes its prefix's pivots into
+    the inequality rows.  The classical level is bisected over the levels;
+    its witness is the LP solution at that level.  The quantum cuts only
+    add rows, so the quantum level cannot exceed the classical one and is
+    searched downward from it; cuts None skips that search.  Returns
+    (classical bound, quantum bound or None, witness, fam), the bound of
+    level i being value(sizes[i]).
     """
+    levels = _eliminate(fam.dim, eq_rows)
+
+    def witness_at(poly, i):
+        """A point of poly and the equality rows of level i, or None."""
+        status, embed = levels[sizes[i]]
+        if status == "infeasible":
+            _equalities_infeasible(eq_rows[: sizes[i]], embed)  # raises unless certified
+            return None
+        v = lp_feasible(embed.reduce(poly))
+        return embed(v.witness) if v.status == "feasible" else None
+
     base = classical_rows(fam)
+    poly = build_polytope(fam.dim, fam.names, base)
     lo, hi, witness = -1, len(sizes) - 1, None
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        v = _feasible(fam, base + eq_rows[: sizes[mid]])
-        if v.status == "feasible":
-            lo, witness = mid, v.witness
+        w = witness_at(poly, mid)
+        if w is not None:
+            lo, witness = mid, w
         else:
             hi = mid - 1
     level = lo
     if cuts is not None:
-        base = base + cuts
-        while level >= 0 and _feasible(fam, base + eq_rows[: sizes[level]]).status != "feasible":
+        poly = build_polytope(fam.dim, fam.names, base + cuts)
+        while level >= 0 and witness_at(poly, level) is None:
             level -= 1
     if level < 0:
         raise RuntimeError("no feasible level for n=%d" % fam.n)
@@ -627,15 +704,48 @@ def quantum_filter_distill(fam: AffineFamily):
     return ok
 
 
+def _bernstein_forms(polys):
+    """Integer Bernstein coefficients of each polynomial on the pieces
+    [i h, (i + 1) h], h = 1 / (3 BERNSTEIN_PIECES), of [0, 1/3], in one
+    flat list per polynomial; each piece has one positive scale for all of
+    them, so a combination of the lists is a positive multiple, piece by
+    piece, of the combination's own coefficients."""
+    degree = max(len(p) for p in polys) - 1
+    h = Q(1, 3 * BERNSTEIN_PIECES)
+    forms = [[] for _ in polys]
+    for i in range(BERNSTEIN_PIECES):
+        piece = []
+        for p in polys:
+            q = ()  # p(i h + h u) in u, by Horner
+            for c in reversed(p):
+                q = poly_add(poly_mul(q, (i * h, h)), (c,))
+            piece.append(bernstein_coefficients(q, degree))
+        scale = lcm(*(c.denominator for coeffs in piece for c in coeffs))
+        for form, coeffs in zip(forms, piece):
+            form += [c.numerator * (scale // c.denominator) for c in coeffs]
+    return forms
+
+
 def quantum_filter_selfdual(fam: AffineFamily):
     """Exact verdict A(1, i rbar) >= 0 for all rbar^2 in [0, 1/3], on the
-    signed polynomials of the members combined by the point's coordinates."""
-    base, *steps = (signed_poly(A) for A, _, _ in fam.members)
+    signed polynomials of the members combined by the point's coordinates.
+
+    A point passes at once when its Bernstein coefficients on every piece
+    of _bernstein_forms are >= 0, since they bound the polynomial from
+    below there; any other point is decided by poly_nonneg_on."""
+    polys = [signed_poly(A) for A, _, _ in fam.members]
+    base, *steps = polys
+    form0, *form_steps = _bernstein_forms(polys)
 
     def ok(point) -> bool:
-        d = lcm(*(v.denominator for v in point))  # a positive scale keeps the verdict
-        p = [d * x for x in base]
-        for k, s in zip((int(v * d) for v in point), steps):
+        form = form0
+        for k, s in zip(point, form_steps):
+            if k:
+                form = [x + k * y for x, y in zip(form, s)]
+        if min(form, default=0) >= 0:
+            return True
+        p = base
+        for k, s in zip(point, steps):
             p = [x + k * y for x, y in zip(p, s)]
         return poly_nonneg_on(p, 0, Q(1, 3))[0]
 
@@ -646,7 +756,9 @@ def lattice_search(n: int, use_quantum: bool = False):
     """Count integral enumerators (coefficients divisible by 3) at length n.
 
     Odd n uses the dual coefficients of the full (c', d') family, even n
-    the self-dual coefficients.  Returns (count, points, family).
+    the self-dual coefficients.  With use_quantum the success rows, which
+    every point that passes the quantum filter satisfies, join the
+    polytope.  Returns (count, points, family).
     """
     if n % 2:
         fam = distillation_family(n, pin_trivial=False)
@@ -654,7 +766,8 @@ def lattice_search(n: int, use_quantum: bool = False):
     else:
         fam = selfdual_family(n)
         filt = quantum_filter_selfdual(fam) if use_quantum else None
-    poly = build_polytope(fam.dim, fam.names, classical_rows(fam))
+    rows = classical_rows(fam) + (success_rows(fam) if use_quantum else [])
+    poly = build_polytope(fam.dim, fam.names, rows)
     lattice = integral_lattice(fam)
     count, points = count_lattice_points(poly, lattice, extra_filter=filt)
     return count, points, fam

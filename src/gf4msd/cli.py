@@ -312,7 +312,7 @@ def cmd_lattice(args) -> int:
     count, points, fam = bounds.lattice_search(args.n, use_quantum=args.quantum)
     lines = ["count,%d" % count, ",".join(fam.names)]
     for p in points:
-        lines.append(",".join(q_to_str(v) for v in p))
+        lines.append(",".join(map(q_to_str, p)))
     out.emit("\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -12,9 +12,9 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
-from .exact import Q, as_int_if_possible, poly_eval, q_from_str, q_to_str
+from .exact import Q, as_int_if_possible, q_from_str, q_to_str, scaled_horner
 
 
 class DomainError(ValueError):
@@ -192,8 +192,13 @@ def signed_poly(A: Enumerator) -> tuple:
 
 
 def signed_eval(A: Enumerator, rbar2) -> Fraction:
-    """A(1, i rbar) = sum_j A_{2j} (-rbar^2)^j, exact in rbar^2."""
-    return Q(poly_eval(signed_poly(A), Q(rbar2)))
+    """A(1, i rbar) = sum_j A_{2j} (-rbar^2)^j, exact in rbar^2: the
+    coefficients over their common denominator, by integer Horner."""
+    p = signed_poly(A)
+    t = rbar2 if isinstance(rbar2, (int, Fraction)) else Q(rbar2)
+    den = lcm(*(a.denominator for a in p))
+    ints = [a.numerator * (den // a.denominator) for a in p]
+    return Q(scaled_horner(ints, t), den * t.denominator ** (len(p) - 1))
 
 
 def alt_odd_eval(C: Enumerator, t) -> Fraction:

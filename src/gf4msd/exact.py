@@ -17,10 +17,12 @@ ZERO_POLY: tuple = ()
 
 
 def q_to_str(x) -> str:
-    x = Q(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    if type(x) is int:
+        return str(x)
+    if not isinstance(x, Fraction):
+        x = Q(x)
+    num, den = x.numerator, x.denominator
+    return str(num) if den == 1 else "%d/%d" % (num, den)
 
 
 def q_from_str(s: str) -> Fraction:
@@ -141,6 +143,17 @@ def poly_eval(p, x):
     return acc
 
 
+def scaled_horner(p, x) -> int:
+    """v^deg p(u/v) for x = u/v, v > 0: the integer Horner evaluation of an
+    integer polynomial, with the sign of p(x)."""
+    u, v = x.numerator, x.denominator
+    acc, w = 0, 1
+    for c in reversed(p):
+        acc = acc * u + c * w
+        w *= v
+    return acc
+
+
 def poly_deriv(p) -> tuple:
     return poly(i * a for i, a in enumerate(p) if i > 0) if len(p) > 1 else ZERO_POLY
 
@@ -191,34 +204,76 @@ def ord_at_zero(p) -> int | None:
 # linear algebra
 
 
+def rref_steps(rows, ncols: int):
+    """Fraction-free Gauss-Jordan elimination over Z, one row at a time in
+    input order (Bareiss, Math. Comp. 22, 1968).
+
+    Each input row is first scaled to integers by the lcm s of its
+    denominators.  After each row this yields (d, pivots, leftover):
+    pivots is a tuple of (col, row) pairs in increasing col, each row an
+    integer list that is d > 0 at its col and 0 at every other pivot col,
+    so that the rows over d are the reduced row echelon form of the rows so
+    far; leftover holds, in input order, a pair (row, scale) for each row so
+    far that is zero in the first ncols columns, row over scale being what
+    is left of it.  Columns after ncols are carried along without
+    pivoting, and no yielded list is changed afterwards.
+    """
+    d, pivots, leftover = 1, (), ()
+    for values in rows:
+        if all(type(v) is int for v in values):
+            r, s = values, 1
+        else:
+            vals = [Q(v) for v in values]
+            s = lcm(*(v.denominator for v in vals))
+            r = [v.numerator * (s // v.denominator) for v in vals]
+        red = [d * v for v in r] if d != 1 else list(r)
+        for p, prow in pivots:
+            f = r[p]
+            if f:
+                red = [a - f * b for a, b in zip(red, prow)]
+        q = next((c for c in range(ncols) if red[c]), None)
+        if q is None:
+            leftover += ((red, d * s),)
+        else:
+            e = red[q]
+            if e < 0:
+                red, e = [-v for v in red], -e
+            # every division is exact: d and e are the determinants of the
+            # pivot blocks before and after the new row joins
+            new = []
+            for p, prow in pivots:
+                f = prow[q]
+                if f:
+                    prow = [(a * e - f * b) // d for a, b in zip(prow, red)]
+                elif e != d:
+                    prow = [a * e // d for a in prow]
+                new.append((p, prow))
+            new.append((q, red))
+            new.sort(key=lambda pr: pr[0])
+            d, pivots = e, tuple(new)
+        yield d, pivots, leftover
+
+
 def rref(rows, ncols: int):
     """Gauss-Jordan elimination over Q, pivoting in the first ncols columns.
 
     Columns after ncols (a right-hand side, or a record of which input rows
-    were combined) are carried along without pivoting.  Each column takes
-    as pivot the first unused row, in input order, that is nonzero there.
-    Returns (pivot_rows, leftover_rows, pivot_cols): pivot_rows[i] has 1 at
+    were combined) are carried along without pivoting.  Returns
+    (pivot_rows, leftover_rows, pivot_cols): pivot_rows[i] has 1 at
     pivot_cols[i] (increasing) and 0 at every other pivot column; the
-    leftover rows, in input order, are zero in the first ncols columns.
-    ``gf4.rref`` is the same elimination over GF(4).
+    leftover rows, in input order, are what is left of the rows that
+    depend on earlier ones, zero in the first ncols columns.  This is
+    rref_steps read at its last step; ``gf4.rref`` is the same elimination
+    over GF(4).
     """
-    work = [[Q(v) for v in r] for r in rows]
-    unused = list(range(len(work)))
-    chosen, pivot_cols = [], []
-    for col in range(ncols):
-        sel = next((i for i in unused if work[i][col] != 0), None)
-        if sel is None:
-            continue
-        unused.remove(sel)
-        piv = work[sel][col]
-        prow = work[sel] = [v / piv for v in work[sel]]
-        for i, row in enumerate(work):
-            f = row[col]
-            if i != sel and f != 0:
-                work[i] = [v - f * w for v, w in zip(row, prow)]
-        chosen.append(sel)
-        pivot_cols.append(col)
-    return [work[i] for i in chosen], [work[i] for i in unused], pivot_cols
+    d, pivots, leftover = 1, (), ()
+    for d, pivots, leftover in rref_steps(rows, ncols):
+        pass
+    return (
+        [[Q(v, d) for v in row] for _, row in pivots],
+        [[Q(v, s) for v in row] for row, s in leftover],
+        [p for p, _ in pivots],
+    )
 
 
 # ---------------------------------------------------------------------------

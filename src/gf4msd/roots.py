@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .exact import Q, poly, poly_degree, poly_deriv, primitive
+from .exact import Q, poly, poly_degree, poly_deriv, primitive, scaled_horner
 
 
 def _primitive(p) -> tuple:
@@ -39,16 +39,6 @@ def _pdivmod(a, b) -> tuple:
         for i in range(len(b) - 1):
             r[k + i] -= c * b[i]
     return tuple(reversed(q)), poly(r)
-
-
-def _sign(p, x) -> int:
-    """v^deg p(u/v) for x = u/v, v > 0: an integer with the sign of p(x)."""
-    u, v = x.numerator, x.denominator
-    acc, w = 0, 1
-    for c in reversed(p):
-        acc = acc * u + c * w
-        w *= v
-    return acc
 
 
 def sturm_chain(p) -> list:
@@ -77,7 +67,7 @@ def sturm_chain(p) -> list:
 
 
 def _variations(chain, x) -> int:
-    signs = [v > 0 for v in (_sign(f, x) for f in chain) if v]
+    signs = [v > 0 for v in (scaled_horner(f, x) for f in chain) if v]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
@@ -111,7 +101,7 @@ def isolate_roots(p, a, b) -> list:
     p(hi) != 0.
     """
     chain = sturm_chain(p)
-    return [(hi, hi) if _sign(chain[0], hi) == 0 else (lo, hi) for lo, hi in _cells(chain, a, b)]
+    return [(hi, hi) if scaled_horner(chain[0], hi) == 0 else (lo, hi) for lo, hi in _cells(chain, a, b)]
 
 
 def refine_root(p, lo, hi, width) -> tuple:
@@ -122,12 +112,12 @@ def refine_root(p, lo, hi, width) -> tuple:
 def _refine(h, lo, hi, width) -> tuple:
     """Bisection of (lo, hi] against the sign of the square-free h at hi;
     a root at hi or at a midpoint comes back as (r, r)."""
-    s = _sign(h, hi)
+    s = scaled_horner(h, hi)
     if s == 0:
         return hi, hi
     while hi - lo > width:
         mid = (lo + hi) / 2
-        v = _sign(h, mid)
+        v = scaled_horner(h, mid)
         if v == 0:
             return mid, mid
         if (v > 0) == (s > 0):
@@ -139,12 +129,12 @@ def _refine(h, lo, hi, width) -> tuple:
 
 def _left_of_root(h, lo, hi):
     """A point of [lo, r) off the roots of h, r being its one root in (lo, hi]."""
-    if _sign(h, lo):
+    if scaled_horner(h, lo):
         return lo
-    s = _sign(h, hi)
+    s = scaled_horner(h, hi)
     while True:
         mid = (lo + hi) / 2
-        v = _sign(h, mid)
+        v = scaled_horner(h, mid)
         if s == 0 or v * s < 0:
             return mid
         hi, s = mid, v
@@ -162,12 +152,12 @@ def poly_nonneg_on(p, a, b):
     if not p:
         return True, None
     for x in (a, b):
-        if _sign(p, x) < 0:
+        if scaled_horner(p, x) < 0:
             return False, x
     chain = sturm_chain(p)
     for lo, hi in _cells(chain, a, b):
         x = _left_of_root(chain[0], lo, hi)
-        if _sign(p, x) < 0:
+        if scaled_horner(p, x) < 0:
             return False, x
     return True, None
 

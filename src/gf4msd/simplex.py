@@ -7,6 +7,10 @@ scaled to integers once, variables split into nonnegative pairs, and
 slacks/artificials are added.  The tableau holds D * B^-1 [A | b] for the
 current basis B, where D = |det B| is the common denominator, so every
 pivot is an exact integer division and every value read off it is exact.
+Only the x+, artificial and rhs columns are stored: each x- column is the
+negated x+ column and each slack column is its row's artificial column
+times the sign the row was stored with, so a (stored column, sign) map
+gives Bland's rule the columns, and the pivots, of the full tableau.
 
 Every verdict carries a certificate, each checked exactly by its own
 function:
@@ -19,6 +23,9 @@ function:
   h.lam + f.mu < 0 (`certify_infeasible`), read off the phase-1 multipliers;
 - unbounded: a feasible point x and a ray d with G d <= 0, E d = 0 and
   c.d < 0 (`certify_ray`).
+
+The checks run in integers, on the rows scaled to integers, with x and the
+multipliers each scaled once to a common denominator.
 """
 
 from __future__ import annotations
@@ -49,24 +56,29 @@ class LpResult:
 
 def _integer_row(values):
     """The row scaled by the lcm of its denominators, and that scale."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
     vals = [Q(v) for v in values]
     scale = lcm(*(v.denominator for v in vals))
     return [v.numerator * (scale // v.denominator) for v in vals], scale
 
 
-def _pivot(tab, basis, row, col, d):
-    """Fraction-free pivot; returns the new common denominator.
+def _pivot(tab, basis, cols, row, col, d):
+    """Fraction-free pivot on column col of the full tableau; returns the
+    new common denominator.
 
-    Each row r != row becomes (T[r] * p - T[r][col] * T[row]) / d, an exact
-    division.  A negative pivot (the phase-1 cleanup allows one) negates
-    the tableau so that the denominator stays positive.
+    Column col is cols[col] = (stored column, sign).  Each row r != row
+    becomes (T[r] * p - T[r][col] * T[row]) / d, an exact division.  A
+    negative pivot (the phase-1 cleanup allows one) negates the tableau so
+    that the denominator stays positive.
     """
+    sc, sg = cols[col]
     prow = tab[row]
-    p = prow[col]
+    p = sg * prow[sc]
     for r, trow in enumerate(tab):
         if r == row:
             continue
-        f = trow[col]
+        f = sg * trow[sc]
         if f:
             tab[r] = [(a * p - f * b) // d for a, b in zip(trow, prow)]
         elif p != d:
@@ -79,31 +91,39 @@ def _pivot(tab, basis, row, col, d):
     return p
 
 
-def _simplex(tab, basis, cost, enter_limit, d):
+def _simplex(tab, basis, cols, cost, enter_limit, d):
     """Minimize the integer cost; Bland's rule; entering columns below
     enter_limit only.  Returns (status, entering column or None, d)."""
     while True:
         in_basis = set(basis)
         priced = [(cost[b], tab[r]) for r, b in enumerate(basis) if cost[b]]
+        z = {}  # cost_B . (stored column), each computed once
         entering = -1
         for j in range(enter_limit):
             if j in in_basis:
                 continue
+            sc, sg = cols[j]
+            if sc not in z:
+                z[sc] = sum(cb * trow[sc] for cb, trow in priced)
             # sign of the reduced cost, scaled by d > 0
-            if cost[j] * d < sum(cb * trow[j] for cb, trow in priced):
+            if cost[j] * d < sg * z[sc]:
                 entering = j
                 break
         if entering < 0:
             return OPTIMAL, None, d
-        ratios = [
-            (Fraction(trow[-1], trow[entering]), basis[r], r)
-            for r, trow in enumerate(tab)
-            if trow[entering] > 0
-        ]
-        if not ratios:
+        # ratio test: the least rhs / a over a > 0, ties to the least
+        # basic column, compared by cross-multiplication
+        sc, sg = cols[entering]
+        row, num, den = None, 0, 1
+        for r, trow in enumerate(tab):
+            a = sg * trow[sc]
+            if a > 0:
+                cmp = trow[-1] * den - num * a
+                if row is None or cmp < 0 or (cmp == 0 and basis[r] < basis[row]):
+                    row, num, den = r, trow[-1], a
+        if row is None:
             return UNBOUNDED, entering, d
-        _, _, row = min(ratios)
-        d = _pivot(tab, basis, row, entering, d)
+        d = _pivot(tab, basis, cols, row, entering, d)
 
 
 def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
@@ -122,16 +142,19 @@ def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     for i, values in enumerate(rows):
         ints, scale = _integer_row(values)
         arow, rhs = ints[:-1], ints[-1]
-        row = arow + [-v for v in arow]
-        row += [1 if (i < n_ub and j == i) else 0 for j in range(n_ub)]
         sign = 1
         if rhs < 0:
-            row = [-v for v in row]
+            arow = [-v for v in arow]
             rhs = -rhs
             sign = -1
         row_mult.append(sign * scale)
-        row += [1 if j == i else 0 for j in range(nrows)]
-        tab.append(row + [rhs])
+        tab.append(arow + [1 if j == i else 0 for j in range(nrows)] + [rhs])
+    # column j of the full tableau (x+, x-, slacks, artificials) is
+    # sign * tab column: x- is -x+, and the slack of <= row i is its
+    # artificial column times the sign its row was stored with
+    cols = [(j, 1) for j in range(nv)] + [(j, -1) for j in range(nv)]
+    cols += [(nv + i, 1 if row_mult[i] > 0 else -1) for i in range(n_ub)]
+    cols += [(nv + i, 1) for i in range(nrows)]
 
     basis = [art_start + i for i in range(nrows)]
 
@@ -140,7 +163,7 @@ def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
         # stored there); the original rows carry -row_mult_i * y_i
         cb = [cost[b] for b in basis]
         y = [
-            sum(cb[r] * tab[r][art_start + i] for r in range(nrows))
+            sum(cb[r] * tab[r][nv + i] for r in range(nrows))
             for i in range(nrows)
         ]
         w = [Fraction(-row_mult[i] * y[i], scale * d) for i in range(nrows)]
@@ -148,7 +171,7 @@ def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
 
     # phase 1
     phase1 = [0] * art_start + [1] * nrows
-    _, _, d = _simplex(tab, basis, phase1, ncols, 1)
+    _, _, d = _simplex(tab, basis, cols, phase1, ncols, 1)
     if any(tab[r][-1] for r in range(nrows) if basis[r] >= art_start):
         # the phase-1 multipliers give y.A <= 0 on every non-artificial
         # column and y.b > 0: a Farkas vector
@@ -157,8 +180,8 @@ def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     for r in range(nrows):
         if basis[r] >= art_start:
             for j in range(art_start):
-                if tab[r][j] != 0:
-                    d = _pivot(tab, basis, r, j, d)
+                if tab[r][cols[j][0]] != 0:
+                    d = _pivot(tab, basis, cols, r, j, d)
                     break
 
     def point():
@@ -172,13 +195,14 @@ def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     c_scale = lcm(*(v.denominator for v in c))
     c_int = [v.numerator * (c_scale // v.denominator) for v in c]
     cost = c_int + [-v for v in c_int] + [0] * (n_ub + nrows)
-    status, entering, d = _simplex(tab, basis, cost, art_start, d)
+    status, entering, d = _simplex(tab, basis, cols, cost, art_start, d)
     if status == UNBOUNDED:
+        sc, sg = cols[entering]
         direction = [0] * art_start
         direction[entering] = d
         for r in range(nrows):
             if basis[r] < art_start:
-                direction[basis[r]] = -tab[r][entering]
+                direction[basis[r]] = -sg * tab[r][sc]
         ray = tuple(Fraction(direction[j] - direction[nv + j], d) for j in range(nv))
         return LpResult(UNBOUNDED, x=point(), ray=ray)
 
@@ -189,12 +213,44 @@ def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
 
 
 def _dot(row, vec):
-    return sum(Q(a) * v for a, v in zip(row, vec))
+    return sum(a * v for a, v in zip(row, vec))
+
+
+def _integer_rows(a, b):
+    """Each row with its rhs scaled to integers: (rows, rhs, scales)."""
+    rows, rhs, scales = [], [], []
+    for row, v in zip(a, b):
+        ints, scale = _integer_row(list(row) + [v])
+        rows.append(ints[:-1])
+        rhs.append(ints[-1])
+        scales.append(scale)
+    return rows, rhs, scales
+
+
+def _integer_duals(c, weights, scales):
+    """c and the multipliers of the integer rows (weight / scale), as
+    integers over one positive common denominator k: (c, weights, k)."""
+    ints, k = _integer_row(list(c) + [w if s == 1 else Q(w, s) for w, s in zip(weights, scales)])
+    return ints[: len(c)], ints[len(c) :], k
+
+
+def _combination(weights, rows, width):
+    """sum_i weights[i] * rows[i], skipping zero weights."""
+    out = [0] * width
+    for w, row in zip(weights, rows):
+        if w:
+            out = [a + w * b for a, b in zip(out, row)]
+    return out
 
 
 def _feasible_point(a_ub, b_ub, a_eq, b_eq, x) -> bool:
-    return all(_dot(row, x) <= Q(b) for row, b in zip(a_ub, b_ub)) and all(
-        _dot(row, x) == Q(b) for row, b in zip(a_eq, b_eq)
+    """G x <= h and E x = f, checked on the integer rows against x scaled
+    once by the lcm sx of its denominators."""
+    xs, sx = _integer_row(x)
+    g, h, _ = _integer_rows(a_ub, b_ub)
+    e, f, _ = _integer_rows(a_eq, b_eq)
+    return all(_dot(row, xs) <= b * sx for row, b in zip(g, h)) and all(
+        _dot(row, xs) == b * sx for row, b in zip(e, f)
     )
 
 
@@ -206,27 +262,29 @@ def certify_optimum(c, a_ub, b_ub, a_eq, b_eq, result: LpResult) -> bool:
     """
     if result.status != OPTIMAL:
         return False
-    x = result.x
-    if not _feasible_point(a_ub, b_ub, a_eq, b_eq, x):
+    lam, mu = tuple(result.dual_ub or ()), tuple(result.dual_eq or ())
+    if len(lam) != len(a_ub) or len(mu) != len(a_eq):
         return False
-    lam = list(result.dual_ub or ())
-    mu = list(result.dual_eq or ())
-    if any(l < 0 for l in lam):
+    xs, sx = _integer_row(result.x)
+    g, h, g_scales = _integer_rows(a_ub, b_ub)
+    e, f, e_scales = _integer_rows(a_eq, b_eq)
+    gx = [_dot(row, xs) for row in g]
+    if any(v > b * sx for v, b in zip(gx, h)):
         return False
-    for j in range(len(c)):
-        s = Q(c[j])
-        s += sum(lam[i] * Q(a_ub[i][j]) for i in range(len(a_ub)))
-        s += sum(mu[k] * Q(a_eq[k][j]) for k in range(len(a_eq)))
-        if s != 0:
-            return False
-    for i, (row, b) in enumerate(zip(a_ub, b_ub)):
-        slack = Q(b) - _dot(row, x)
-        if lam[i] * slack != 0:
-            return False
-    gap = result.objective
-    gap += sum(lam[i] * Q(b_ub[i]) for i in range(len(b_ub)))
-    gap += sum(mu[k] * Q(b_eq[k]) for k in range(len(b_eq)))
-    return gap == 0
+    if any(_dot(row, xs) != b * sx for row, b in zip(e, f)):
+        return False
+    cs, duals, k = _integer_duals(c, lam + mu, g_scales + e_scales)
+    ls, ms = duals[: len(lam)], duals[len(lam) :]
+    if any(l < 0 for l in ls):
+        return False
+    # stationarity: k (c + G^T lam + E^T mu) = 0
+    if any(a + b for a, b in zip(cs, _combination(duals, g + e, len(cs)))):
+        return False
+    # complementary slackness: lam_i > 0 only on tight rows
+    if any(l and v != b * sx for l, v, b in zip(ls, gx, h)):
+        return False
+    # zero duality gap: k (objective + h.lam + f.mu) = 0
+    return k * result.objective + _dot(ls, h) + _dot(ms, f) == 0
 
 
 def certify_infeasible(a_ub, b_ub, a_eq, b_eq, result: LpResult) -> bool:
@@ -239,14 +297,18 @@ def certify_infeasible(a_ub, b_ub, a_eq, b_eq, result: LpResult) -> bool:
     lam, mu = result.dual_ub, result.dual_eq
     if result.status != INFEASIBLE or lam is None or mu is None:
         return False
-    if len(lam) != len(a_ub) or len(mu) != len(a_eq) or any(l < 0 for l in lam):
+    if len(lam) != len(a_ub) or len(mu) != len(a_eq):
         return False
-    pairs = list(zip(lam, a_ub)) + list(zip(mu, a_eq))
-    nv = len(pairs[0][1]) if pairs else 0
-    for j in range(nv):
-        if sum(w * Q(row[j]) for w, row in pairs) != 0:
-            return False
-    return _dot(b_ub, lam) + _dot(b_eq, mu) < 0
+    g, h, g_scales = _integer_rows(a_ub, b_ub)
+    e, f, e_scales = _integer_rows(a_eq, b_eq)
+    _, duals, _ = _integer_duals((), tuple(lam) + tuple(mu), g_scales + e_scales)
+    ls, ms = duals[: len(lam)], duals[len(lam) :]
+    if any(l < 0 for l in ls):
+        return False
+    rows = g + e
+    if any(_combination(duals, rows, len(rows[0]) if rows else 0)):
+        return False
+    return _dot(ls, h) + _dot(ms, f) < 0
 
 
 def certify_ray(c, a_ub, b_ub, a_eq, b_eq, result: LpResult) -> bool:

@@ -1,15 +1,19 @@
+import itertools
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gf4msd import simplex
+from gf4msd import bounds, simplex
 from gf4msd.bounds import (
+    AffineFamily,
     LatticeSpec,
     LinConstraint,
     Polytope,
     UnboundedRegionError,
+    _bernstein_forms,
+    _eliminate,
     build_polytope,
     classical_distance_bound_selfdual,
     classical_rows,
@@ -23,11 +27,15 @@ from gf4msd.bounds import (
     max_distance_bound,
     max_nu_bound,
     numerator_coefficient_rows,
+    quantum_filter_selfdual,
+    reduce_equalities,
     selfdual_family,
 )
 from gf4msd.distill import check_success_nonneg
-from gf4msd.enumerators import Enumerator
+from gf4msd.enumerators import Enumerator, signed_poly
+from gf4msd.exact import poly_add, poly_mul
 from gf4msd.invariants import selfdual_extremal_enumerator
+from gf4msd.roots import poly_nonneg_on
 
 
 def unit_square():
@@ -332,3 +340,229 @@ def test_uncertified_verdict_raises(monkeypatch, check):
     monkeypatch.setattr(simplex, check, lambda *args: False)
     with pytest.raises(RuntimeError, match="certificate"):
         max_distance_bound(11)
+
+
+# ---------------------------------------------------------------------------
+# lattice points against a brute-force box filter
+
+
+_SENSE = st.sampled_from(["<=", ">=", "=="])
+_FILTERS = [None, lambda p: sum(p) % 2 == 0, lambda p: p[0] >= 0]
+
+
+@st.composite
+def _lattice_cases(draw):
+    """A polytope inside |x_i| <= 9 of dim 1-3: non-unit box rows plus up to
+    three rows of any sense, moduli 1-3 and an optional filter."""
+    dim = draw(st.integers(1, 3))
+    rows = []
+    for i in range(dim):
+        unit = [int(j == i) for j in range(dim)]
+        k = draw(st.integers(1, 3))
+        rows.append(LinConstraint([k * v for v in unit], "<=", draw(st.integers(-9, 9))))
+        rows.append(LinConstraint([-k * v for v in unit], "<=", draw(st.integers(-9, 9))))
+    for _ in range(draw(st.integers(0, 3))):
+        # zero and non-unit coefficients, the last one included, are frequent
+        coeffs = draw(st.lists(st.sampled_from([-3, -2, -1, 0, 0, 1, 2, 3]), min_size=dim, max_size=dim))
+        rows.append(LinConstraint(coeffs, draw(_SENSE), draw(st.integers(-6, 6))))
+    moduli = tuple(draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim)))
+    filt = draw(st.sampled_from(_FILTERS))
+    return Polytope(dim, tuple("xyz"[:dim]), tuple(rows)), LatticeSpec(moduli), filt
+
+
+def _brute_force(poly, lattice, filt):
+    box = itertools.product(*(range(-(9 // m) * m, 10, m) for m in lattice.moduli))
+    return [
+        tuple(Q(v) for v in pt)
+        for pt in box
+        if poly.contains(pt) and (filt is None or filt(pt))
+    ]
+
+
+def _boxed(dim, *rows):
+    box = []
+    for i in range(dim):
+        unit = tuple(int(j == i) for j in range(dim))
+        box += [LinConstraint(unit, "<=", 4), LinConstraint(unit, ">=", -4)]
+    return Polytope(dim, tuple("xyz"[:dim]), tuple(box) + rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lattice_cases())
+# an empty polytope
+@example((_boxed(2, LinConstraint((1, 1), ">=", 3), LinConstraint((1, 1), "<=", 2)), LatticeSpec((1, 2)), None))
+# x + 2y = 3 has no point at even x
+@example((_boxed(2, LinConstraint((1, 2), "==", 3)), LatticeSpec((1, 1)), None))
+# a row without the last coordinate cuts the box of the first two
+@example((_boxed(3, LinConstraint((1, 1, 0), "<=", -2)), LatticeSpec((1, 2, 1)), _FILTERS[1]))
+def test_count_lattice_points_matches_brute_force(case):
+    poly, lattice, filt = case
+    expected = _brute_force(poly, lattice, filt)
+    count, pts = count_lattice_points(poly, lattice, extra_filter=filt)
+    assert (count, pts) == (len(expected), expected)
+    assert all(type(v) is Q for pt in pts for v in pt)
+
+
+# ---------------------------------------------------------------------------
+# the per-family elimination against reduce_equalities and a Fraction
+# reference
+
+
+def _reference_reduce(polytope):
+    """Column-by-column Gauss-Jordan over Q and the substitution of its
+    pivots in Fractions: (free columns, reduced polytope), or None when
+    the == rows are inconsistent."""
+    eqs = [[Q(v) for v in c.coeffs] + [Q(c.rhs)] for c in polytope.constraints if c.sense == "=="]
+    dim = polytope.dim
+    unused, pivots = list(range(len(eqs))), []
+    for col in range(dim):
+        sel = next((i for i in unused if eqs[i][col] != 0), None)
+        if sel is None:
+            continue
+        unused.remove(sel)
+        prow = eqs[sel] = [v / eqs[sel][col] for v in eqs[sel]]
+        for i, row in enumerate(eqs):
+            if i != sel and row[col] != 0:
+                eqs[i] = [v - row[col] * w for v, w in zip(row, prow)]
+        pivots.append((col, sel))
+    if any(eqs[i][dim] != 0 for i in unused):
+        return None
+    free = [c for c in range(dim) if c not in {p for p, _ in pivots}]
+    rows = []
+    for c in polytope.constraints:
+        if c.sense != "==":
+            a = [Q(c.coeffs[fc]) for fc in free]
+            k = Q(0)
+            for p, i in pivots:
+                w = c.coeffs[p]
+                k += w * eqs[i][dim]
+                a = [v - w * eqs[i][fc] for v, fc in zip(a, free)]
+            rows.append(LinConstraint(a, c.sense, c.rhs - k))
+    return free, build_polytope(len(free), tuple(polytope.names[fc] for fc in free), rows)
+
+
+_SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def _equality_families(draw):
+    """dim 1-4, a box of inequality rows and up to five == rows, some of
+    them repeated with another rhs or combined from earlier ones."""
+    dim = draw(st.integers(1, 4))
+    base = []
+    for i in range(dim):
+        unit = [int(j == i) for j in range(dim)]
+        base.append(LinConstraint(unit, "<=", draw(st.integers(1, 5))))
+        base.append(LinConstraint(unit, ">=", draw(st.integers(-5, 0))))
+    for _ in range(draw(st.integers(0, 2))):
+        base.append(LinConstraint(draw(st.lists(_SMALL, min_size=dim, max_size=dim)), "<=", draw(_SMALL)))
+    eqs = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["new", "new", "sum", "shift"])) if eqs else "new"
+        if kind == "new":
+            eqs.append(LinConstraint(draw(st.lists(_SMALL, min_size=dim, max_size=dim)), "==", draw(_SMALL)))
+        else:
+            a, b = draw(st.sampled_from(eqs)), draw(st.sampled_from(eqs))
+            shift = draw(st.integers(0, 2)) if kind == "shift" else 0
+            coeffs = [x + 2 * y for x, y in zip(a.coeffs, b.coeffs)]
+            eqs.append(LinConstraint(coeffs, "==", a.rhs + 2 * b.rhs + shift))
+    return dim, base, eqs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_equality_families())
+def test_family_elimination_matches_reduce_equalities_on_every_prefix(case):
+    dim, base, eqs = case
+    names = tuple("abcd"[:dim])
+    base_poly = build_polytope(dim, names, base)
+    levels = _eliminate(dim, eqs)
+    assert len(levels) == len(eqs) + 1
+    for k, (status, embed) in enumerate(levels):
+        prefix = build_polytope(dim, names, base + eqs[:k])
+        ref = _reference_reduce(prefix)
+        ref_status, reduced, ref_embed = reduce_equalities(prefix)
+        if status == "infeasible":
+            assert ref is None and ref_status == "infeasible"
+            mu = embed
+            assert len(mu) == k
+            res = simplex.LpResult(simplex.INFEASIBLE, dual_ub=(), dual_eq=mu)
+            rows_eq = [c.coeffs for c in eqs[:k]], [c.rhs for c in eqs[:k]]
+            assert simplex.certify_infeasible((), (), *rows_eq, res)
+            assert lp_feasible(prefix).status == "infeasible"
+            continue
+        free, ref_poly = ref
+        assert ref_status == "ok" and list(embed.free) == free
+        level_poly = embed.reduce(base_poly)
+        assert level_poly == ref_poly == reduced
+        v = lp_feasible(level_poly)
+        if v.status == "feasible":
+            witness = embed(v.witness)
+            assert witness == ref_embed(v.witness)
+            assert witness == lp_feasible(prefix).witness
+            assert prefix.contains(witness)
+
+
+# ---------------------------------------------------------------------------
+# the Bernstein pre-decision of the success filter against poly_nonneg_on
+
+
+def _selfdual_members(polys):
+    """Even-only enumerators whose signed polynomials are the given ones."""
+    n = 2 * (max(len(p) for p in polys) - 1)
+    zero = Enumerator(n, (0,) * (n + 1))
+    members = []
+    for p in polys:
+        A = Enumerator.from_pairs(n, {2 * j: (-1) ** j * c for j, c in enumerate(p)})
+        assert signed_poly(A)[: len(p)] == tuple(p)
+        members.append((A, A, zero))
+    return AffineFamily(n, "selfdual", tuple("c%d" % i for i in range(1, len(polys))), tuple(members))
+
+
+_ROOT = st.fractions(min_value=0, max_value=Q(1, 3), max_denominator=40)
+_FACTOR = st.one_of(
+    _ROOT.map(lambda r: poly_mul((-r, 1), (-r, 1))),  # a double root in [0, 1/3]
+    st.just((0, 1)),  # a root at 0
+    st.just((Q(1, 3), -1)),  # a root at 1/3
+    _ROOT.map(lambda r: (-r, 1)),  # a sign change inside
+    st.lists(st.integers(-4, 4), min_size=1, max_size=3).filter(any).map(tuple),
+)
+
+
+@st.composite
+def _filter_polys(draw):
+    p = (draw(st.sampled_from([1, 2, -1])),)
+    for f in draw(st.lists(_FACTOR, min_size=1, max_size=4)):
+        p = poly_mul(p, f)
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_filter_polys(), st.lists(_filter_polys(), max_size=2), st.lists(st.integers(-2, 2), min_size=2, max_size=2))
+def test_bernstein_predecision_matches_poly_nonneg_on(p, steps, point):
+    forms = _bernstein_forms([p])[0]
+    exact = poly_nonneg_on(p, 0, Q(1, 3))[0]
+    if min(forms, default=0) >= 0:
+        assert exact  # a pre-decided point is never wrong
+    assert quantum_filter_selfdual(_selfdual_members([p]))(()) == exact
+    # the forms of a family combine like its members
+    point = tuple(point[: len(steps)])
+    combined = p
+    for k, s in zip(point, steps):
+        combined = poly_add(combined, poly_mul((k,), s))
+    fam = _selfdual_members([p] + steps)
+    assert quantum_filter_selfdual(fam)(point) == poly_nonneg_on(combined, 0, Q(1, 3))[0]
+
+
+def test_bernstein_predecision_skips_poly_nonneg_on(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("poly_nonneg_on called")
+
+    # (1/3 - t)(1 + t) has nonnegative Bernstein coefficients on every
+    # piece; (t - 1/8)^2 touches 0 inside the piece [1/12, 1/6] and has not
+    end_root = quantum_filter_selfdual(_selfdual_members([poly_mul((Q(1, 3), -1), (1, 1))]))
+    double_root = quantum_filter_selfdual(_selfdual_members([poly_mul((Q(-1, 8), 1), (Q(-1, 8), 1))]))
+    assert double_root(())
+    monkeypatch.setattr(bounds, "poly_nonneg_on", refuse)
+    assert end_root(())
+    with pytest.raises(AssertionError, match="poly_nonneg_on called"):
+        double_root(())

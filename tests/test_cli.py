@@ -151,6 +151,14 @@ GOLDEN_SHA256 = {
         "b08041e0321f05bcdbb8822fdb01cd96b04cc4a95671c500e91b348cb9b675e1",
     ("lattice", "--n", "7", "--quantum"):
         "a54d896f4ca36943e7fd784deb55ed4e8268182acb30ae61a464940163254952",
+    ("lattice", "--n", "12", "--quantum"):
+        "684dce9a33db8d9b271e3ecf2cc02483d338901cc54b68bd8eb54aab3b28586f",
+    ("lattice", "--n", "16"):
+        "b437cde276bc77f791ec9c44413002d03290f709fced1d25c045b0444c6f3c87",
+    ("lattice", "--n", "16", "--quantum"):
+        "a2e7786b4cc1491d580506129088cb04fa7814868ee186340ef991c7cb6701ae",
+    ("bounds", "--target", "nu", "--start", "31", "--stop", "43"):
+        "2f3100deffac1dcd658c5b7b39905129ffb6fdb3a23ce9490038f06474c9cbbe",
 }
 
 

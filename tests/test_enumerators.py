@@ -1,6 +1,8 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gf4msd.enumerators import (
     Enumerator,
@@ -9,8 +11,10 @@ from gf4msd.enumerators import (
     logical_enumerator,
     macwilliams,
     signed_eval,
+    signed_poly,
     transform_xy,
 )
+from gf4msd.exact import poly_eval
 
 FIVE_A = Enumerator.from_pairs(5, {0: 1, 4: 15})
 HEXA_A = Enumerator.from_pairs(6, {0: 1, 4: 45, 6: 18})
@@ -89,6 +93,26 @@ def test_signed_eval():
     assert signed_eval(pair, Q(1, 3)) == 0  # 1 - 3 r^2 at r^2 = 1/3
     with pytest.raises(ValueError):
         signed_eval(Enumerator.from_pairs(3, {1: 1}), Q(1, 2))
+
+
+_COEFF = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**9))
+_T = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=50),
+    st.integers(-5, 5).map(lambda v: Q(v, 10**40 + 7)),  # a large denominator
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_COEFF, min_size=1, max_size=9), _T)
+@example([Q(1, 3), 0, Q(-7, 2)], Q(0))
+@example([1, 2, 3], -2)
+@example([Q(-5, 6), Q(1, 10**20)], Q(-7, 10**30 + 1))
+def test_signed_eval_matches_fraction_horner(even_coeffs, t):
+    # an even-only enumerator with rational coefficients A_{2j}
+    A = Enumerator.from_pairs(2 * len(even_coeffs), {2 * j: a for j, a in enumerate(even_coeffs)})
+    value = signed_eval(A, t)
+    assert type(value) is Q
+    assert value == poly_eval(signed_poly(A), t)
 
 
 def test_signed_eval_at_zero_is_one():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gf4msd import exact
 from gf4msd.exact import (
     binom,
     catalan,
@@ -30,6 +31,21 @@ def test_rational_strings():
     assert q_to_str(Q(-256, 81)) == "-256/81"
     assert q_from_str("-256/81") == Q(-256, 81)
     assert q_from_str(" 7 ") == 7
+
+
+def test_rational_strings_by_input_type(monkeypatch):
+    # ints print as str(x), Fractions from their own numerator and
+    # denominator; neither is wrapped in a new Fraction
+    monkeypatch.setattr(exact, "Q", None)
+    assert q_to_str(0) == "0" and q_to_str(-7) == "-7"
+    assert q_to_str(10**40 + 1) == str(10**40 + 1)
+    assert q_to_str(Q(6, 3)) == "2" and q_to_str(Q(-5, 10**30)) == "-1/2" + "0" * 29
+    monkeypatch.undo()
+    # anything else goes through Fraction as before
+    assert (q_to_str(True), q_to_str(False)) == ("1", "0")
+    assert (q_to_str("3/6"), q_to_str(" -4/2 "), q_to_str("7")) == ("1/2", "-2", "7")
+    with pytest.raises(ValueError):
+        q_to_str("x")
 
 
 def test_generalized_binomial():

@@ -15,9 +15,9 @@ from gf4msd.exact import (
     poly_neg,
     poly_pow,
     poly_scale,
+    scaled_horner,
 )
 from gf4msd.roots import (
-    _sign,
     bernstein_coefficients,
     count_roots,
     isolate_roots,
@@ -155,9 +155,9 @@ def test_roots_agree_with_known_factorization(roots, data):
 def test_sign_is_the_scaled_horner_value():
     p = (3, 0, -4, 1)  # x^3 - 4x^2 + 3, a root at 1
     for x in (Q(0), Q(-2), Q(-7, 3), Q(5, 10**30 + 7), Q(10**20 + 1, 3)):
-        assert _sign(p, x) == x.denominator**3 * poly_eval(p, x)
-    assert _sign(p, Q(1)) == 0 and _sign(p, -1) == -2
-    assert _sign((-5,), Q(1, 7)) == -5 and _sign((0, 7), Q(0)) == 0
+        assert scaled_horner(p, x) == x.denominator**3 * poly_eval(p, x)
+    assert scaled_horner(p, Q(1)) == 0 and scaled_horner(p, -1) == -2
+    assert scaled_horner((-5,), Q(1, 7)) == -5 and scaled_horner((0, 7), Q(0)) == 0
 
 
 # Reference: the rational Sturm algorithm, evaluated in Fractions, that the

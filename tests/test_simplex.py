@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as Q
 
 from hypothesis import given, settings
@@ -235,3 +236,42 @@ def test_certificates_and_reference_solver(lp):
         assert res.ray == ref.ray
         if ref.status == simplex.OPTIMAL:
             assert res == ref
+
+
+def _mutations(a_ub, a_eq, res):
+    """Copies of an optimal result that no exact check may accept: each
+    dual of a nonzero row moved by 1/7, x moved off a tight row whose dual
+    is positive, and the objective moved by 1/7."""
+    out = []
+    lam, mu = list(res.dual_ub), list(res.dual_eq)
+    for duals, rows, key in ((lam, a_ub, "dual_ub"), (mu, a_eq, "dual_eq")):
+        for i, row in enumerate(rows):
+            if any(row):
+                moved = list(duals)
+                moved[i] += Q(1, 7)
+                out.append(replace(res, **{key: tuple(moved)}))
+    for l, row in zip(lam, a_ub):
+        if l > 0 and any(row):
+            # x - t * row keeps every tight row but this one slack or broken
+            out.append(replace(res, x=tuple(x - Q(1, 7) * Q(a) for x, a in zip(res.x, row))))
+    out.append(replace(res, objective=res.objective + Q(1, 7)))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(unboxed_lps())
+def test_mutated_certificates_rejected(lp):
+    _, c, a_ub, b_ub, a_eq, b_eq = lp
+    res = simplex.solve(c, a_ub, b_ub, a_eq, b_eq)
+    if res.status == simplex.OPTIMAL:
+        for bad in _mutations(a_ub, a_eq, res):
+            assert not simplex.certify_optimum(c, a_ub, b_ub, a_eq, b_eq, bad), bad
+    elif res.status == simplex.INFEASIBLE:
+        # a Farkas multiplier of a nonzero row moved by 1/7 breaks G^T lam + E^T mu = 0
+        for duals, rows, key in ((res.dual_ub, a_ub, "dual_ub"), (res.dual_eq, a_eq, "dual_eq")):
+            for i, row in enumerate(rows):
+                if any(row):
+                    moved = list(duals)
+                    moved[i] += Q(1, 7)
+                    bad = replace(res, **{key: tuple(moved)})
+                    assert not simplex.certify_infeasible(a_ub, b_ub, a_eq, b_eq, bad)
