@@ -14,7 +14,6 @@ directly and apply the exact nonlinear verdicts as a post-filter.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -22,7 +21,7 @@ from math import gcd, lcm
 from . import simplex
 from .distill import _check_length, _map_polys, quantum_verdict, slack_sign_ok, threshold_slack  # noqa: F401
 from .enumerators import DomainError, Enumerator, signed_eval, signed_poly, transform_xy
-from .exact import Q, poly_add, poly_mul, primitive, rref_steps, series
+from .exact import Q, integer_row, poly_add, poly_mul, primitive, rref_steps, series
 from .invariants import (
     InvariantParams,
     SelfDualParams,
@@ -117,11 +116,12 @@ def build_polytope(dim, names, rows):
 
 @dataclass(frozen=True)
 class LpVerdict:
+    """A certified verdict: lp_feasible raises on a failed certificate."""
+
     status: str  # "feasible" | "infeasible" | "unbounded"
     witness: tuple | None = None
     optimum: Fraction | None = None
     ray: tuple | None = None
-    certified: bool | None = None
 
 
 def _split_rows(polytope):
@@ -226,17 +226,16 @@ def reduce_equalities(polytope: Polytope):
     return "ok", embed.reduce(polytope) if eq_rows else polytope, embed
 
 
-def _certified(ok: bool) -> bool:
+def _check(ok: bool) -> None:
     if not ok:
         raise RuntimeError("an LP certificate failed its exact check")
-    return ok
 
 
 def _equalities_infeasible(eq_rows, mu) -> LpVerdict:
     """The verdict of == rows inconsistent over Q, certified by mu."""
     rows = ((), (), [c.coeffs for c in eq_rows], [c.rhs for c in eq_rows])
-    res = simplex.LpResult(simplex.INFEASIBLE, dual_ub=(), dual_eq=mu)
-    return LpVerdict("infeasible", certified=_certified(simplex.certify_infeasible(*rows, res)))
+    _check(simplex.certify_infeasible(*rows, simplex.LpResult(simplex.INFEASIBLE, dual_ub=(), dual_eq=mu)))
+    return LpVerdict("infeasible")
 
 
 def lp_feasible(polytope: Polytope, objective=None, maximize=False) -> LpVerdict:
@@ -261,15 +260,16 @@ def lp_feasible(polytope: Polytope, objective=None, maximize=False) -> LpVerdict
             c = [-v for v in c]
     res = simplex.solve(c, *rows)
     if res.status == simplex.INFEASIBLE:
-        return LpVerdict("infeasible", certified=_certified(simplex.certify_infeasible(*rows, res)))
+        _check(simplex.certify_infeasible(*rows, res))
+        return LpVerdict("infeasible")
     if res.status == simplex.UNBOUNDED:
+        _check(simplex.certify_ray(c, *rows, res))
         zero = embed((0,) * reduced.dim)
-        ray = tuple(r - z for r, z in zip(embed(res.ray), zero))
-        return LpVerdict("unbounded", ray=ray, certified=_certified(simplex.certify_ray(c, *rows, res)))
-    certified = _certified(simplex.certify_optimum(c, *rows, res))
+        return LpVerdict("unbounded", ray=tuple(r - z for r, z in zip(embed(res.ray), zero)))
+    _check(simplex.certify_optimum(c, *rows, res))
     witness = embed(res.x)
     optimum = None if objective is None else sum(Q(a) * b for a, b in zip(objective, witness))
-    return LpVerdict("feasible", witness=witness, optimum=optimum, certified=certified)
+    return LpVerdict("feasible", witness=witness, optimum=optimum)
 
 
 def _ranges(polytope: Polytope):
@@ -296,25 +296,16 @@ def _ranges(polytope: Polytope):
 
 
 def _ccw_sorted(points):
+    """The points counterclockwise about their centroid: by half-plane,
+    then by -dx/dy within it, the ray y = 0 first."""
     cx = sum(p[0] for p in points) / len(points)
     cy = sum(p[1] for p in points) / len(points)
 
-    def half(p):
+    def key(p):
         dx, dy = p[0] - cx, p[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+        return (dy < 0 or (dy == 0 and dx <= 0), dy != 0, -dx / dy if dy else 0)
 
-    def cmp(p, q_):
-        hp, hq = half(p), half(q_)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        cross = (p[0] - cx) * (q_[1] - cy) - (p[1] - cy) * (q_[0] - cx)
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(points, key=functools.cmp_to_key(cmp))
+    return sorted(points, key=key)
 
 
 def enumerate_vertices_2d(polytope: Polytope):
@@ -354,9 +345,8 @@ def count_lattice_points(polytope: Polytope, lattice: LatticeSpec, extra_filter=
     coordinates but the last run over their ranges, and the last one's
     range is solved from the integer rows (a floor or ceiling per row, an
     exact division per == row).  The optional filter (e.g. the exact
-    quantum verdict) is called with each such point as a tuple of ints.
-    Returns (count, points) with the points in lexicographic order, each a
-    tuple of Fractions.
+    quantum verdict) is called with each such point.  Returns (count,
+    points) with the points in lexicographic order, each a tuple of ints.
     """
     if polytope.dim > 3:
         raise DomainError("lattice enumeration supports dim <= 3")
@@ -380,15 +370,8 @@ def count_lattice_points(polytope: Polytope, lattice: LatticeSpec, extra_filter=
     cols = [[row[i] for row in a_ub + a_eq] for i in range(last)]
     n_ub = len(ub)
     found = []
-    fractions = {}  # one Fraction per value, shared by the points
 
-    def fraction(v):
-        q = fractions.get(v)
-        if q is None:
-            q = fractions[v] = Q(v)
-        return q
-
-    def solve_last(prefix, q_prefix, sums):
+    def solve_last(prefix, sums):
         lo, hi = lo_end, hi_end
         for (c, b), s in zip(ub, sums):
             r = b - s
@@ -406,19 +389,18 @@ def count_lattice_points(polytope: Polytope, lattice: LatticeSpec, extra_filter=
                 lo, hi = max(lo, r // c), min(hi, r // c)
             elif r:
                 return
-        for v in range(-(-lo // m) * m, hi // m * m + 1, m):
-            if extra_filter is None or extra_filter(prefix + (v,)):
-                found.append(q_prefix + (fraction(v),))
+        points = (prefix + (v,) for v in range(-(-lo // m) * m, hi // m * m + 1, m))
+        found.extend(points if extra_filter is None else filter(extra_filter, points))
 
-    def rec(idx, prefix, q_prefix, sums):
+    def rec(idx, prefix, sums):
         if idx == last:
-            solve_last(prefix, q_prefix, sums)
+            solve_last(prefix, sums)
             return
         col = cols[idx]
         for v in ranges[idx]:
-            rec(idx + 1, prefix + (v,), q_prefix + (fraction(v),), [s + a * v for s, a in zip(sums, col)])
+            rec(idx + 1, prefix + (v,), [s + a * v for s, a in zip(sums, col)])
 
-    rec(0, (), (), [0] * (n_ub + len(eq)))
+    rec(0, (), [0] * (n_ub + len(eq)))
     return len(found), found
 
 
@@ -719,10 +701,10 @@ def _bernstein_forms(polys):
             q = ()  # p(i h + h u) in u, by Horner
             for c in reversed(p):
                 q = poly_add(poly_mul(q, (i * h, h)), (c,))
-            piece.append(bernstein_coefficients(q, degree))
-        scale = lcm(*(c.denominator for coeffs in piece for c in coeffs))
-        for form, coeffs in zip(forms, piece):
-            form += [c.numerator * (scale // c.denominator) for c in coeffs]
+            piece += bernstein_coefficients(q, degree)
+        ints = integer_row(piece)[0]
+        for k, form in enumerate(forms):
+            form += ints[k * (degree + 1) : (k + 1) * (degree + 1)]
     return forms
 
 
@@ -758,7 +740,8 @@ def lattice_search(n: int, use_quantum: bool = False):
     Odd n uses the dual coefficients of the full (c', d') family, even n
     the self-dual coefficients.  With use_quantum the success rows, which
     every point that passes the quantum filter satisfies, join the
-    polytope.  Returns (count, points, family).
+    polytope.  Returns (count, points, family), each point a tuple of ints
+    in lexicographic order.
     """
     if n % 2:
         fam = distillation_family(n, pin_trivial=False)

@@ -12,9 +12,9 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
-from .exact import Q, as_int_if_possible, q_from_str, q_to_str, scaled_horner
+from .exact import Q, as_int_if_possible, integer_row, q_from_str, q_to_str, scaled_horner
 
 
 class DomainError(ValueError):
@@ -196,8 +196,7 @@ def signed_eval(A: Enumerator, rbar2) -> Fraction:
     coefficients over their common denominator, by integer Horner."""
     p = signed_poly(A)
     t = rbar2 if isinstance(rbar2, (int, Fraction)) else Q(rbar2)
-    den = lcm(*(a.denominator for a in p))
-    ints = [a.numerator * (den // a.denominator) for a in p]
+    ints, den = integer_row(p)
     return Q(scaled_horner(ints, t), den * t.denominator ** (len(p) - 1))
 
 

@@ -35,31 +35,30 @@ def as_int_if_possible(x):
     return x
 
 
+def integer_row(values) -> tuple:
+    """The rational vector scaled to integers by the lcm of its
+    denominators, and that scale: (list of ints, scale)."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
+    vals = [Q(v) for v in values]
+    scale = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (scale // v.denominator) for v in vals], scale
+
+
 def primitive(values) -> tuple:
     """The primitive integer vector (content 1) that is a positive multiple
     of a rational vector; the zero vector stays zero."""
-    if not all(isinstance(v, int) for v in values):
-        values = [Q(v) for v in values]
-        den = lcm(*(v.denominator for v in values))
-        values = [v.numerator * (den // v.denominator) for v in values]
+    values = integer_row(values)[0]
     g = gcd(*values)
     return tuple(v // g for v in values) if g > 1 else tuple(values)
 
 
 def binom(a: int, k: int) -> int:
-    """Generalized binomial coefficient for integer a (possibly negative)."""
+    """Generalized binomial coefficient for integer a, by the reflection
+    C(a, k) = (-1)^k C(k - a - 1, k) for a < 0."""
     if k < 0:
         return 0
-    if a >= 0:
-        return comb(a, k) if k <= a else 0
-    num = 1
-    for i in range(k):
-        num *= a - i
-    den = 1
-    for i in range(1, k + 1):
-        den *= i
-    assert num % den == 0
-    return num // den
+    return comb(a, k) if a >= 0 else (-1) ** k * comb(k - a - 1, k)
 
 
 def catalan(j: int) -> int:
@@ -192,12 +191,7 @@ def poly_gcd(p, q_) -> tuple:
 
 def ord_at_zero(p) -> int | None:
     """Order of vanishing at 0; None for the zero polynomial."""
-    if not p:
-        return None
-    for i, a in enumerate(p):
-        if a != 0:
-            return i
-    return None
+    return next((i for i, a in enumerate(p) if a != 0), None)
 
 
 # ---------------------------------------------------------------------------
@@ -208,25 +202,20 @@ def rref_steps(rows, ncols: int):
     """Fraction-free Gauss-Jordan elimination over Z, one row at a time in
     input order (Bareiss, Math. Comp. 22, 1968).
 
-    Each input row is first scaled to integers by the lcm s of its
-    denominators.  After each row this yields (d, pivots, leftover):
-    pivots is a tuple of (col, row) pairs in increasing col, each row an
-    integer list that is d > 0 at its col and 0 at every other pivot col,
-    so that the rows over d are the reduced row echelon form of the rows so
-    far; leftover holds, in input order, a pair (row, scale) for each row so
-    far that is zero in the first ncols columns, row over scale being what
-    is left of it.  Columns after ncols are carried along without
-    pivoting, and no yielded list is changed afterwards.
+    Each input row is first scaled to integers by integer_row, with scale
+    s.  After each row this yields (d, pivots, leftover): pivots is a tuple
+    of (col, row) pairs in increasing col, each row an integer list that is
+    d > 0 at its col and 0 at every other pivot col, so that the rows over
+    d are the reduced row echelon form of the rows so far; leftover holds,
+    in input order, a pair (row, scale) for each row so far that is zero in
+    the first ncols columns, row over scale being what is left of it.
+    Columns after ncols are carried along without pivoting, and no yielded
+    list is changed afterwards.
     """
     d, pivots, leftover = 1, (), ()
     for values in rows:
-        if all(type(v) is int for v in values):
-            r, s = values, 1
-        else:
-            vals = [Q(v) for v in values]
-            s = lcm(*(v.denominator for v in vals))
-            r = [v.numerator * (s // v.denominator) for v in vals]
-        red = [d * v for v in r] if d != 1 else list(r)
+        r, s = integer_row(values)
+        red = [d * v for v in r] if d != 1 else r
         for p, prow in pivots:
             f = r[p]
             if f:

@@ -81,41 +81,26 @@ def hermitian_ip(u, v) -> int:
 
 
 def rref(rows, n):
-    """Deterministic reduced row echelon form over GF(4).
-
-    Pivots by first nonzero column; returns (rows, pivot_columns).
-    """
-    rows = [tuple(r) for r in rows]
-    out = []
-    pivots = []
-    col = 0
-    remaining = [r for r in rows if any(r)]
-    while remaining and col < n:
-        pivot_row = None
-        for r in remaining:
-            if r[col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            col += 1
+    """Reduced row echelon form over GF(4), pivoting in the first n columns,
+    by one pass of Gauss-Jordan elimination; returns (rows, pivot_columns),
+    the rows sorted by pivot column.  The form of a row space is unique, so
+    it does not depend on the order of the rows."""
+    pivots = {}  # column -> row, 1 there and 0 at every other pivot column
+    for r in rows:
+        r = tuple(r)
+        for c, p in pivots.items():
+            if r[c]:
+                r = vec_add(r, vec_scale(r[c], p))
+        col = next((c for c in range(n) if r[c]), None)
+        if col is None:
             continue
-        remaining.remove(pivot_row)
-        inv = CONJ[pivot_row[col]] if pivot_row[col] >= 2 else pivot_row[col]
-        # inverse in GF(4): 1->1, w->w2, w2->w
-        pivot_row = vec_scale(inv, pivot_row)
-        out = [
-            vec_add(r, vec_scale(r[col], pivot_row)) if r[col] else r for r in out
-        ]
-        remaining = [
-            vec_add(r, vec_scale(r[col], pivot_row)) if r[col] else r for r in remaining
-        ]
-        remaining = [r for r in remaining if any(r)]
-        out.append(pivot_row)
-        pivots.append(col)
-        col += 1
-    # sort rows by pivot column for a canonical form
-    order = sorted(range(len(out)), key=lambda i: pivots[i])
-    return [out[i] for i in order], sorted(pivots)
+        r = vec_scale(_inv(r[col]), r)
+        for c, p in pivots.items():
+            if p[col]:
+                pivots[c] = vec_add(p, vec_scale(p[col], r))
+        pivots[col] = r
+    cols = sorted(pivots)
+    return [pivots[c] for c in cols], cols
 
 
 def nullspace(rows, n):

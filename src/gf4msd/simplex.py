@@ -2,11 +2,12 @@
 
 Two-phase simplex with Bland's anti-cycling rule on one integer tableau
 (fraction-free pivoting: Edmonds 1967, Bareiss 1968).  Problems are stated
-over free variables with <= and == rows of rational data; each row is
-scaled to integers once, variables split into nonnegative pairs, and
-slacks/artificials are added.  The tableau holds D * B^-1 [A | b] for the
-current basis B, where D = |det B| is the common denominator, so every
-pivot is an exact integer division and every value read off it is exact.
+over free variables with <= and == rows of rational data; each row and the
+objective are scaled to integers once (``exact.integer_row``), variables
+split into nonnegative pairs, and slacks/artificials are added.  The
+tableau holds D * B^-1 [A | b] for the current basis B, where D = |det B|
+is the common denominator, so every pivot is an exact integer division and
+every value read off it is exact.
 Only the x+, artificial and rhs columns are stored: each x- column is the
 negated x+ column and each slack column is its row's artificial column
 times the sign the row was stored with, so a (stored column, sign) map
@@ -24,17 +25,17 @@ function:
 - unbounded: a feasible point x and a ray d with G d <= 0, E d = 0 and
   c.d < 0 (`certify_ray`).
 
-The checks run in integers, on the rows scaled to integers, with x and the
-multipliers each scaled once to a common denominator.
+The checks run in integers, on the rows scaled by integer_row, with x and
+the multipliers each scaled once to a common denominator.  A check that
+fails returns False, and ``bounds.lp_feasible`` raises on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .exact import Q
+from .exact import Q, integer_row
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -52,15 +53,6 @@ class LpResult:
     dual_ub: tuple | None = None
     dual_eq: tuple | None = None
     ray: tuple | None = None
-
-
-def _integer_row(values):
-    """The row scaled by the lcm of its denominators, and that scale."""
-    if all(type(v) is int for v in values):
-        return list(values), 1
-    vals = [Q(v) for v in values]
-    scale = lcm(*(v.denominator for v in vals))
-    return [v.numerator * (scale // v.denominator) for v in vals], scale
 
 
 def _pivot(tab, basis, cols, row, col, d):
@@ -129,7 +121,6 @@ def _simplex(tab, basis, cols, cost, enter_limit, d):
 def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     """Minimize c.x subject to a_ub x <= b_ub and a_eq x = b_eq, x free."""
     nv = len(c)
-    c = [Q(v) for v in c]
     rows = [list(r) + [b] for r, b in zip(a_ub, b_ub)]
     rows += [list(r) + [b] for r, b in zip(a_eq, b_eq)]
     n_ub, n_eq = len(a_ub), len(a_eq)
@@ -140,7 +131,7 @@ def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     tab = []
     row_mult = []  # original row i = row_mult[i] * tableau row i
     for i, values in enumerate(rows):
-        ints, scale = _integer_row(values)
+        ints, scale = integer_row(values)
         arow, rhs = ints[:-1], ints[-1]
         sign = 1
         if rhs < 0:
@@ -192,8 +183,7 @@ def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
         return tuple(Fraction(xfull[j] - xfull[nv + j], d) for j in range(nv))
 
     # phase 2 (artificial columns stay in the tableau but may not enter)
-    c_scale = lcm(*(v.denominator for v in c))
-    c_int = [v.numerator * (c_scale // v.denominator) for v in c]
+    c_int, c_scale = integer_row(c)
     cost = c_int + [-v for v in c_int] + [0] * (n_ub + nrows)
     status, entering, d = _simplex(tab, basis, cols, cost, art_start, d)
     if status == UNBOUNDED:
@@ -207,7 +197,7 @@ def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
         return LpResult(UNBOUNDED, x=point(), ray=ray)
 
     x = point()
-    objective = sum(ci * xi for ci, xi in zip(c, x))
+    objective = Q(_dot(c_int, x), c_scale)
     lam, mu = multipliers(cost, c_scale, d)
     return LpResult(OPTIMAL, x=x, objective=objective, dual_ub=lam, dual_eq=mu)
 
@@ -220,7 +210,7 @@ def _integer_rows(a, b):
     """Each row with its rhs scaled to integers: (rows, rhs, scales)."""
     rows, rhs, scales = [], [], []
     for row, v in zip(a, b):
-        ints, scale = _integer_row(list(row) + [v])
+        ints, scale = integer_row(list(row) + [v])
         rows.append(ints[:-1])
         rhs.append(ints[-1])
         scales.append(scale)
@@ -230,7 +220,7 @@ def _integer_rows(a, b):
 def _integer_duals(c, weights, scales):
     """c and the multipliers of the integer rows (weight / scale), as
     integers over one positive common denominator k: (c, weights, k)."""
-    ints, k = _integer_row(list(c) + [w if s == 1 else Q(w, s) for w, s in zip(weights, scales)])
+    ints, k = integer_row(list(c) + [w if s == 1 else Q(w, s) for w, s in zip(weights, scales)])
     return ints[: len(c)], ints[len(c) :], k
 
 
@@ -246,7 +236,7 @@ def _combination(weights, rows, width):
 def _feasible_point(a_ub, b_ub, a_eq, b_eq, x) -> bool:
     """G x <= h and E x = f, checked on the integer rows against x scaled
     once by the lcm sx of its denominators."""
-    xs, sx = _integer_row(x)
+    xs, sx = integer_row(x)
     g, h, _ = _integer_rows(a_ub, b_ub)
     e, f, _ = _integer_rows(a_eq, b_eq)
     return all(_dot(row, xs) <= b * sx for row, b in zip(g, h)) and all(
@@ -265,7 +255,7 @@ def certify_optimum(c, a_ub, b_ub, a_eq, b_eq, result: LpResult) -> bool:
     lam, mu = tuple(result.dual_ub or ()), tuple(result.dual_eq or ())
     if len(lam) != len(a_ub) or len(mu) != len(a_eq):
         return False
-    xs, sx = _integer_row(result.x)
+    xs, sx = integer_row(result.x)
     g, h, g_scales = _integer_rows(a_ub, b_ub)
     e, f, e_scales = _integer_rows(a_eq, b_eq)
     gx = [_dot(row, xs) for row in g]

@@ -55,6 +55,13 @@ def test_generalized_binomial():
     assert binom(-1, 3) == -1
     assert binom(-2, 2) == 3
     assert binom(3, -1) == 0
+    # the reflection formula against the product a (a-1) ... (a-k+1) / k!
+    for a in range(-30, 30):
+        for k in range(-3, 30):
+            num = den = 1
+            for i in range(max(k, 0)):
+                num, den = num * (a - i), den * (i + 1)
+            assert binom(a, k) == (num // den if k >= 0 else 0), (a, k)
 
 
 def test_catalan():

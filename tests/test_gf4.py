@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gf4msd import gf4
 from gf4msd.gf4 import (
@@ -23,6 +25,7 @@ from gf4msd.gf4 import (
     parse_database,
     rall_signs,
     random_self_orthogonal_code,
+    rref,
     shorten,
     unpack,
     vec_add,
@@ -179,6 +182,36 @@ def test_random_self_orthogonal_generator():
         assert is_self_orthogonal(code)
         for w in enumerate_codewords(code):
             assert weight(unpack(n, w)) % 2 == 0
+
+
+def _span(rows, n):
+    """Every GF(4) combination of the rows, by brute force."""
+    out = set()
+    for coeffs in itertools.product(range(4), repeat=len(rows)):
+        v = (0,) * n
+        for c, r in zip(coeffs, rows):
+            v = vec_add(v, vec_scale(c, r))
+        out.add(v)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=4), st.randoms())
+    )
+)
+def test_rref_against_brute_force_span(case):
+    n, rows, rng = case
+    red, pivots = rref(rows, n)
+    assert _span(red, n) == _span(rows, n)
+    assert len(red) == len(pivots) and pivots == sorted(set(pivots))
+    for r, c in zip(red, pivots):
+        assert c == next(i for i, a in enumerate(r) if a) and r[c] == 1
+        assert all(s[c] == 0 for s in red if s is not r)
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert rref(shuffled, n) == (red, pivots)
 
 
 def test_vec_helpers():
