@@ -21,15 +21,8 @@ from math import gcd, lcm
 from . import simplex
 from .distill import _check_length, _map_polys, quantum_verdict, slack_sign_ok, threshold_slack  # noqa: F401
 from .enumerators import DomainError, Enumerator, signed_eval, signed_poly, transform_xy
-from .exact import Q, integer_row, poly_add, poly_mul, primitive, rref_steps, series
-from .invariants import (
-    InvariantParams,
-    SelfDualParams,
-    expand_family,
-    expand_selfdual,
-    num_cprime,
-    num_dprime,
-)
+from .exact import Q, integer_row, poly_compose, primitive, rref_steps, series
+from .invariants import num_cprime, unit_family_basis
 from .roots import bernstein_coefficients, poly_nonneg_on
 
 SENSES = ("<=", ">=", "==")
@@ -448,41 +441,31 @@ def distillation_family(n: int, pin_trivial: bool = True) -> AffineFamily:
     """
     if not is_odd_family_length(n):
         raise DomainError("need odd n >= 5")
-    nc, nd = num_cprime(n), num_dprime(n)
-    cp = [Q(0)] * nc
-    dp = [Q(0)] * nd
-    cp[0] = Q(1)
+    nc = num_cprime(n)
+    units = [_triple(A, 2 ** (n - 1)) for A in unit_family_basis(n)]
+    pins = {}  # beside c0' = 1, the base units[0]
     if pin_trivial:
-        dp[0] = Q(-6)
+        pins[nc] = -6  # d0'
         if nc > 1:
-            cp[1] = Q(3, 2) * (5 - n)
-        free = [("c", j) for j in range(2, nc)] + [("d", j) for j in range(1, nd)]
-    else:
-        free = [("c", j) for j in range(1, nc)] + [("d", j) for j in range(0, nd)]
-    divisor = 2 ** (n - 1)
-    members = [_triple(expand_family(InvariantParams(n, cp, dp)), divisor)]
-    names = []
-    for kind, j in free:
-        c2 = [Q(0)] * nc
-        d2 = [Q(0)] * nd
-        (c2 if kind == "c" else d2)[j] = Q(1)
-        members.append(_triple(expand_family(InvariantParams(n, c2, d2)), divisor))
-        names.append("%s%d" % (kind, j))
-    return AffineFamily(n, "distill", tuple(names), tuple(members))
+            pins[1] = Q(3, 2) * (5 - n)  # c1'
+    A, B = units[0][:2]
+    for i, v in pins.items():
+        A, B = A + units[i][0].scale(v), B + units[i][1].scale(v)
+    free = [i for i in range(1, len(units)) if i not in pins]
+    names = tuple("c%d" % i if i < nc else "d%d" % (i - nc) for i in free)
+    members = ((A, B, B - A),) + tuple(units[i] for i in free)
+    return AffineFamily(n, "distill", names, members)
 
 
 def selfdual_family(n: int) -> AffineFamily:
     """Self-dual family for even n, pinned to c0 = 1; B = A and C = 0."""
     if not is_selfdual_length(n):
         raise DomainError("need even n >= 6")
-    nc = n // 6 + 1
     zero = Enumerator(n, (0,) * (n + 1))
-    members = []
-    for j in range(nc):  # the pinned base c0 = 1, then one member per free cj
-        A = expand_selfdual(SelfDualParams(n, [int(i == j) for i in range(nc)]))
-        members.append((A, A, zero))
-    names = tuple("c%d" % j for j in range(1, nc))
-    return AffineFamily(n, "selfdual", names, tuple(members))
+    # the pinned base c0 = 1, then one member per free cj
+    members = tuple((A, A, zero) for A in unit_family_basis(n))
+    names = tuple("c%d" % j for j in range(1, len(members)))
+    return AffineFamily(n, "selfdual", names, members)
 
 
 # linear functionals over (A, B, C)
@@ -672,9 +655,8 @@ def quantum_filter_distill(fam: AffineFamily):
     success nonnegativity on the physical interval.  A length n not
     congruent to +-1 mod 6 has no map and raises here."""
     _check_length(fam.n)
-    funcs = [_success_at(Q(1, 9))] + [lambda A, B, C, lam=lam: threshold_slack(A, C, lam) for lam in (-1, 1)]
     # positive multiples of N(eps_max) and both slacks: only signs are read
-    rows = [fam.row(f, "==") for f in funcs]
+    rows = quantum_rows_distill(fam)[1:]
     success = quantum_filter_selfdual(fam)
 
     def ok(point) -> bool:
@@ -698,10 +680,7 @@ def _bernstein_forms(polys):
     for i in range(BERNSTEIN_PIECES):
         piece = []
         for p in polys:
-            q = ()  # p(i h + h u) in u, by Horner
-            for c in reversed(p):
-                q = poly_add(poly_mul(q, (i * h, h)), (c,))
-            piece += bernstein_coefficients(q, degree)
+            piece += bernstein_coefficients(poly_compose(p, (i * h, h)), degree)
         ints = integer_row(piece)[0]
         for k, form in enumerate(forms):
             form += ints[k * (degree + 1) : (k + 1) * (degree + 1)]

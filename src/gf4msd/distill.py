@@ -6,11 +6,14 @@ error rate is the exact rational function
 
     eps_out(eps) = M(eps) / (2 N(eps)),
 
-with N = A(1, i rbar) = signed_eval(A, t) and
+where N and M are polynomials in t composed with t(eps) = T_OF_EPS by
+exact.poly_compose:
 
-    M - 2 eps N = u (signed_eval(A, t) + lam sum_j C_{2j+1} (-1)^j t^j / 3),
+    N = signed_poly(A)(t) = A(1, i rbar),
+    M = N + lam u odd_poly(C)(t) / 3,
 
-where lam in {+1, -1} is the logical sign choice; the natural choice is
+so that M - 2 eps N = u (N + lam sum_j C_{2j+1} (-1)^j t^j / 3), and
+lam in {+1, -1} is the logical sign choice; the natural choice is
 +1 for n = 5 mod 6 and -1 for n = 1 mod 6.  Thresholds are isolated
 exactly.  The quantum consistency constraints are decided over Q in t:
 success nonnegativity N >= 0 for t in [0, 1/3], and eps_out >= eps at the
@@ -28,6 +31,7 @@ from .enumerators import (
     DomainError,
     Enumerator,
     alt_odd_eval,
+    odd_poly,
     signed_eval,
     signed_poly,
     transform_xy,
@@ -38,6 +42,7 @@ from .exact import (
     ord_at_zero,
     poly,
     poly_add,
+    poly_compose,
     poly_divmod,
     poly_eval,
     poly_gcd,
@@ -88,23 +93,15 @@ class DistillMap:
         return num, den
 
 
-def _in_eps(q) -> tuple:
-    """q(t) at t = (1 - 2 eps)^2 / 3, as a polynomial in eps."""
-    out: tuple = ()
-    power: tuple = (1,)  # (1 - 2 eps)^(2j), integral
-    for j, c in enumerate(q):
-        if c:
-            out = poly_add(out, poly_scale(power, Q(c, 3**j)))
-        power = poly_mul(power, (1, -4, 4))
-    return out
+# t = (1 - 2 eps)^2 / 3 as a polynomial in eps
+T_OF_EPS = (Q(1, 3), Q(-4, 3), Q(4, 3))
 
 
 def _map_polys(A: Enumerator, C: Enumerator, lam) -> tuple:
     """(M, N) in eps, linear in (A, C); A even-only and C odd-only."""
-    n_poly = _in_eps(signed_poly(A))
-    odd = [Q((-1) ** j * C.coeffs[2 * j + 1], 3) for j in range((C.n + 1) // 2)]
-    m_poly = poly_add(n_poly, poly_scale(poly_mul((1, -2), _in_eps(odd)), lam))
-    return m_poly, n_poly
+    n_poly = poly_compose(signed_poly(A), T_OF_EPS)
+    odd = poly_mul((1, -2), poly_compose(odd_poly(C), T_OF_EPS))
+    return poly_add(n_poly, poly_scale(odd, Q(lam, 3))), n_poly
 
 
 def _check_length(n: int) -> None:

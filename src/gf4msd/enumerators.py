@@ -12,8 +12,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-
 from .exact import Q, as_int_if_possible, integer_row, q_from_str, q_to_str, scaled_horner
 
 
@@ -129,23 +127,16 @@ class Enumerator:
 
 
 def transform_xy(A: Enumerator) -> Enumerator:
-    """A(x + 3y, x - y), expanded exactly (no divisor).
-
-    Coefficient of y^k picks up, from each A_j x^(n-j) y^j, the binomial
-    convolution of (x+3y)^(n-j) against (x-y)^j.
-    """
-    n = A.n
-    out = [0] * (n + 1)
-    for j, a in enumerate(A.coeffs):
-        if a == 0:
-            continue
-        for k in range(n + 1):
-            s = 0
-            for i in range(max(0, k - (n - j)), min(j, k) + 1):
-                s += comb(n - j, k - i) * 3 ** (k - i) * comb(j, i) * (-1) ** i
-            if s:
-                out[k] += a * s
-    return Enumerator(n, tuple(out))
+    """A(x + 3y, x - y), expanded exactly (no divisor), by homogeneous
+    Horner over Z at x = 1: acc <- acc (1 + 3y) + A_j (1 - y)^j."""
+    ints, scale = integer_row(A.coeffs)
+    acc, power = [], [1]  # power = (1 - y)^j
+    for a in ints:
+        acc = [x + 3 * y for x, y in zip(acc + [0], [0] + acc)]
+        if a:
+            acc = [x + a * y for x, y in zip(acc, power)]
+        power = [x - y for x, y in zip(power + [0], [0] + power)]
+    return Enumerator(A.n, tuple(acc) if scale == 1 else tuple(Q(x, scale) for x in acc))
 
 
 def macwilliams(A: Enumerator, codeword_count) -> Enumerator:
@@ -191,27 +182,29 @@ def signed_poly(A: Enumerator) -> tuple:
     return tuple((-1) ** j * A.coeffs[2 * j] for j in range(A.n // 2 + 1))
 
 
-def signed_eval(A: Enumerator, rbar2) -> Fraction:
-    """A(1, i rbar) = sum_j A_{2j} (-rbar^2)^j, exact in rbar^2: the
-    coefficients over their common denominator, by integer Horner."""
-    p = signed_poly(A)
-    t = rbar2 if isinstance(rbar2, (int, Fraction)) else Q(rbar2)
+def odd_poly(C: Enumerator) -> tuple:
+    """Coefficients in s = rbar^2 of sum_j C_{2j+1} (-s)^j, the alternating
+    odd part of C over rbar; requires all even coefficients to vanish."""
+    if not C.is_odd_only():
+        raise ValueError("alternating odd evaluation needs an odd-only enumerator")
+    return tuple((-1) ** j * C.coeffs[2 * j + 1] for j in range((C.n + 1) // 2))
+
+
+def _eval(p, x) -> Fraction:
+    """p(x), exact by integer Horner over the common denominator."""
     ints, den = integer_row(p)
-    return Q(scaled_horner(ints, t), den * t.denominator ** (len(p) - 1))
+    return Q(scaled_horner(ints, x), den * x.denominator ** max(len(p) - 1, 0))
+
+
+def signed_eval(A: Enumerator, rbar2) -> Fraction:
+    """A(1, i rbar) = sum_j A_{2j} (-rbar^2)^j, exact in rbar^2."""
+    return _eval(signed_poly(A), rbar2 if isinstance(rbar2, (int, Fraction)) else Q(rbar2))
 
 
 def alt_odd_eval(C: Enumerator, t) -> Fraction:
-    """sum_j C_{2j+1} (-1)^j t^(2j+1), exact.
+    """sum_j C_{2j+1} (-1)^j t^(2j+1) = t odd_poly(C)(t^2), exact.
 
     Requires all even coefficients to vanish (logical part only).
     """
-    if not C.is_odd_only():
-        raise ValueError("alternating odd evaluation needs an odd-only enumerator")
-    t = Q(t)
-    acc = Q(0)
-    sign = 1
-    for j in range(1, C.n + 1, 2):
-        if C.coeffs[j]:
-            acc += sign * C.coeffs[j] * t**j
-        sign = -sign
-    return acc
+    p, t = odd_poly(C), Q(t)
+    return t * _eval(p, t * t)

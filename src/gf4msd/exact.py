@@ -3,7 +3,9 @@
 Univariate polynomials are tuples of coefficients indexed by power
 (``p[i]`` multiplies ``x**i``) and trimmed so the last entry is nonzero;
 the zero polynomial is the empty tuple.  Coefficients may be ints or
-Fractions; operations never introduce floats.
+Fractions; operations never introduce floats.  ``poly_compose`` is the one
+polynomial substitution of the package: the distillation map's change of
+variable t(eps) and the Bernstein pieces' shifts both run through it.
 """
 
 from __future__ import annotations
@@ -151,6 +153,19 @@ def scaled_horner(p, x) -> int:
         acc = acc * u + c * w
         w *= v
     return acc
+
+
+def poly_compose(p, q) -> tuple:
+    """p(q(x)): Horner over Z gives v^deg p(u/v) for q = u/v (p scaled to
+    integers, u over Z, v > 0), divided once at the end."""
+    ints, scale = integer_row(p)
+    u, v = integer_row(q)
+    acc, w = ZERO_POLY, 1
+    for c in reversed(ints):
+        acc = poly_add(poly_mul(acc, u), (c * w,))
+        w *= v
+    den = scale * w // v
+    return acc if den == 1 else tuple(Q(a, den) for a in acc)
 
 
 def poly_deriv(p) -> tuple:

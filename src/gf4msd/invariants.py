@@ -6,8 +6,11 @@ length n is an exact linear combination built from the two invariants
     fhat = x^2 + 3 y^2        ghat = y^2 (x^2 - y^2)^2,
 
 with coefficient vectors (c'_j, d'_j); self-dual codes of even length use
-the fhat/ghat ring alone.  This module expands those parametrizations,
-inverts them, and solves the extremal cancellation systems exactly.
+the fhat/ghat ring alone.  The y-polynomials those coefficients multiply,
+the blocks fhat^a ghat^j (times the wedge y^2 (x^2 - y^2) for d'), are
+listed once per length by _blocks, and every expansion, the unit basis
+included, is a linear combination of them.  This module also inverts the
+parametrizations and solves the extremal cancellation systems exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from .enumerators import DomainError, Enumerator
 from .exact import (
     Q,
-    as_int_if_possible,
     binom,
     catalan,
     poly_mul,
@@ -89,56 +91,42 @@ def h_series(order: int) -> HSeries:
     return HSeries(order, tuple((-1) ** j * catalan(j) for j in range(order + 1)))
 
 
+def _blocks(n: int) -> list:
+    """The y-polynomials multiplied by a family's coefficients, in order:
+    fhat^(n/2 - 3j) ghat^j for even n; for odd n fhat^((n-1)/2 - 3j) ghat^j
+    (c'), then y^2 (x^2 - y^2) fhat^((n-5)/2 - 3j) ghat^j (d')."""
+    parts = [(n // 2, (1,))] if n % 2 == 0 else [((n - 1) // 2, (1,)), ((n - 5) // 2, (0, 0, 1, 0, -1))]
+    return [poly_mul(w, _fg_power(top - 3 * j, j)) for top, w in parts for j in range(top // 3 + 1)]
+
+
+def _combine(n: int, coeffs, blocks) -> Enumerator:
+    """The degree-n enumerator sum_i coeffs[i] blocks[i]."""
+    out = [0] * (n + 1)
+    for c, block in zip(coeffs, blocks):
+        if c:
+            for deg, val in enumerate(block):
+                out[deg] += c * val
+    return Enumerator(n, tuple(out))
+
+
 def expand_family(p: InvariantParams) -> Enumerator:
     """Expand the odd-length parametrization into an exact Enumerator.
 
     A = x * sum_j c'_j fhat^((n-1)/2 - 3j) ghat^j
         + x y^2 (x^2 - y^2) * sum_j d'_j fhat^((n-5)/2 - 3j) ghat^j
     """
-    n = p.n
-    out = [Q(0)] * (n + 1)
-    for j, c in enumerate(p.cprime):
-        if c == 0:
-            continue
-        block = _fg_power((n - 1) // 2 - 3 * j, j)
-        for deg, val in enumerate(block):
-            out[deg] += c * val
-    wedge = poly_mul((0, 0, 1), (1, 0, -1))  # y^2 (x^2 - y^2)
-    for j, d in enumerate(p.dprime):
-        if d == 0:
-            continue
-        block = poly_mul(wedge, _fg_power((n - 5) // 2 - 3 * j, j))
-        for deg, val in enumerate(block):
-            out[deg] += d * val
-    return Enumerator(n, tuple(as_int_if_possible(v) for v in out))
+    return _combine(p.n, p.cprime + p.dprime, _blocks(p.n))
 
 
 def expand_selfdual(p: SelfDualParams) -> Enumerator:
     """A = sum_j c_j fhat^(n/2 - 3j) ghat^j for even n."""
-    n = p.n
-    out = [Q(0)] * (n + 1)
-    for j, c in enumerate(p.c):
-        if c == 0:
-            continue
-        block = _fg_power(n // 2 - 3 * j, j)
-        for deg, val in enumerate(block):
-            out[deg] += c * val
-    return Enumerator(n, tuple(as_int_if_possible(v) for v in out))
+    return _combine(p.n, p.c, _blocks(p.n))
 
 
 def unit_family_basis(n: int):
-    """Enumerators of the unit parameter vectors, c'-block then d'-block."""
-    basis = []
-    nc, nd = num_cprime(n), num_dprime(n)
-    for i in range(nc):
-        c = [0] * nc
-        c[i] = 1
-        basis.append(expand_family(InvariantParams(n, tuple(c), (0,) * nd)))
-    for i in range(nd):
-        d = [0] * nd
-        d[i] = 1
-        basis.append(expand_family(InvariantParams(n, (0,) * nc, tuple(d))))
-    return basis
+    """Enumerators of the unit parameter vectors: for odd n the c'-block
+    then the d'-block of expand_family, for even n those of expand_selfdual."""
+    return [_combine(n, (1,), (block,)) for block in _blocks(n)]
 
 
 def params_from_enumerator(A: Enumerator) -> InvariantParams:
@@ -163,12 +151,10 @@ def params_from_enumerator(A: Enumerator) -> InvariantParams:
 # rescaled coordinates used by the cancellation systems (internal only)
 
 
-def _cprime_from_c(n, j, c):
-    return c / (Q(-16, 27) ** j * Q(4) ** ((n - 1) // 2 - 3 * j))
-
-
-def _dprime_from_d(n, j, d):
-    return d / (Q(-16, 27) ** j * Q(4) ** ((n - 5) // 2 - 3 * j))
+def _unscaled(n, j, v, top):
+    """The rescaled coefficient v of block j pulled back to c' (top = 1)
+    or d' (top = 5): v / ((-16/27)^j 4^((n - top)/2 - 3j))."""
+    return v / (Q(-16, 27) ** j * Q(4) ** ((n - top) // 2 - 3 * j))
 
 
 def _linsolve(mat, rhs):
@@ -235,8 +221,8 @@ def extremal_distillation_params(n: int) -> InvariantParams:
         sol = _linsolve(mat, rhs)
         c = [c0] + sol[:m]
         d = sol[m:]
-    cp = tuple(_cprime_from_c(n, j, cj) for j, cj in enumerate(c))
-    dp = tuple(_dprime_from_d(n, j, dj) for j, dj in enumerate(d))
+    cp = tuple(_unscaled(n, j, cj, 1) for j, cj in enumerate(c))
+    dp = tuple(_unscaled(n, j, dj, 5) for j, dj in enumerate(d))
     return InvariantParams(n, cp, dp)
 
 

@@ -581,3 +581,52 @@ def test_bernstein_predecision_skips_poly_nonneg_on(monkeypatch):
     assert end_root(())
     with pytest.raises(AssertionError, match="poly_nonneg_on called"):
         double_root(())
+
+
+# sha256 digests of the family members and rows as built before the
+# polynomial kernel was shared (``_family_row_digests`` gives the format)
+FAMILY_ROW_DIGESTS = {
+    "distill": "34cac8bd4dff7899bbb105d1f6fb0a7e91a3305084382a4b749eea24b7c8107a",
+    "selfdual": "ce5a67154974ced595dce1846e394fa3f3c471092c4fa975cc5481c957a0fd2b",
+    "numerator": "4640d3cc3f5395263b91554606be9038308521df5e1930c2d41b775aba3e00c0",
+    "classical": "3e137bde2a4783fa27bf4a6bb515ccc099e53c3d8ee86532ce1b90dd4ca124ca",
+    "quantum": "b8ee46ef3183e7c717334373bc8ac3c9b7a86ffe2bafd1e56363ef58a9fda186",
+    "success": "053911c36567a749e65896e125e1901630d15957fd92da450ec975d76200be83",
+}
+
+
+def _family_row_digests():
+    """Members (A, B, C) of distillation_family(n, pin) for odd n in 5..61
+    and of selfdual_family(n) for even n in 6..60; numerator rows for both
+    lambda (count n), classical, quantum and success rows of the pinned
+    families for n = +-1 mod 6 up to 61."""
+    from hashlib import sha256
+
+    from gf4msd.exact import q_to_str
+
+    def members(fam):
+        return ["|".join(",".join(q_to_str(c) for c in E.coeffs) for E in m) for m in fam.members]
+
+    def rows(rs):
+        return ["%s %s %s" % (",".join(map(str, r.coeffs)), r.sense, r.rhs) for r in rs]
+
+    lines = {k: [] for k in FAMILY_ROW_DIGESTS}
+    for n in range(5, 62, 2):
+        for pin in (True, False):
+            fam = distillation_family(n, pin)
+            lines["distill"] += ["%d %s %s" % (n, pin, ",".join(fam.names))] + members(fam)
+            if not pin or n % 6 not in (1, 5):
+                continue
+            for lam in (1, -1):
+                lines["numerator"] += ["%d %d" % (n, lam)] + rows(numerator_coefficient_rows(fam, lam, n))
+            lines["classical"] += ["%d" % n] + rows(classical_rows(fam))
+            lines["quantum"] += ["%d" % n] + rows(bounds.quantum_rows_distill(fam))
+            lines["success"] += ["%d" % n] + rows(bounds.success_rows(fam))
+    for n in range(6, 61, 2):
+        fam = selfdual_family(n)
+        lines["selfdual"] += ["%d %s" % (n, ",".join(fam.names))] + members(fam)
+    return {k: sha256("\n".join(v).encode()).hexdigest() for k, v in lines.items()}
+
+
+def test_family_members_and_rows_pinned():
+    assert _family_row_digests() == FAMILY_ROW_DIGESTS

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from gf4msd.enumerators import (
     alt_odd_eval,
     logical_enumerator,
     macwilliams,
+    odd_poly,
     signed_eval,
     signed_poly,
     transform_xy,
@@ -130,6 +132,57 @@ def test_alt_odd_eval():
     assert alt_odd_eval(Enumerator.from_pairs(3, {3: 1}), 1) == -1
     with pytest.raises(ValueError):
         alt_odd_eval(FIVE_A, 1)
+
+
+_ODD_ONLY = "alternating odd evaluation needs an odd-only enumerator"
+
+
+def test_odd_poly_and_alt_odd_eval_small_lengths():
+    zero = Enumerator(0, (0,))
+    assert odd_poly(zero) == ()
+    assert alt_odd_eval(zero, Q(2, 3)) == 0 and type(alt_odd_eval(zero, Q(2, 3))) is Q
+    one = Enumerator(1, (0, 5))
+    assert odd_poly(one) == (5,)
+    assert alt_odd_eval(one, Q(2, 3)) == Q(10, 3)
+    assert odd_poly(Enumerator.from_pairs(5, {3: 30, 5: 18})) == (0, -30, 18)
+    for C in (Enumerator(0, (1,)), Enumerator(1, (1, 5)), FIVE_A):
+        with pytest.raises(ValueError, match="^%s$" % _ODD_ONLY):
+            odd_poly(C)
+        with pytest.raises(ValueError, match="^%s$" % _ODD_ONLY):
+            alt_odd_eval(C, 1)
+
+
+def _transform_by_binomial_sums(A):
+    """A(x + 3y, x - y) by the binomial convolution of (x+3y)^(n-j)
+    against (x-y)^j for each A_j, the direct formula."""
+    n = A.n
+    out = [0] * (n + 1)
+    for j, a in enumerate(A.coeffs):
+        if a == 0:
+            continue
+        for k in range(n + 1):
+            s = 0
+            for i in range(max(0, k - (n - j)), min(j, k) + 1):
+                s += comb(n - j, k - i) * 3 ** (k - i) * comb(j, i) * (-1) ** i
+            if s:
+                out[k] += a * s
+    return Enumerator(n, tuple(out))
+
+
+_TRANSFORM_COEFF = st.one_of(st.integers(-10**4, 10**4), st.fractions(-50, 50, max_denominator=100))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 24).flatmap(lambda n: st.lists(_TRANSFORM_COEFF, min_size=n + 1, max_size=n + 1)))
+@example([Q(1, 2)])
+@example([0] * 25)
+@example([1] + [0] * 23 + [Q(-7, 3)])
+def test_transform_xy_matches_binomial_sums(coeffs):
+    A = Enumerator(len(coeffs) - 1, tuple(coeffs))
+    T = transform_xy(A)
+    assert T == _transform_by_binomial_sums(A)
+    # (x, y) -> (x + 3y, x - y) twice is (x, y) -> (4x, 4y)
+    assert transform_xy(T) == A.scale(4**A.n)
 
 
 def test_serialization():

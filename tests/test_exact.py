@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gf4msd import exact
@@ -12,6 +12,7 @@ from gf4msd.exact import (
     decimal_str,
     ord_at_zero,
     poly,
+    poly_compose,
     poly_divmod,
     poly_eval,
     poly_gcd,
@@ -195,6 +196,33 @@ def test_primitive_examples():
     assert primitive((0, 0)) == (0, 0)
     assert primitive(()) == ()
     assert primitive((-5,)) == (-1,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_ENTRY, max_size=7),
+    st.lists(_ENTRY, max_size=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=20),
+)
+@example([], [1, 2], Q(1, 2))
+@example([Q(1, 3), 2, 5], [Q(-7, 2)], Q(3))
+@example([1, 0, -1], [Q(1, 2), 0, 0], Q(0))
+@example([0, 0, 0], [1, 1], Q(1))
+def test_poly_compose_evaluates_as_substitution(p, q, x):
+    out = poly_compose(p, q)
+    assert poly_eval(out, x) == poly_eval(p, poly_eval(q, x))
+    assert out == poly(out)  # trimmed
+    if all(type(c) is int for c in p + q):
+        assert all(type(c) is int for c in out)
+
+
+def test_poly_compose_examples():
+    assert poly_compose((), (1, 2)) == ()
+    assert poly_compose((5, 1), ()) == (5,)
+    assert poly_compose((1, 2, 3), (Q(1, 2),)) == (Q(11, 4),)
+    # t(eps) = (1 - 2 eps)^2 / 3 substituted into 1 - 3t
+    assert poly_compose((1, -3), (Q(1, 3), Q(-4, 3), Q(4, 3))) == (0, 4, -4)
+    assert poly_compose((0, 1), (Q(1, 12), Q(1, 12))) == (Q(1, 12), Q(1, 12))
 
 
 def test_rref_examples():

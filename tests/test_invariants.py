@@ -173,6 +173,22 @@ def test_params_roundtrip():
         assert q == p
 
 
+def test_unit_family_basis_is_the_expansion_of_unit_vectors():
+    from gf4msd.invariants import num_cprime, num_dprime
+
+    def units(k):
+        return [tuple(int(i == j) for i in range(k)) for j in range(k)]
+
+    for n in range(1, 40):
+        basis = unit_family_basis(n)
+        if n % 2:
+            nc, nd = num_cprime(n), num_dprime(n)
+            expected = [expand_family(InvariantParams(n, u[:nc], u[nc:])) for u in units(nc + nd)]
+        else:
+            expected = [expand_selfdual(SelfDualParams(n, u)) for u in units(n // 6 + 1)]
+        assert basis == expected, n
+
+
 def test_params_from_enumerator_rejects_outside_span():
     bad = Enumerator.from_pairs(5, {0: 1, 1: 1})
     with pytest.raises(ValueError, match="not in the invariant family span"):
