@@ -19,7 +19,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import simplex
-from .distill import _check_length, _map_polys, quantum_verdict, slack_sign_ok, threshold_slack  # noqa: F401
+from .distill import _check_length, _map_polys, natural_sign, slack_sign_ok, threshold_slack
+from .distill import quantum_verdict  # noqa: F401
 from .enumerators import DomainError, Enumerator, signed_eval, signed_poly, transform_xy
 from .exact import Q, integer_row, poly_compose, primitive, rref_steps, series
 from .invariants import num_cprime, unit_family_basis
@@ -588,18 +589,18 @@ def _bound(fam: AffineFamily, cuts, eq_rows, sizes, value):
 def max_nu_bound(n: int, quantum: bool = True):
     """Largest noise-suppression exponents consistent with the cuts.
 
-    Level i forces the first nu = 2 + 3i (n = 5 mod 6) or 1 + 3i (n = 1
-    mod 6) numerator coefficients to vanish; the non-trivial pins (no
+    The levels are the exponents nu = n (mod 3), from n mod 3 up to nu = n;
+    level nu forces the first nu numerator coefficients of the natural-sign
+    map to vanish, and before the pins only the extremal distillation
+    enumerator meets the top level, nu = n.  The non-trivial pins (no
     weight-1 logical, no weight-2 stabilizer) always apply.  Returns
     (classical nu, quantum nu or None, witness, family).
     """
     if not is_nu_length(n):
         raise DomainError("n must be at least 5 and congruent to +-1 mod 6")
-    five = n % 6 == 5
-    # levels 0..2m+1 for n = 6m + 5, 0..2m for n = 6m + 1
-    sizes = [(2 if five else 1) + 3 * i for i in range(2 * (n // 6) + 1 + five)]
+    sizes = range(n % 3, n + 1, 3)
     fam = distillation_family(n, pin_trivial=True)
-    eq_rows = numerator_coefficient_rows(fam, 1 if five else -1, sizes[-1])
+    eq_rows = numerator_coefficient_rows(fam, natural_sign(n), n)
     cuts = quantum_rows_distill(fam) if quantum else None
     return _bound(fam, cuts, eq_rows, sizes, lambda nu: nu)
 

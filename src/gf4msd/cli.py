@@ -114,7 +114,7 @@ def _analyze_report(code: gf4.Gf4Code, budget: int, out: _Output):
         ne, thr_nat, thr_other, best = _sign_thresholds(A)
         verdict = distill.quantum_verdict(A)
         report["distill"] = {
-            "class": "5" if code.n % 6 == 5 else "1",
+            "class": str(code.n % 6),
             "nu": ne.nu,
             "nu_status": ne.status,
             "leading_coefficient": out.num(ne.leading) if ne.leading is not None else None,

@@ -10,7 +10,10 @@ the fhat/ghat ring alone.  The y-polynomials those coefficients multiply,
 the blocks fhat^a ghat^j (times the wedge y^2 (x^2 - y^2) for d'), are
 listed once per length by _blocks, and every expansion, the unit basis
 included, is a linear combination of them.  This module also inverts the
-parametrizations and solves the extremal cancellation systems exactly.
+parametrizations and solves the extremal cancellation system exactly, one
+linear system for every n = +-1 mod 6.  The noise-suppression levels are
+the exponents nu = n (mod 3) up to nu = n, and the extremal distillation
+enumerator is the one member with A_0 = 1 at the top level, nu = n.
 """
 
 from __future__ import annotations
@@ -148,7 +151,7 @@ def params_from_enumerator(A: Enumerator) -> InvariantParams:
 
 
 # ---------------------------------------------------------------------------
-# rescaled coordinates used by the cancellation systems (internal only)
+# rescaled coordinates used by the cancellation system (internal only)
 
 
 def _unscaled(n, j, v, top):
@@ -165,64 +168,35 @@ def _linsolve(mat, rhs):
     return [row[-1] for row in pivot_rows]
 
 
-def extremal_distillation_params(n: int) -> InvariantParams:
-    """Parameters cancelling the maximal number of phi-powers for odd n = +-1 mod 6.
-
-    The cancellation series is  S~1 + (4/9) H S~2  for n = 6m+5 and
-    H S~1 - (4/9) S~2  for n = 6m+1, with S~1 = sum c_{m-j} phi^j and the
-    matching d-sums; the c/d unknowns are then pulled back to (c', d').
-    """
+def _check_extremal_length(n: int) -> None:
+    """The lengths with an extremal distillation enumerator: odd n >= 5, n = +-1 mod 6."""
     if n % 6 not in (1, 5):
         raise DomainError("n must be congruent to +-1 mod 6")
     if n < 5:
         raise DomainError("need odd n >= 5")
+
+
+def extremal_distillation_params(n: int) -> InvariantParams:
+    """Parameters cancelling the maximal number of phi-powers for odd n = +-1 mod 6.
+
+    The cancellation series is S = P S~1 + R S~2 with S~1 = sum_j c_{m-j} phi^j,
+    S~2 = sum_j d_{nd-1-j} phi^j (nd = num_dprime(n)) and (P, R) = (1, (4/9) H)
+    for n = 6m+5 or (H, -4/9) for n = 6m+1, held as {power: coefficient}.  Its
+    first m + nd coefficients vanish for one choice of c_1..c_m, d_0..d_{nd-1}
+    given c_0 = 2^(n-1), which is then pulled back to (c', d').
+    """
+    _check_extremal_length(n)
+    m, nd = num_cprime(n) - 1, num_dprime(n)
+    H = dict(enumerate(h_series(m + nd - 1).coeffs))
+    P, R = ({0: 1}, {t: Q(4, 9) * h for t, h in H.items()}) if n % 6 == 5 else (H, {0: Q(-4, 9)})
+    # unknowns c_1..c_m, d_0..d_{nd-1}; column (s, j) multiplies s phi^j; row t is phi^t
+    cols = [(P, m - i) for i in range(1, m + 1)] + [(R, nd - 1 - k) for k in range(nd)]
+    rows = range(m + nd)
     c0 = Q(2) ** (n - 1)
-    if n % 6 == 5:
-        m = (n - 5) // 6
-        H = h_series(2 * m).coeffs
-        # unknown d_0..d_m from rows t = m..2m; then c_1..c_m explicitly
-        mat, rhs = [], []
-        for t in range(m, 2 * m + 1):
-            row = [Q(0)] * (m + 1)
-            for j in range(0, m + 1):
-                if 0 <= t - j <= 2 * m:
-                    row[m - j] += Q(4, 9) * H[t - j]
-            mat.append(row)
-            rhs.append(-c0 if t == m else Q(0))
-        d = _linsolve(mat, rhs)
-        c = [Q(0)] * (m + 1)
-        c[0] = c0
-        for t in range(0, m):
-            acc = Q(0)
-            for j in range(0, t + 1):
-                acc += Q(4, 9) * H[t - j] * d[m - j]
-            c[m - t] = -acc
-    else:
-        m = (n - 1) // 6
-        H = h_series(2 * m).coeffs
-        # series H*S~1 - (4/9)*S~2 with S~1 = sum c_{m-j} phi^j (c_0 known)
-        # and S~2 = sum d_{m-1-j} phi^j; rows t = 0..2m-1.
-        # unknown order: c_1..c_m then d_0..d_{m-1}
-        size = 2 * m
-        mat = [[Q(0)] * size for _ in range(size)]
-        rhs = [Q(0)] * size
-        for t in range(2 * m):
-            for j in range(0, m + 1):
-                if t - j < 0:
-                    continue
-                coeff = Q(H[t - j])
-                if m - j == 0:
-                    rhs[t] -= coeff * c0
-                else:
-                    mat[t][m - j - 1] += coeff
-            for j in range(0, m):
-                if t == j:
-                    mat[t][m + (m - 1 - j)] += Q(-4, 9)
-        sol = _linsolve(mat, rhs)
-        c = [c0] + sol[:m]
-        d = sol[m:]
-    cp = tuple(_unscaled(n, j, cj, 1) for j, cj in enumerate(c))
-    dp = tuple(_unscaled(n, j, dj, 5) for j, dj in enumerate(d))
+    mat = [[s.get(t - j, 0) for s, j in cols] for t in rows]
+    sol = _linsolve(mat, [-c0 * P.get(t - m, 0) for t in rows])
+    cp = tuple(_unscaled(n, j, cj, 1) for j, cj in enumerate([c0] + sol[:m]))
+    dp = tuple(_unscaled(n, j, dj, 5) for j, dj in enumerate(sol[m:]))
     return InvariantParams(n, cp, dp)
 
 
@@ -231,14 +205,9 @@ def extremal_distillation_enumerator(n: int) -> Enumerator:
 
 
 def extremal_A2(n: int) -> int:
-    """Closed-form A_2 of the extremal distillation enumerator (always < 0)."""
-    if n % 6 == 5:
-        m = (n - 5) // 6
-        return -30 - 81 * m - 54 * m * m
-    if n % 6 == 1:
-        m = (n - 1) // 6
-        return -9 * m - 54 * m * m
-    raise ValueError("n must be congruent to +-1 mod 6")
+    """A_2 of the extremal distillation enumerator: -3 C(n, 2), always < 0."""
+    _check_extremal_length(n)
+    return -3 * binom(n, 2)
 
 
 def selfdual_extremal_params(n: int) -> SelfDualParams:

@@ -5,9 +5,10 @@ import pathlib
 import random
 
 import pytest
+from golden_cli import commands
 
 from gf4msd import bounds
-from gf4msd.cli import main
+from gf4msd.cli import build_parser, main
 from gf4msd.distill import DegenerateMapError
 from gf4msd.enumerators import DomainError, MacWilliamsError
 from gf4msd.gf4 import NotM3CodeError, random_maximal_self_orthogonal_code, random_self_orthogonal_code
@@ -412,6 +413,18 @@ SEEDED_ANALYZE_SHA256 = {
     19: "ac9528eb78e9c31b0a038b298dedd2a463369caf5975a4635155595c649b8209",
     23: "116c2a493ba0cdfa4a908d79106eff9e006007fce403ce0aef15ad34c72600c9",
 }
+# sha256 of the stdout digests, joined in order, of `extremal --family
+# distill` at the 18 benchmark lengths and `--family selfdual` at n = 12,
+# 24, ..., 96, recorded before both length classes shared one cancellation
+# system
+EXTREMAL_LENGTHS = {
+    "distill": (5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 35, 37, 41, 43, 47, 53, 59, 71),
+    "selfdual": tuple(range(12, 97, 12)),
+}
+EXTREMAL_SHA256 = {
+    "distill": "588bf0ae4ac5c36d5b0f4a72fe6ee562fa846f83c7c54bac7d6298698f2a1972",
+    "selfdual": "76ecb179163b9b2f157764fe326f034bd829008b5e3e0f5b8aa86c0964b3ba38",
+}
 SEARCH_SHA256 = "a3a034acaf6fda1072e6ded2f8098fb0eb374abe313d72fabdfff3d1b062d5fe"
 # a database of one self-dual [20, 10] code grown from random.Random(20)
 SEEDED_SEARCH_SHA256 = "466ed006c9bb567540e26963e30deb43c9441611beaee7e39689f1f94438f2bb"
@@ -434,6 +447,20 @@ def test_analyze_seeded_maximal_golden_digests(tmp_path, capsys):
         path = tmp_path / ("seed%d.g4c" % n)
         path.write_text(code.to_text())
         assert _digest(capsys, "analyze", str(path)) == digest, n
+
+
+def test_extremal_golden_digests(capsys):
+    for family, lengths in EXTREMAL_LENGTHS.items():
+        joined = "".join(_digest(capsys, "extremal", "--n", str(n), "--family", family) for n in lengths)
+        assert hashlib.sha256(joined.encode()).hexdigest() == EXTREMAL_SHA256[family], family
+
+
+def test_golden_cli_commands_parse(tmp_path):
+    # every command of tests/golden_cli.py is one the parser accepts
+    argvs = commands(str(tmp_path))
+    assert len(argvs) == 84
+    for argv in argvs:
+        build_parser().parse_args(argv)
 
 
 def test_search_golden_digest(capsys, codes_dir):

@@ -1,8 +1,9 @@
+import hashlib
 from fractions import Fraction as Q
 
 import pytest
 
-from gf4msd.enumerators import Enumerator, signed_eval, transform_xy
+from gf4msd.enumerators import DomainError, Enumerator, signed_eval, transform_xy
 from gf4msd.exact import poly_add, poly_pow, poly_scale, rref
 from gf4msd.invariants import (
     InvariantParams,
@@ -30,6 +31,10 @@ EXTREMAL_ROWS = {
     19: {0: 1, 2: -513, 4: 34884, 6: -732564, 8: 6122142, 10: -22447854,
          12: 36732852, 14: -25430436, 16: 6357609, 18: -373977},
 }
+
+# sha256 of one line "n c'_0,...,c'_m d'_0,...,d'_k" per n = +-1 (mod 6) in
+# 5..143, recorded before both length classes shared one cancellation system
+EXTREMAL_PARAMS_SHA256 = "af864d70cc801507d06f83071d01091ff50506a7bbd3937a58755066247dd3c0"
 
 SELFDUAL_PURE_EVALS = {
     12: Q(-256, 81),
@@ -90,6 +95,16 @@ def test_extremal_distillation_rows():
         assert A.coeffs[2] < 0
 
 
+def test_extremal_params_pinned():
+    text = "".join(
+        "%d %s %s\n" % (n, ",".join(map(str, p.cprime)), ",".join(map(str, p.dprime)))
+        for n in range(5, 144)
+        if n % 6 in (1, 5)
+        for p in [extremal_distillation_params(n)]
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == EXTREMAL_PARAMS_SHA256
+
+
 def _numerator_poly(A, lam):
     # M(eps) = N + lam sum_j C_{2j+1} (-1)^j (1 - 2 eps)^(2j+1) / 3^(j+1) with
     # N = sum_j A_{2j} (-(1 - 2 eps)^2 / 3)^j and C = A(x + 3y, x - y) / 2^(n-1) - A
@@ -106,8 +121,9 @@ def _numerator_poly(A, lam):
 
 def test_extremal_is_the_maximal_cancellation_member():
     # A_0 = 1 and M_0 = ... = M_{t-1} = 0 over the unit family basis, for the
-    # smallest t with a unique solution, solved here without the H series
-    for n in (5, 7, 11, 13, 17, 19, 23):
+    # smallest t with a unique solution, solved here without the H series;
+    # its numerator then vanishes to order n exactly, the top level of max_nu_bound
+    for n in (5, 7, 11, 13, 17, 19, 23, 25, 29, 31, 35, 37, 41):
         lam = 1 if n % 6 == 5 else -1
         basis = unit_family_basis(n)
         polys = [_numerator_poly(b, lam) for b in basis]
@@ -119,6 +135,8 @@ def test_extremal_is_the_maximal_cancellation_member():
             if len(pivot_cols) == k:
                 break
         assert len(pivot_cols) == k and all(row[k] == 0 for row in leftover), n
+        M = [sum(row[k] * (p[i] if i < len(p) else 0) for row, p in zip(pivot_rows, polys)) for i in range(n + 1)]
+        assert not any(M[:n]) and M[n], n
         A = Enumerator(n, (0,) * (n + 1))
         for row, b in zip(pivot_rows, basis):
             A = A + b.scale(row[k])
@@ -129,8 +147,11 @@ def test_extremal_a2_closed_form():
     assert extremal_A2(5) == -30
     assert extremal_A2(7) == -63
     assert extremal_A2(13) == -234
-    with pytest.raises(ValueError):
-        extremal_A2(9)
+    # lengths without an extremal enumerator fail as extremal_distillation_params does
+    for n, message in ((9, "congruent to \\+-1 mod 6"), (-1, "need odd n >= 5"), (1, "need odd n >= 5")):
+        for f in (extremal_A2, extremal_distillation_params):
+            with pytest.raises(DomainError, match=message):
+                f(n)
 
 
 def test_extremal_divisibility_small_n():
