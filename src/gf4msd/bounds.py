@@ -19,9 +19,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import simplex
-from .distill import _check_length, _map_polys, natural_sign, slack_sign_ok, threshold_slack
+from .distill import _map_polys, natural_sign, slack_sign_ok, threshold_slack
 from .distill import quantum_verdict  # noqa: F401
 from .enumerators import DomainError, Enumerator, signed_eval, signed_poly, transform_xy
+from .enumerators import check_length, is_map_length, is_odd_family_length, is_selfdual_length
 from .exact import Q, integer_row, poly_compose, primitive, rref_steps, series
 from .invariants import num_cprime, unit_family_basis
 from .roots import bernstein_coefficients, poly_nonneg_on
@@ -440,8 +441,7 @@ def distillation_family(n: int, pin_trivial: bool = True) -> AffineFamily:
     pin_trivial additionally fixes d0' = -6 (no weight-1 logical operator)
     and, for n >= 7, c1' = 3(5 - n)/2 (no weight-2 stabilizer).
     """
-    if not is_odd_family_length(n):
-        raise DomainError("need odd n >= 5")
+    check_length(n, is_odd_family_length)
     nc = num_cprime(n)
     units = [_triple(A, 2 ** (n - 1)) for A in unit_family_basis(n)]
     pins = {}  # beside c0' = 1, the base units[0]
@@ -460,8 +460,7 @@ def distillation_family(n: int, pin_trivial: bool = True) -> AffineFamily:
 
 def selfdual_family(n: int) -> AffineFamily:
     """Self-dual family for even n, pinned to c0 = 1; B = A and C = 0."""
-    if not is_selfdual_length(n):
-        raise DomainError("need even n >= 6")
+    check_length(n, is_selfdual_length)
     zero = Enumerator(n, (0,) * (n + 1))
     # the pinned base c0 = 1, then one member per free cj
     members = tuple((A, A, zero) for A in unit_family_basis(n))
@@ -527,18 +526,8 @@ def quantum_rows_selfdual(fam: AffineFamily):
 
 
 def is_nu_length(n: int) -> bool:
-    """Lengths max_nu_bound accepts: n >= 5 with n = +-1 mod 6."""
-    return n >= 5 and n % 6 in (1, 5)
-
-
-def is_odd_family_length(n: int) -> bool:
-    """Lengths of distillation_family and max_distance_bound: odd n >= 5."""
-    return n % 2 == 1 and n >= 5
-
-
-def is_selfdual_length(n: int) -> bool:
-    """Lengths of selfdual_family and its distance bound: even n >= 6."""
-    return n % 2 == 0 and n >= 6
+    """Lengths max_nu_bound accepts: the odd family's with a distillation map."""
+    return is_odd_family_length(n) and is_map_length(n)
 
 
 def _bound(fam: AffineFamily, cuts, eq_rows, sizes, value):
@@ -596,8 +585,7 @@ def max_nu_bound(n: int, quantum: bool = True):
     weight-1 logical, no weight-2 stabilizer) always apply.  Returns
     (classical nu, quantum nu or None, witness, family).
     """
-    if not is_nu_length(n):
-        raise DomainError("n must be at least 5 and congruent to +-1 mod 6")
+    check_length(n, is_odd_family_length, is_map_length)
     sizes = range(n % 3, n + 1, 3)
     fam = distillation_family(n, pin_trivial=True)
     eq_rows = numerator_coefficient_rows(fam, natural_sign(n), n)
@@ -655,7 +643,7 @@ def quantum_filter_distill(fam: AffineFamily):
     choices on affine rows in the point (N(eps_max) = 0 fails), then
     success nonnegativity on the physical interval.  A length n not
     congruent to +-1 mod 6 has no map and raises here."""
-    _check_length(fam.n)
+    check_length(fam.n, is_map_length)
     # positive multiples of N(eps_max) and both slacks: only signs are read
     rows = quantum_rows_distill(fam)[1:]
     success = quantum_filter_selfdual(fam)

@@ -3,14 +3,19 @@
 Subcommands: analyze, search, bounds, extremal, curve, verify, lattice.
 Every subcommand takes --out.  Numeric output defaults to exact rational
 strings; analyze, extremal and curve take --decimal and --precision
-digits, search always prints thresholds as decimals of --precision
+digits (extremal --family distill has no rational field, so there they
+change nothing), search always prints thresholds as decimals of --precision
 digits, and analyze, search and verify, which enumerate codewords, take
 --budget.  bounds makes one driver call per admissible length, which
 builds the family once and decides both columns, the quantum search
 starting at the classical level; --classical-only skips the quantum
 search.  Exit codes: 0 success, 2 parse error or unreadable input file,
 3 domain error (a mathematical inconsistency), 4 enumeration budget
-exceeded; any other error propagates.
+exceeded; any other error propagates.  Each length domain has one
+message: "n = N is not congruent to +-1 mod 6" for the distillation maps,
+"need odd n >= 5" for the odd family and "need even n >= 6" for the
+self-dual family; extremal --family distill needs the first two and
+checks the odd family first.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import sys
 
 from . import bounds, distill, gf4, invariants, oracle
 from .enumerators import DomainError, Enumerator, macwilliams, signed_eval
+from .enumerators import is_map_length, is_odd_family_length, is_selfdual_length
 from .exact import Q, decimal_str, q_to_str
 
 EXIT_OK = 0
@@ -110,7 +116,7 @@ def _analyze_report(code: gf4.Gf4Code, budget: int, out: _Output):
             "nonneg_pure": val >= 0,
             "nonneg_interval": distill.check_success_nonneg(A)[0],
         }
-    if code.n % 2 and code.k == (code.n - 1) // 2 and code.n % 6 in (1, 5):
+    if is_map_length(code.n) and code.k == (code.n - 1) // 2:
         ne, thr_nat, thr_other, best = _sign_thresholds(A)
         verdict = distill.quantum_verdict(A)
         report["distill"] = {
@@ -185,7 +191,7 @@ def cmd_search(args) -> int:
                 "enumerator": key,
                 "source": "%d:%d" % (idx, coord),
             }
-            if short.n % 6 in (1, 5) and short.k == (short.n - 1) // 2 and A.is_even_only():
+            if is_map_length(short.n) and short.k == (short.n - 1) // 2 and A.is_even_only():
                 ne, _, _, best = _sign_thresholds(A)
                 entry["nu"] = ne.nu
                 entry["threshold"] = best
@@ -219,11 +225,8 @@ def cmd_bounds(args) -> int:
     out = _Output(args)
     driver, admissible = {
         "nu": (bounds.max_nu_bound, bounds.is_nu_length),
-        "distance": (bounds.max_distance_bound, bounds.is_odd_family_length),
-        "classical-distance": (
-            bounds.classical_distance_bound_selfdual,
-            bounds.is_selfdual_length,
-        ),
+        "distance": (bounds.max_distance_bound, is_odd_family_length),
+        "classical-distance": (bounds.classical_distance_bound_selfdual, is_selfdual_length),
     }[args.target]
     lines = ["n,bound_classical,bound_quantum,witness"]
     for n in range(args.start, args.stop + 1):

@@ -31,6 +31,8 @@ from .enumerators import (
     DomainError,
     Enumerator,
     alt_odd_eval,
+    check_length,
+    is_map_length,
     odd_poly,
     signed_eval,
     signed_poly,
@@ -58,11 +60,8 @@ class DegenerateMapError(DomainError):
 
 
 def natural_sign(n: int) -> int:
-    if n % 6 == 5:
-        return 1
-    if n % 6 == 1:
-        return -1
-    raise DomainError("n must be congruent to +-1 mod 6")
+    check_length(n, is_map_length)
+    return 1 if n % 6 == 5 else -1
 
 
 @dataclass(frozen=True)
@@ -104,17 +103,12 @@ def _map_polys(A: Enumerator, C: Enumerator, lam) -> tuple:
     return poly_add(n_poly, poly_scale(odd, Q(lam, 3))), n_poly
 
 
-def _check_length(n: int) -> None:
-    if n % 6 not in (1, 5):
-        raise DomainError("n = %d is not congruent to +-1 mod 6" % n)
-
-
 def _logical(A: Enumerator) -> Enumerator:
     """C = B - A after the checks every map and verdict rests on.
 
     A(1, 1) > 0 with A even-only also rules out N = 0 identically.
     """
-    _check_length(A.n)
+    check_length(A.n, is_map_length)
     if not A.is_even_only():
         raise DomainError("stabilizer enumerator must be even-only")
     total = A.total()

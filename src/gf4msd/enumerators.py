@@ -4,6 +4,8 @@ An Enumerator is a homogeneous degree-n bivariate polynomial
 A(x, y) = sum_j A_j x^(n-j) y^j stored by y-degree with exact integer (or,
 during linear-programming work, rational) coefficients.  All operations
 here are pure functions on immutable values; no floating point anywhere.
+It also states the three length domains, each with the one message of
+its DomainError.
 """
 
 from __future__ import annotations
@@ -29,6 +31,35 @@ class ParseError(ValueError):
     def __init__(self, message, line=None):
         self.line = line
         super().__init__(message if line is None else "line %d: %s" % (line, message))
+
+
+def is_map_length(n: int) -> bool:
+    """Lengths with a distillation map: n = +-1 mod 6."""
+    return n % 6 in (1, 5)
+
+
+def is_odd_family_length(n: int) -> bool:
+    """Lengths of the odd invariant family: odd n >= 5."""
+    return n % 2 == 1 and n >= 5
+
+
+def is_selfdual_length(n: int) -> bool:
+    """Lengths of the self-dual family: even n >= 6."""
+    return n % 2 == 0 and n >= 6
+
+
+_LENGTH_MESSAGES = {
+    is_map_length: "n = {n} is not congruent to +-1 mod 6",
+    is_odd_family_length: "need odd n >= 5",
+    is_selfdual_length: "need even n >= 6",
+}
+
+
+def check_length(n: int, *domains) -> None:
+    """Raise the DomainError of the first of the length domains that n is outside."""
+    for domain in domains:
+        if not domain(n):
+            raise DomainError(_LENGTH_MESSAGES[domain].format(n=n))
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")

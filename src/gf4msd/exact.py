@@ -107,10 +107,6 @@ def poly_sub(p, q_) -> tuple:
     return poly((p[i] if i < len(p) else 0) - (q_[i] if i < len(q_) else 0) for i in range(n))
 
 
-def poly_neg(p) -> tuple:
-    return tuple(-a for a in p)
-
-
 def poly_scale(p, s) -> tuple:
     if s == 0:
         return ZERO_POLY

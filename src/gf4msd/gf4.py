@@ -52,14 +52,6 @@ class NotM3CodeError(DomainError):
     pass
 
 
-def gf4_mul(a: int, b: int) -> int:
-    return MUL[a][b]
-
-
-def gf4_conj(a: int) -> int:
-    return CONJ[a]
-
-
 def vec_add(u, v):
     return tuple(a ^ b for a, b in zip(u, v))
 

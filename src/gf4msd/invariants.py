@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumerators import DomainError, Enumerator
+from .enumerators import DomainError, Enumerator, check_length, is_map_length, is_odd_family_length, is_selfdual_length
 from .exact import (
     Q,
     binom,
@@ -168,14 +168,6 @@ def _linsolve(mat, rhs):
     return [row[-1] for row in pivot_rows]
 
 
-def _check_extremal_length(n: int) -> None:
-    """The lengths with an extremal distillation enumerator: odd n >= 5, n = +-1 mod 6."""
-    if n % 6 not in (1, 5):
-        raise DomainError("n must be congruent to +-1 mod 6")
-    if n < 5:
-        raise DomainError("need odd n >= 5")
-
-
 def extremal_distillation_params(n: int) -> InvariantParams:
     """Parameters cancelling the maximal number of phi-powers for odd n = +-1 mod 6.
 
@@ -183,20 +175,24 @@ def extremal_distillation_params(n: int) -> InvariantParams:
     S~2 = sum_j d_{nd-1-j} phi^j (nd = num_dprime(n)) and (P, R) = (1, (4/9) H)
     for n = 6m+5 or (H, -4/9) for n = 6m+1, held as {power: coefficient}.  Its
     first m + nd coefficients vanish for one choice of c_1..c_m, d_0..d_{nd-1}
-    given c_0 = 2^(n-1), which is then pulled back to (c', d').
+    given c_0 = 2^(n-1), which is then pulled back to (c', d').  One of P and R
+    is a constant v, so the u unknowns beside it meet rows 0..u-1 alone: the
+    remaining rows are a square system in the other side's unknowns, and each
+    unit unknown then takes one division by v.
     """
-    _check_extremal_length(n)
+    check_length(n, is_odd_family_length, is_map_length)
     m, nd = num_cprime(n) - 1, num_dprime(n)
     H = dict(enumerate(h_series(m + nd - 1).coeffs))
     P, R = ({0: 1}, {t: Q(4, 9) * h for t, h in H.items()}) if n % 6 == 5 else (H, {0: Q(-4, 9)})
-    # unknowns c_1..c_m, d_0..d_{nd-1}; column (s, j) multiplies s phi^j; row t is phi^t
-    cols = [(P, m - i) for i in range(1, m + 1)] + [(R, nd - 1 - k) for k in range(nd)]
-    rows = range(m + nd)
     c0 = Q(2) ** (n - 1)
-    mat = [[s.get(t - j, 0) for s, j in cols] for t in rows]
-    sol = _linsolve(mat, [-c0 * P.get(t - m, 0) for t in rows])
-    cp = tuple(_unscaled(n, j, cj, 1) for j, cj in enumerate([c0] + sol[:m]))
-    dp = tuple(_unscaled(n, j, dj, 5) for j, dj in enumerate(sol[m:]))
+    rhs = [-c0 * P.get(t - m, 0) for t in range(m + nd)]  # row t is phi^t
+    # each side's unknowns by their power of phi: c_m..c_1 beside P, d_{nd-1}..d_0 beside R
+    (unit, u), (other, k) = ((P, m), (R, nd)) if len(P) == 1 else ((R, nd), (P, m))
+    y = _linsolve([[other.get(t - j, 0) for j in range(k)] for t in range(u, u + k)], rhs[u:])
+    x = [(rhs[t] - sum(other.get(t - j, 0) * yj for j, yj in enumerate(y))) / unit[0] for t in range(u)]
+    cs, ds = (x, y) if unit is P else (y, x)
+    cp = tuple(_unscaled(n, j, cj, 1) for j, cj in enumerate([c0] + cs[::-1]))
+    dp = tuple(_unscaled(n, j, dj, 5) for j, dj in enumerate(ds[::-1]))
     return InvariantParams(n, cp, dp)
 
 
@@ -206,7 +202,7 @@ def extremal_distillation_enumerator(n: int) -> Enumerator:
 
 def extremal_A2(n: int) -> int:
     """A_2 of the extremal distillation enumerator: -3 C(n, 2), always < 0."""
-    _check_extremal_length(n)
+    check_length(n, is_odd_family_length, is_map_length)
     return -3 * binom(n, 2)
 
 
@@ -216,8 +212,7 @@ def selfdual_extremal_params(n: int) -> SelfDualParams:
     c_j = (n / 2j) sum_r (-3)^(r+1) binom(n/2 - 3j + r, r) binom(3j - r - 2, j - r - 1)
     forces A_2 = A_4 = ... to vanish up to the extremal distance.
     """
-    if n % 2 or n < 6:
-        raise DomainError("n must be even and at least 6")
+    check_length(n, is_selfdual_length)
     cs = [Q(1)]
     for j in range(1, n // 6 + 1):
         s = Q(0)

@@ -71,12 +71,6 @@ def _variations(chain, x) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def count_roots(p, a, b) -> int:
-    """Distinct real roots of p in the half-open interval (a, b]."""
-    chain = sturm_chain(p)
-    return _variations(chain, Q(a)) - _variations(chain, Q(b))
-
-
 def _cells(chain, a, b):
     """Yield bisection cells (lo, hi] of (a, b] in increasing order, one distinct root each."""
 

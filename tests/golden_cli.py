@@ -15,8 +15,11 @@ shipped database and a seeded one; ``curve`` on the enumerators of seeded
 maximal codes.  Seeded files come from fixed seeds and go to a temporary
 directory, printed as ``$TMP``; paths in the checkout print relative to
 its root.  Running it on two checkouts and diffing the outputs shows
-whether a change keeps every byte of the CLI.  The commands run in
-process through ``cli.main``, in about five seconds on a 2-core machine.
+whether a change keeps every byte of the CLI; ``tests/golden_cli.txt``
+holds the recorded output, which ``tests/test_cli.py`` compares line by
+line.  A deliberate change of CLI output re-records that file.  The
+commands run in process through ``cli.main``, in about five seconds on a
+2-core machine.
 """
 
 from __future__ import annotations
@@ -96,12 +99,18 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def main_golden():
+def golden_lines():
+    """Yield the line of each command of the golden set, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         for argv in commands(tmp):
             out, code, err = run(argv)
             shown = " ".join(argv).replace(tmp, "$TMP").replace(ROOT + os.sep, "")
-            print("%s %s %s %s" % (_sha(out), code, _sha(err), shown), flush=True)
+            yield "%s %s %s %s" % (_sha(out), code, _sha(err), shown)
+
+
+def main_golden():
+    for line in golden_lines():
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ import pathlib
 import random
 
 import pytest
-from golden_cli import commands
+from golden_cli import commands, golden_lines
 
 from gf4msd import bounds
 from gf4msd.cli import build_parser, main
@@ -246,8 +246,8 @@ def test_curve_class_mismatch(tmp_path):
 # argument checks reachable from CLI input: exit 3 with these messages,
 # recorded before the CLI caught only domain errors
 DOMAIN_ERRORS = [
-    (("extremal", "--n", "9", "--family", "distill"), "n must be congruent to +-1 mod 6"),
-    (("extremal", "--n", "7", "--family", "selfdual"), "n must be even and at least 6"),
+    (("extremal", "--n", "9", "--family", "distill"), "n = 9 is not congruent to +-1 mod 6"),
+    (("extremal", "--n", "7", "--family", "selfdual"), "need even n >= 6"),
     (("extremal", "--n", "-1", "--family", "distill"), "need odd n >= 5"),
     (("lattice", "--n", "3"), "need odd n >= 5"),
     (("lattice", "--n", "4"), "need even n >= 6"),
@@ -461,6 +461,15 @@ def test_golden_cli_commands_parse(tmp_path):
     assert len(argvs) == 84
     for argv in argvs:
         build_parser().parse_args(argv)
+
+
+def test_golden_cli_set_unchanged():
+    # every line of tests/golden_cli.py against its recorded output
+    expected = (pathlib.Path(__file__).parent / "golden_cli.txt").read_text().splitlines()
+    got = list(golden_lines())
+    assert len(got) == len(expected) == 84
+    for line, want in zip(got, expected):
+        assert line == want
 
 
 def test_search_golden_digest(capsys, codes_dir):

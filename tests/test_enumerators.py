@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gf4msd import bounds, distill, invariants
 from gf4msd.enumerators import (
+    DomainError,
     Enumerator,
     MacWilliamsError,
     alt_odd_eval,
@@ -190,3 +192,42 @@ def test_serialization():
     assert again == FIVE_A
     frac = Enumerator(1, (Q(1, 2), 1))
     assert Enumerator.from_json(frac.to_json()) == frac
+
+
+# The length domains: for each entry point, the message of the first domain
+# that n falls outside, per n of LENGTHS; None where n is inside them all.
+ODD, EVEN = "need odd n >= 5", "need even n >= 6"
+MAP = "n = {n} is not congruent to +-1 mod 6"
+LENGTHS = (-1, 1, 3, 4, 9, 15)
+ODD_THEN_MAP = (ODD, ODD, ODD, ODD, MAP, MAP)
+DOMAIN_CASES = {
+    "distillation_family": (bounds.distillation_family, (ODD, ODD, ODD, ODD, None, None)),
+    "max_distance_bound": (bounds.max_distance_bound, (ODD, ODD, ODD, ODD, None, None)),
+    "max_nu_bound": (bounds.max_nu_bound, ODD_THEN_MAP),
+    "extremal_distillation_params": (invariants.extremal_distillation_params, ODD_THEN_MAP),
+    "extremal_A2": (invariants.extremal_A2, ODD_THEN_MAP),
+    "natural_sign": (distill.natural_sign, (None, None, MAP, MAP, MAP, MAP)),
+    "quantum_filter_distill": (
+        lambda n: bounds.quantum_filter_distill(bounds.distillation_family(n, pin_trivial=False)),
+        ODD_THEN_MAP,
+    ),
+    "selfdual_family": (bounds.selfdual_family, (EVEN,) * 6),
+    "selfdual_extremal_params": (invariants.selfdual_extremal_params, (EVEN,) * 6),
+    "classical_distance_bound_selfdual": (bounds.classical_distance_bound_selfdual, (EVEN,) * 6),
+    "lattice_search": (bounds.lattice_search, (ODD, ODD, ODD, EVEN, None, None)),
+    "lattice_search_quantum": (lambda n: bounds.lattice_search(n, use_quantum=True), (ODD, ODD, ODD, EVEN, MAP, MAP)),
+}
+
+
+@pytest.mark.parametrize("name", DOMAIN_CASES)
+def test_length_domain_messages(name):
+    func, expected = DOMAIN_CASES[name]
+    messages = {ODD, EVEN} | {MAP.format(n=n) for n in LENGTHS}
+    for n, message in zip(LENGTHS, expected):
+        try:
+            func(n)
+            got = None
+        except DomainError as exc:
+            # lattice_search(15) fails later, on the lattice dimension
+            got = str(exc) if str(exc) in messages else None
+        assert got == (message and message.format(n=n)), (name, n)

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from gf4msd import gf4
 from gf4msd.gf4 import (
+    CONJ,
+    MUL,
     BudgetExceededError,
     Gf4Code,
     NotM3CodeError,
     ParseError,
     SignedPauli,
     enumerate_codewords,
-    gf4_conj,
-    gf4_mul,
     hermitian_dual,
     hermitian_ip,
     is_self_dual,
@@ -41,13 +41,17 @@ HEXA = Gf4Code.from_strings(["1001ww", "010w1w", "001ww1"])
 
 def test_field_relations():
     w, w2 = 2, 3
-    assert gf4_mul(w, w) == w2          # w^2 = w + 1
+    assert MUL[w][w] == w2              # w^2 = w + 1
     assert w ^ 1 == w2                  # addition is bitwise
-    assert gf4_mul(w, w2) == 1          # w^3 = 1
-    assert gf4_conj(w) == w2 and gf4_conj(w2) == w
+    assert MUL[w][w2] == 1              # w^3 = 1
+    assert CONJ[w] == w2 and CONJ[w2] == w
     for a in range(4):
+        assert CONJ[a] == MUL[a][a]     # conjugation is squaring
         for b in range(4):
-            assert gf4_mul(a, b) == gf4_mul(b, a)
+            assert MUL[a][b] == MUL[b][a]
+    for a, b, c in itertools.product(range(4), repeat=3):
+        assert MUL[MUL[a][b]][c] == MUL[a][MUL[b][c]]
+        assert MUL[a][b ^ c] == MUL[a][b] ^ MUL[a][c]
 
 
 def test_code_validation():
