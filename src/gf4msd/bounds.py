@@ -408,7 +408,6 @@ class AffineFamily:
     """Affine map from free parameters to (A, B, C) enumerator triples."""
 
     n: int
-    kind: str  # "distill" | "selfdual"
     names: tuple
     members: tuple  # (A, B, C) for the pinned base, then one per parameter
 
@@ -423,11 +422,11 @@ class AffineFamily:
                 A = A + Ai.scale(Q(v))
         return A
 
-    def row(self, func, sense, rhs=Q(0)) -> LinConstraint:
-        """Constraint func(A,B,C) <sense> rhs, with func linear memberwise."""
+    def row(self, func, sense) -> LinConstraint:
+        """Constraint func(A,B,C) <sense> 0, with func linear memberwise."""
         base = func(*self.members[0])
         coeffs = tuple(func(*m) for m in self.members[1:])
-        return LinConstraint(coeffs, sense, Q(rhs) - base)
+        return LinConstraint(coeffs, sense, -base)
 
 
 def _triple(A: Enumerator, divisor) -> tuple:
@@ -455,7 +454,7 @@ def distillation_family(n: int, pin_trivial: bool = True) -> AffineFamily:
     free = [i for i in range(1, len(units)) if i not in pins]
     names = tuple("c%d" % i if i < nc else "d%d" % (i - nc) for i in free)
     members = ((A, B, B - A),) + tuple(units[i] for i in free)
-    return AffineFamily(n, "distill", names, members)
+    return AffineFamily(n, names, members)
 
 
 def selfdual_family(n: int) -> AffineFamily:
@@ -465,7 +464,7 @@ def selfdual_family(n: int) -> AffineFamily:
     # the pinned base c0 = 1, then one member per free cj
     members = tuple((A, A, zero) for A in unit_family_basis(n))
     names = tuple("c%d" % j for j in range(1, len(members)))
-    return AffineFamily(n, "selfdual", names, members)
+    return AffineFamily(n, names, members)
 
 
 # linear functionals over (A, B, C)
@@ -488,9 +487,9 @@ def numerator_coefficient_rows(fam: AffineFamily, lam: int, count: int):
 
 
 def classical_rows(fam: AffineFamily):
-    """Nonnegativity of every dual (distill) or own (selfdual) coefficient."""
-    which = "B" if fam.kind == "distill" else "A"
-    return [fam.row(_coeff(which, j), ">=") for j in range(1, fam.n + 1)]
+    """Nonnegativity of every dual coefficient; the self-dual family has
+    B = A, so there they are its own."""
+    return [fam.row(_coeff("B", j), ">=") for j in range(1, fam.n + 1)]
 
 
 def quantum_rows_distill(fam: AffineFamily):
@@ -623,9 +622,9 @@ def classical_distance_bound_selfdual(n: int, quantum: bool = True):
 
 def integral_lattice(fam: AffineFamily) -> LatticeSpec:
     """Per-variable moduli making every tracked coefficient an integer
-    divisible by three (diagonal translation of the congruences)."""
-    which = 1 if fam.kind == "distill" else 0
-    base = fam.members[0][which]
+    divisible by three (diagonal translation of the congruences): those of
+    B, which is A in the self-dual family."""
+    base = fam.members[0][1]
     for j in range(1, fam.n + 1):
         v = Q(base.coeffs[j])
         if v.denominator != 1 or v.numerator % 3:
@@ -633,7 +632,7 @@ def integral_lattice(fam: AffineFamily) -> LatticeSpec:
     moduli = []
     for member in fam.members[1:]:
         # the smallest m > 0 with m c in 3Z is 3 den(c) / gcd(num(c), 3)
-        coeffs = [Q(c) for c in member[which].coeffs[1 : fam.n + 1]]
+        coeffs = [Q(c) for c in member[1].coeffs[1 : fam.n + 1]]
         moduli.append(lcm(*(3 * c.denominator // gcd(c.numerator, 3) for c in coeffs)))
     return LatticeSpec(tuple(moduli))
 

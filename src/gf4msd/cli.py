@@ -21,6 +21,7 @@ checks the odd family first.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 
@@ -176,21 +177,17 @@ def cmd_search(args) -> int:
     budget = _budget(args)
     codes = gf4.parse_database(_read(args.file))
     baseline = _baseline_interval()
-    seen = {}
+    seen = set()
     rows = []
-    for idx, code in enumerate(codes):
+    for code in codes:
         for coord in range(code.n):
             short = gf4.shorten(code, coord)
             A = gf4.weight_enumerator(short, budget)
             key = A.canonical_key()
             if key in seen:
                 continue
-            seen[key] = True
-            entry = {
-                "n": short.n,
-                "enumerator": key,
-                "source": "%d:%d" % (idx, coord),
-            }
+            seen.add(key)
+            entry = {"n": short.n, "enumerator": key}
             if is_map_length(short.n) and short.k == (short.n - 1) // 2 and A.is_even_only():
                 ne, _, _, best = _sign_thresholds(A)
                 entry["nu"] = ne.nu
@@ -205,8 +202,6 @@ def cmd_search(args) -> int:
 
     rows.sort(key=sort_key)
     lines = ["n,enumerator_hash,threshold,nu,beats_baseline"]
-    import hashlib
-
     for e in rows:
         rep = e.get("threshold")
         if rep is not None and rep.status == "ok":

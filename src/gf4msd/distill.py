@@ -170,12 +170,15 @@ class ThresholdReport:
         return decimal_str((self.low + self.high) / 2, digits)
 
 
-def threshold(dmap: DistillMap, width=Q(1, 10**12)) -> ThresholdReport:
+THRESHOLD_WIDTH = Q(1, 10**12)  # width of the refined bracketing interval
+
+
+def threshold(dmap: DistillMap) -> ThresholdReport:
     """Smallest fixed point of the map in (0, 1/2), isolated exactly.
 
     The bracketing interval holds the smallest root of p = M - 2 eps N in
     (0, 1/2) strictly inside (or is a single exact rational root) and is
-    refined to the requested width.  The stability flag checks
+    refined to THRESHOLD_WIDTH.  The stability flag checks
     eps_out < eps just below.
     """
     p_full = dmap.fixed_point_poly()
@@ -191,7 +194,7 @@ def threshold(dmap: DistillMap, width=Q(1, 10**12)) -> ThresholdReport:
     cell = next(_cells(chain, 0, half), None)
     if cell is None:
         return ThresholdReport("no_threshold")
-    lo, hi = _refine(chain[0], *cell, width)
+    lo, hi = _refine(chain[0], *cell, THRESHOLD_WIDTH)
     # stability: sign of eps_out - eps at a point between 0 and the root
     probe = lo / 2 if lo > 0 else lo
     pm = poly_eval(p_full, probe)

@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from .exact import Q, as_int_if_possible, integer_row, q_from_str, q_to_str, scaled_horner
+from .exact import Q, as_int_if_possible, integer_row, poly_eval, q_from_str, q_to_str
 
 
 class DomainError(ValueError):
@@ -105,7 +105,7 @@ class Enumerator:
     def is_integral(self) -> bool:
         return all(isinstance(a, int) for a in self.coeffs)
 
-    def pretty(self, var: str = "y") -> str:
+    def pretty(self) -> str:
         terms = []
         for j, a in enumerate(self.coeffs):
             if not a:
@@ -113,9 +113,9 @@ class Enumerator:
             if j == 0:
                 terms.append(q_to_str(a))
             elif j == 1:
-                terms.append("%s%s" % ("" if a == 1 else q_to_str(a), var))
+                terms.append("%sy" % ("" if a == 1 else q_to_str(a)))
             else:
-                terms.append("%s%s^%d" % ("" if a == 1 else q_to_str(a), var, j))
+                terms.append("%sy^%d" % ("" if a == 1 else q_to_str(a), j))
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
     def canonical_key(self) -> str:
@@ -221,15 +221,9 @@ def odd_poly(C: Enumerator) -> tuple:
     return tuple((-1) ** j * C.coeffs[2 * j + 1] for j in range((C.n + 1) // 2))
 
 
-def _eval(p, x) -> Fraction:
-    """p(x), exact by integer Horner over the common denominator."""
-    ints, den = integer_row(p)
-    return Q(scaled_horner(ints, x), den * x.denominator ** max(len(p) - 1, 0))
-
-
 def signed_eval(A: Enumerator, rbar2) -> Fraction:
     """A(1, i rbar) = sum_j A_{2j} (-rbar^2)^j, exact in rbar^2."""
-    return _eval(signed_poly(A), rbar2 if isinstance(rbar2, (int, Fraction)) else Q(rbar2))
+    return poly_eval(signed_poly(A), rbar2 if isinstance(rbar2, (int, Fraction)) else Q(rbar2))
 
 
 def alt_odd_eval(C: Enumerator, t) -> Fraction:
@@ -238,4 +232,4 @@ def alt_odd_eval(C: Enumerator, t) -> Fraction:
     Requires all even coefficients to vanish (logical part only).
     """
     p, t = odd_poly(C), Q(t)
-    return t * _eval(p, t * t)
+    return t * poly_eval(p, t * t)

@@ -133,11 +133,11 @@ def poly_pow(p, e: int) -> tuple:
     return out
 
 
-def poly_eval(p, x):
-    acc = 0
-    for a in reversed(p):
-        acc = acc * x + a
-    return acc
+def poly_eval(p, x) -> Fraction:
+    """p(x) for an int or Fraction x, exact by integer Horner over the
+    common denominator of the coefficients."""
+    ints, den = integer_row(p)
+    return Q(scaled_horner(ints, x), den * x.denominator ** max(len(p) - 1, 0))
 
 
 def scaled_horner(p, x) -> int:

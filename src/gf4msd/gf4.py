@@ -12,6 +12,12 @@ z holds letters 2 and 3 (Z, Y), entry 0 is the most significant bit, and a
 length-n word is the one int (x << n) | z.  Addition is XOR of the packed
 ints, and multiplying by w maps (x, z) to (z, x ^ z).
 
+`rref` is the one elimination over GF(4).  `nullspace`, and so the
+Hermitian dual, reads its pivots; `Gf4Code.contains` clears a word with
+the same reduction step against the stored rref; `shorten` is the rref of
+the generators with the shortened column moved to the front; and the random
+grower rejects dependent candidates with `contains`.
+
 All types are immutable after construction and safe to share across
 threads.  Codeword enumeration is a deterministic stream: every codeword
 is the XOR of one head, a combination of the first k - 6 generators, with
@@ -72,6 +78,16 @@ def hermitian_ip(u, v) -> int:
     return acc
 
 
+def _eliminate(r, pivots):
+    """r minus the multiples of the pivot rows that clear it at their columns;
+    pivots are (column, row) pairs, each row 1 at its own column and 0 at
+    the others', so the order of the pairs does not matter."""
+    for c, p in pivots:
+        if r[c]:
+            r = vec_add(r, vec_scale(r[c], p))
+    return r
+
+
 def rref(rows, n):
     """Reduced row echelon form over GF(4), pivoting in the first n columns,
     by one pass of Gauss-Jordan elimination; returns (rows, pivot_columns),
@@ -79,17 +95,13 @@ def rref(rows, n):
     it does not depend on the order of the rows."""
     pivots = {}  # column -> row, 1 there and 0 at every other pivot column
     for r in rows:
-        r = tuple(r)
-        for c, p in pivots.items():
-            if r[c]:
-                r = vec_add(r, vec_scale(r[c], p))
+        r = _eliminate(tuple(r), pivots.items())
         col = next((c for c in range(n) if r[c]), None)
         if col is None:
             continue
-        r = vec_scale(_inv(r[col]), r)
+        r = vec_scale(CONJ[r[col]], r)  # a^3 = 1, so 1/a = a^2 = conj(a)
         for c, p in pivots.items():
-            if p[col]:
-                pivots[c] = vec_add(p, vec_scale(p[col], r))
+            pivots[c] = _eliminate(p, ((col, r),))
         pivots[col] = r
     cols = sorted(pivots)
     return [pivots[c] for c in cols], cols
@@ -152,13 +164,7 @@ class Gf4Code:
 
     def contains(self, v) -> bool:
         red, pivots = self._rref
-        v = list(v)
-        for row, pc in zip(red, pivots):
-            if v[pc]:
-                s = v[pc]
-                for i in range(self.n):
-                    v[i] ^= MUL[s][row[i]]
-        return not any(v)
+        return not any(_eliminate(v, zip(pivots, red)))
 
     def to_text(self) -> str:
         lines = ["%d %d" % (self.n, self.k)]
@@ -279,26 +285,17 @@ def weight_enumerator(code: Gf4Code, budget: int = DEFAULT_BUDGET) -> Enumerator
 
 
 def shorten(code: Gf4Code, coord: int) -> Gf4Code:
-    """Codewords vanishing at `coord`, with that coordinate deleted."""
+    """Codewords vanishing at `coord`, with that coordinate deleted.
+
+    The rref of the generators with column `coord` moved to the front has at
+    most one row nonzero there, the one pivoting at it; the other rows span
+    the codewords that vanish at `coord`.
+    """
     if not 0 <= coord < code.n:
         raise IndexError("coordinate out of range")
-    gens = list(code.generators)
-    pivot = None
-    for i, g in enumerate(gens):
-        if g[coord]:
-            pivot = gens.pop(i)
-            break
-    if pivot is not None:
-        gens = [vec_add(g, vec_scale(MUL[g[coord]][_inv(pivot[coord])], pivot)) if g[coord] else g for g in gens]
-    short = [g[:coord] + g[coord + 1 :] for g in gens]
-    short = [g for g in short if any(g)]
-    return Gf4Code(code.n - 1, tuple(short))
-
-
-def _inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError
-    return 1 if a == 1 else CONJ[a]
+    moved = [(g[coord],) + g[:coord] + g[coord + 1 :] for g in code.generators]
+    red, pivots = rref(moved, code.n)
+    return Gf4Code(code.n - 1, tuple(r[1:] for r, c in zip(red, pivots) if c))
 
 
 @dataclass(frozen=True)
@@ -413,32 +410,26 @@ def parse_database(text: str):
 def random_self_orthogonal_code(rng, n: int, target_k: int | None = None) -> Gf4Code:
     """Grow a random Hermitian self-orthogonal code of length n.
 
-    Stops at target_k generators (default: a random achievable size).
+    Stops at target_k generators (default: a random achievable size), or
+    after 400 draws.  Each draw is a random combination of the generators of
+    the Hermitian dual of the code grown so far, so it is orthogonal to every
+    generator; it is kept if it has even weight, which over GF(4) makes it
+    orthogonal to itself (<u, u> = wt(u) mod 2), and lies outside the code.
     """
     if target_k is None:
         target_k = rng.randint(0, n // 2)
-    gens: list = []
+    code = zero_code(n)
+    dual = hermitian_dual(code)
     attempts = 0
-    while len(gens) < target_k and attempts < 400:
+    while code.k < target_k and attempts < 400:
         attempts += 1
-        dual = hermitian_dual(Gf4Code(n, tuple(gens))) if gens else None
-        if dual is None:
-            cand = tuple(rng.randrange(4) for _ in range(n))
-        else:
-            coeffs = [rng.randrange(4) for _ in dual.generators]
-            cand = (0,) * n
-            for s, g in zip(coeffs, dual.generators):
-                cand = vec_add(cand, vec_scale(s, g))
-        if not any(cand) or weight(cand) % 2:
+        coeffs = [rng.randrange(4) for _ in dual.generators]
+        cand = functools.reduce(vec_add, map(vec_scale, coeffs, dual.generators), (0,) * n)
+        if weight(cand) % 2 or code.contains(cand):
             continue
-        trial = gens + [cand]
-        try:
-            code = Gf4Code(n, tuple(trial))
-        except ValueError:
-            continue
-        if is_self_orthogonal(code):
-            gens = trial
-    return Gf4Code(n, tuple(gens))
+        code = Gf4Code(n, code.generators + (cand,))
+        dual = hermitian_dual(code)
+    return code
 
 
 def random_maximal_self_orthogonal_code(rng, n: int) -> Gf4Code:

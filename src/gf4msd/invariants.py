@@ -57,7 +57,7 @@ class InvariantParams:
 
     def __post_init__(self):
         if self.n % 2 == 0:
-            raise ValueError("n must be odd")
+            raise DomainError("n must be odd")
         object.__setattr__(self, "cprime", tuple(Q(x) for x in self.cprime))
         object.__setattr__(self, "dprime", tuple(Q(x) for x in self.dprime))
         if len(self.cprime) != num_cprime(self.n):
@@ -75,7 +75,7 @@ class SelfDualParams:
 
     def __post_init__(self):
         if self.n % 2:
-            raise ValueError("n must be even")
+            raise DomainError("n must be even")
         object.__setattr__(self, "c", tuple(Q(x) for x in self.c))
         if len(self.c) != self.n // 6 + 1:
             raise ValueError("expected %d coefficients" % (self.n // 6 + 1))
@@ -136,7 +136,7 @@ def params_from_enumerator(A: Enumerator) -> InvariantParams:
     """Invert expand_family exactly; raises if A is outside the family span."""
     n = A.n
     if n % 2 == 0:
-        raise ValueError("n must be odd")
+        raise DomainError("n must be odd")
     basis = unit_family_basis(n)
     # the (n+1) x len(basis) overdetermined system, rhs carried after it
     mat = [[b.coeffs[j] for b in basis] + [A.coeffs[j]] for j in range(n + 1)]

@@ -5,14 +5,16 @@ Run from any directory:
     python3 tests/golden_cli.py > golden.txt
 
 It prints one line per command, ``sha256(stdout) exit sha256(stderr)
-argv``, for 84 commands: ``bounds`` for every target over a fixed range,
+argv``, for 85 commands: ``bounds`` for every target over a fixed range,
 with and without ``--classical-only``; ``lattice`` for n = 5..14, 16, 17,
 with and without ``--quantum``; ``extremal`` for every n = +-1 (mod 6) in
 5..71 (``distill``) and n = 12, 24, ..., 96 (``selfdual``); ``analyze``
 (plain and ``--decimal``) and ``verify`` on the four shipped codes;
 ``analyze`` on seeded maximal self-orthogonal codes; ``search`` on the
 shipped database and a seeded one; ``curve`` on the enumerators of seeded
-maximal codes.  Seeded files come from fixed seeds and go to a temporary
+maximal codes; ``search`` on a seeded maximal code with an all-zero
+coordinate inserted, so one shortening deletes a column no generator
+touches.  Seeded files come from fixed seeds and go to a temporary
 directory, printed as ``$TMP``; paths in the checkout print relative to
 its root.  Running it on two checkouts and diffing the outputs shows
 whether a change keeps every byte of the CLI; ``tests/golden_cli.txt``
@@ -46,6 +48,7 @@ LATTICE = (*range(5, 15), 16, 17)
 ANALYZE_SEEDED = (7, 11, 13, 17, 19)
 SEARCH_SEEDED = 14
 CURVE_SEEDED = (5, 7, 11, 13)
+ZERO_COORD_SEEDED = (11, 5)  # length of the maximal code, place of the zero column
 
 
 def _write(tmp, name, text):
@@ -81,6 +84,10 @@ def commands(tmp):
         code = gf4.random_maximal_self_orthogonal_code(random.Random(100 + n), n)
         text = gf4.weight_enumerator(code).to_json()
         cmds.append(["curve", _write(tmp, "enumerator%d.json" % n, text)])
+    n, at = ZERO_COORD_SEEDED
+    code = gf4.random_maximal_self_orthogonal_code(random.Random(200 + n), n)
+    padded = gf4.Gf4Code(n + 1, tuple(g[:at] + (0,) + g[at:] for g in code.generators))
+    cmds.append(["search", _write(tmp, "zerocoord%d.g4cdb" % (n + 1), padded.to_text())])
     return cmds
 
 

@@ -530,7 +530,7 @@ def _selfdual_members(polys):
         A = Enumerator.from_pairs(n, {2 * j: (-1) ** j * c for j, c in enumerate(p)})
         assert signed_poly(A)[: len(p)] == tuple(p)
         members.append((A, A, zero))
-    return AffineFamily(n, "selfdual", tuple("c%d" % i for i in range(1, len(polys))), tuple(members))
+    return AffineFamily(n, tuple("c%d" % i for i in range(1, len(polys))), tuple(members))
 
 
 _ROOT = st.fractions(min_value=0, max_value=Q(1, 3), max_denominator=40)

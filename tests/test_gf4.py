@@ -216,6 +216,13 @@ def test_rref_against_brute_force_span(case):
     shuffled = list(rows)
     rng.shuffle(shuffled)
     assert rref(shuffled, n) == (red, pivots)
+    # membership by the stored rref agrees with the brute-force span
+    span = _span(rows, n)
+    words = [tuple(r) for r in rows] + [tuple(rng.randrange(4) for _ in range(n)) for _ in range(6)]
+    words += rng.sample(sorted(span), min(len(span), 3))
+    code = Gf4Code(n, tuple(red))
+    for v in words:
+        assert code.contains(v) == (v in span)
 
 
 def test_vec_helpers():

@@ -216,6 +216,16 @@ def test_params_from_enumerator_rejects_outside_span():
         params_from_enumerator(bad)
 
 
+def test_family_parity_is_a_domain_error():
+    # a length of the wrong parity is a mathematical domain error, not a bug
+    with pytest.raises(DomainError, match="n must be odd"):
+        params_from_enumerator(Enumerator.from_pairs(6, {0: 1, 2: 45}))
+    with pytest.raises(DomainError, match="n must be odd"):
+        InvariantParams(6, (1,), ())
+    with pytest.raises(DomainError, match="n must be even"):
+        SelfDualParams(5, (1,))
+
+
 def test_params_from_enumerator_rejects_degenerate_basis(monkeypatch):
     from gf4msd import invariants
 

@@ -8,7 +8,7 @@ from corpus import random_codes, random_family_params, random_maximal_codes, sam
 from gf4msd.distill import build_map, check_success_nonneg, noise_exponent
 from gf4msd.enumerators import macwilliams, signed_eval, transform_xy
 from gf4msd.exact import poly_mul, poly_pow, series_compose, series_inv, series_mul
-from gf4msd.gf4 import enumerate_codewords, hermitian_dual, shorten, unpack, weight_enumerator
+from gf4msd.gf4 import Gf4Code, enumerate_codewords, hermitian_dual, shorten, unpack, weight_enumerator
 from gf4msd.invariants import expand_family, h_series, params_from_enumerator
 
 CODES = random_codes()
@@ -68,6 +68,19 @@ def test_shortening_monotonicity():
         for w in enumerate_codewords(s):
             w = unpack(s.n, w)
             assert code.contains(w[:coord] + (0,) + w[coord:])
+
+
+def test_shortening_has_every_codeword_vanishing_there():
+    # 4^k of the shortening at c counts the parent's codewords zero at c,
+    # also at a coordinate no generator touches
+    padded = Gf4Code(8, tuple(g[:3] + (0,) + g[3:] for g in MAXIMAL[0].generators))
+    assert padded.n == 8 and padded.k == 3
+    for code in CODES + [padded]:
+        mask = (1 << code.n) - 1
+        supports = [(w >> code.n | w) & mask for w in enumerate_codewords(code)]
+        for c in range(code.n):
+            vanishing = sum(1 for s in supports if not s >> (code.n - 1 - c) & 1)
+            assert 4 ** shorten(code, c).k == vanishing, (code, c)
 
 
 def test_maximal_codes_have_full_weight_logical():
