@@ -15,8 +15,8 @@ ints, and multiplying by w maps (x, z) to (z, x ^ z).
 `rref` is the one elimination over GF(4).  `nullspace`, and so the
 Hermitian dual, reads its pivots; `Gf4Code.contains` clears a word with
 the same reduction step against the stored rref; `shorten` is the rref of
-the generators with the shortened column moved to the front; and the random
-grower rejects dependent candidates with `contains`.
+the stored rref's rows with the shortened column moved to the front; and the
+random grower rejects dependent candidates with `contains`.
 
 All types are immutable after construction and safe to share across
 threads.  Codeword enumeration is a deterministic stream: every codeword
@@ -63,6 +63,8 @@ def vec_add(u, v):
 
 
 def vec_scale(s, v):
+    if s == 1:
+        return v
     row = MUL[s]
     return tuple(row[a] for a in v)
 
@@ -289,11 +291,12 @@ def shorten(code: Gf4Code, coord: int) -> Gf4Code:
 
     The rref of the generators with column `coord` moved to the front has at
     most one row nonzero there, the one pivoting at it; the other rows span
-    the codewords that vanish at `coord`.
+    the codewords that vanish at `coord`.  It starts from the code's stored
+    rref, whose rows are already reduced everywhere but at `coord`.
     """
     if not 0 <= coord < code.n:
         raise IndexError("coordinate out of range")
-    moved = [(g[coord],) + g[:coord] + g[coord + 1 :] for g in code.generators]
+    moved = [(g[coord],) + g[:coord] + g[coord + 1 :] for g in code._rref[0]]
     red, pivots = rref(moved, code.n)
     return Gf4Code(code.n - 1, tuple(r[1:] for r, c in zip(red, pivots) if c))
 

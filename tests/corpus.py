@@ -1,4 +1,5 @@
-"""Randomized corpora shared by the property and acceptance suites."""
+"""Randomized corpora shared by the property and acceptance suites, and the
+plain Fraction Horner that the exact evaluators are checked against."""
 
 import random
 from fractions import Fraction as Q
@@ -9,6 +10,15 @@ from gf4msd.gf4 import (
     random_self_orthogonal_code,
 )
 from gf4msd.invariants import InvariantParams, num_cprime, num_dprime
+
+
+def fraction_horner(p, x):
+    """p(x) by Horner in Fractions: a reference kept apart from
+    exact.poly_eval and its integer kernel."""
+    acc = Q(0)
+    for a in reversed(p):
+        acc = acc * x + a
+    return acc
 
 
 def random_codes(seed=101, count=200, max_n=10):

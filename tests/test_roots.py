@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import fraction_horner
+
 from gf4msd.exact import (
     poly,
     poly_degree,
     poly_deriv,
     poly_divmod,
-    poly_eval,
     poly_mul,
     poly_pow,
     poly_scale,
@@ -28,8 +29,8 @@ from gf4msd.roots import (
 def test_square_free_strips_multiplicity():
     p = poly_mul((1, -2), poly_mul((1, -2), (3, 1)))  # roots 1/2 (double) and -3
     h = sturm_chain(p)[0]
-    assert poly_eval(h, Q(1, 2)) == 0
-    assert poly_eval(h, -3) == 0
+    assert fraction_horner(h, Q(1, 2)) == 0
+    assert fraction_horner(h, -3) == 0
     # degree dropped by one
     assert len(h) == len(p) - 1
 
@@ -78,7 +79,7 @@ def test_nonneg_on_interval():
     ok, wit = poly_nonneg_on((1, 0, 15), 0, 1)
     assert ok and wit is None
     ok, wit = poly_nonneg_on((-1, 2), 0, 1)  # negative left of 1/2
-    assert not ok and poly_eval((-1, 2), wit) < 0
+    assert not ok and fraction_horner((-1, 2), wit) < 0
     # touching zero is still nonnegative: (x - 1/2)^2
     ok, _ = poly_nonneg_on(poly_mul((-1, 2), (-1, 2)), 0, 1)
     assert ok
@@ -138,20 +139,20 @@ def test_roots_agree_with_known_factorization(roots, data):
     cuts = sorted({a, b, *(r for r in roots if a < r < b)})
     samples = cuts + [(x + y) / 2 for x, y in zip(cuts, cuts[1:])]
     ok, wit = poly_nonneg_on(p, a, b)
-    assert ok == all(poly_eval(p, x) >= 0 for x in samples)
+    assert ok == all(fraction_horner(p, x) >= 0 for x in samples)
     if not ok:
-        assert a <= wit <= b and poly_eval(p, wit) < 0
+        assert a <= wit <= b and fraction_horner(p, wit) < 0
     # the same decision for -p
     ok, wit = poly_nonneg_on(poly_scale(p, -1), a, b)
-    assert ok == all(poly_eval(p, x) <= 0 for x in samples)
+    assert ok == all(fraction_horner(p, x) <= 0 for x in samples)
     if not ok:
-        assert a <= wit <= b and poly_eval(p, wit) > 0
+        assert a <= wit <= b and fraction_horner(p, wit) > 0
 
 
 def test_sign_is_the_scaled_horner_value():
     p = (3, 0, -4, 1)  # x^3 - 4x^2 + 3, a root at 1
     for x in (Q(0), Q(-2), Q(-7, 3), Q(5, 10**30 + 7), Q(10**20 + 1, 3)):
-        assert scaled_horner(p, x) == x.denominator**3 * poly_eval(p, x)
+        assert scaled_horner(p, x) == x.denominator**3 * fraction_horner(p, x)
     assert scaled_horner(p, Q(1)) == 0 and scaled_horner(p, -1) == -2
     assert scaled_horner((-5,), Q(1, 7)) == -5 and scaled_horner((0, 7), Q(0)) == 0
 
@@ -174,7 +175,7 @@ def _ref_chain(p):
 
 
 def _ref_variations(chain, x):
-    signs = [v > 0 for v in (poly_eval(f, x) for f in chain) if v]
+    signs = [v > 0 for v in (fraction_horner(f, x) for f in chain) if v]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
@@ -187,12 +188,12 @@ def _ref_cells(chain, lo, hi):
 
 
 def _ref_refine(h, lo, hi, width):
-    s = poly_eval(h, hi)
+    s = fraction_horner(h, hi)
     if s == 0:
         return hi, hi
     while hi - lo > width:
         mid = (lo + hi) / 2
-        v = poly_eval(h, mid)
+        v = fraction_horner(h, mid)
         if v == 0:
             return mid, mid
         lo, hi = (lo, mid) if (v > 0) == (s > 0) else (mid, hi)
@@ -200,12 +201,12 @@ def _ref_refine(h, lo, hi, width):
 
 
 def _ref_left_of_root(h, lo, hi):
-    if poly_eval(h, lo):
+    if fraction_horner(h, lo):
         return lo
-    s = poly_eval(h, hi)
+    s = fraction_horner(h, hi)
     while True:
         mid = (lo + hi) / 2
-        v = poly_eval(h, mid)
+        v = fraction_horner(h, mid)
         if s == 0 or v * s < 0:
             return mid
         hi, s = mid, v
@@ -213,12 +214,12 @@ def _ref_left_of_root(h, lo, hi):
 
 def _ref_nonneg(p, a, b):
     for x in (a, b):
-        if poly_eval(p, x) < 0:
+        if fraction_horner(p, x) < 0:
             return False, x
     chain = _ref_chain(p)
     for lo, hi in _ref_cells(chain, a, b):
         x = _ref_left_of_root(chain[0], lo, hi)
-        if poly_eval(p, x) < 0:
+        if fraction_horner(p, x) < 0:
             return False, x
     return True, None
 
@@ -249,7 +250,7 @@ def test_integer_kernel_matches_rational_reference(roots, cofactor, data):
         assert k > 0 and tuple(k * c for c in g) == f
 
     cells = _ref_cells(ref, a, b)
-    ivs = [(hi, hi) if poly_eval(ref[0], hi) == 0 else (lo, hi) for lo, hi in cells]
+    ivs = [(hi, hi) if fraction_horner(ref[0], hi) == 0 else (lo, hi) for lo, hi in cells]
     assert isolate_roots(p, a, b) == ivs
     width = data.draw(st.sampled_from((Q(1, 3), Q(1, 64), Q(1, 1000))))
     for lo, hi in ivs:
