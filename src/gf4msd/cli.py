@@ -21,6 +21,7 @@ checks the odd family first.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -374,9 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first main call of a process and reused:
+    parse_args reads the parser and changes nothing in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except gf4.ParseError as exc:

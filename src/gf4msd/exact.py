@@ -126,13 +126,6 @@ def poly_mul(p, q_) -> tuple:
     return poly(out)
 
 
-def poly_pow(p, e: int) -> tuple:
-    out = (1,)
-    for _ in range(e):
-        out = poly_mul(out, p)
-    return out
-
-
 def poly_eval(p, x) -> Fraction:
     """p(x) for an int or Fraction x, exact by integer Horner over the
     common denominator of the coefficients."""

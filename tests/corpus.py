@@ -1,10 +1,14 @@
 """Randomized corpora shared by the property and acceptance suites, and the
-plain Fraction Horner that the exact evaluators are checked against."""
+plain references that the exact kernels are checked against: Fraction
+Horner for the evaluators, the invariant blocks by their definition in y
+and their Fraction combination for the invariant expansions."""
 
 import random
 from fractions import Fraction as Q
 from math import lcm
 
+from gf4msd.enumerators import Enumerator
+from gf4msd.exact import poly_mul
 from gf4msd.gf4 import (
     random_maximal_self_orthogonal_code,
     random_self_orthogonal_code,
@@ -19,6 +23,43 @@ def fraction_horner(p, x):
     for a in reversed(p):
         acc = acc * x + a
     return acc
+
+
+def poly_pow(p, e):
+    out = (1,)
+    for _ in range(e):
+        out = poly_mul(out, p)
+    return out
+
+
+# y-degree coefficient vectors (x = 1) of fhat = x^2 + 3y^2, ghat =
+# y^2 (x^2 - y^2)^2 and the wedge y^2 (x^2 - y^2)
+FHAT = (1, 0, 3)
+GHAT = (0, 0, 1, 0, -2, 0, 1)
+WEDGE = (0, 0, 1, 0, -1)
+
+
+def reference_block(fpow, gpow, wedge=False):
+    """fhat^fpow ghat^gpow, times the wedge if asked, multiplied out in y."""
+    block = poly_mul(poly_pow(FHAT, fpow), poly_pow(GHAT, gpow))
+    return poly_mul(WEDGE, block) if wedge else block
+
+
+def reference_blocks(n):
+    """The blocks of the length-n family in invariants._blocks order: c'
+    (or the self-dual c) by j, then d' by j."""
+    parts = [(n // 2, False)] if n % 2 == 0 else [((n - 1) // 2, False), ((n - 5) // 2, True)]
+    return [reference_block(top - 3 * j, j, wedge) for top, wedge in parts for j in range(top // 3 + 1)]
+
+
+def fraction_combination(n, coeffs, blocks):
+    """The degree-n enumerator sum_i coeffs[i] blocks[i], accumulated in the
+    coefficients' own type."""
+    out = [0] * (n + 1)
+    for c, block in zip(coeffs, blocks):
+        for deg, val in enumerate(block):
+            out[deg] += c * val
+    return Enumerator(n, tuple(out))
 
 
 def random_codes(seed=101, count=200, max_n=10):

@@ -396,6 +396,38 @@ def test_out_flag_writes_file(tmp_path, capsys, codes_dir):
     assert json.loads(target.read_text())["n"] == 5
 
 
+def test_main_calls_share_one_parser_and_no_flags(tmp_path, capsys, codes_dir):
+    # main builds its parser once per process; consecutive calls, each flag
+    # given and then left out, print what a run on a fresh parser prints
+    out_file = tmp_path / "report.json"
+    five = str(codes_dir / "five_qubit.g4c")
+    sequence = [
+        ["bounds", "--target", "nu", "--start", "5", "--stop", "7", "--classical-only"],
+        ["bounds", "--target", "nu", "--start", "5", "--stop", "7"],
+        ["lattice", "--n", "7", "--quantum"],
+        ["lattice", "--n", "7"],
+        ["extremal", "--n", "12", "--family", "selfdual", "--decimal"],
+        ["extremal", "--n", "12", "--family", "selfdual"],
+        ["analyze", five, "--out", str(out_file)],
+        ["analyze", five],
+    ]
+
+    def outcome(code):
+        written = out_file.read_text() if out_file.exists() else None
+        if written is not None:
+            out_file.unlink()
+        return code, capsys.readouterr().out, written
+
+    got = [outcome(main(argv)) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        args = build_parser().parse_args(argv)
+        fresh.append(outcome(args.func(args)))
+    assert got == fresh
+    assert got[6][1] == "" and got[6][2] == got[7][1]
+    assert got[0][1] != got[1][1] and got[2][1] != got[3][1] and got[4][1] != got[5][1]
+
+
 # sha256 of `analyze` stdout on the shipped codes and on seeded maximal codes
 # (random.Random(n)), and of `search` on the shipped database, recorded
 # before codeword enumeration became one packed stream; n = 23 and the

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from corpus import poly_pow
 
 from gf4msd.distill import (
     bernstein_certificate,
@@ -16,7 +17,7 @@ from gf4msd.distill import (
     threshold_slack,
 )
 from gf4msd.enumerators import Enumerator, macwilliams, signed_eval
-from gf4msd.exact import poly_eval, poly_mul, poly_pow, poly_scale
+from gf4msd.exact import poly_eval, poly_mul, poly_scale
 from gf4msd.invariants import InvariantParams, expand_family
 
 FIVE_A = Enumerator.from_pairs(5, {0: 1, 4: 15})

@@ -2,9 +2,10 @@ import hashlib
 from fractions import Fraction as Q
 
 import pytest
+from corpus import fraction_combination, poly_pow, random_family_params, reference_block, reference_blocks
 
 from gf4msd.enumerators import DomainError, Enumerator, signed_eval, transform_xy
-from gf4msd.exact import poly_add, poly_pow, poly_scale, rref
+from gf4msd.exact import poly_add, poly_scale, rref
 from gf4msd.invariants import (
     InvariantParams,
     SelfDualParams,
@@ -35,6 +36,11 @@ EXTREMAL_ROWS = {
 # sha256 of one line "n c'_0,...,c'_m d'_0,...,d'_k" per n = +-1 (mod 6) in
 # 5..143, recorded before both length classes shared one cancellation system
 EXTREMAL_PARAMS_SHA256 = "af864d70cc801507d06f83071d01091ff50506a7bbd3937a58755066247dd3c0"
+# the same lines for n = +-1 (mod 6) in 145..199, and one line "n c_0,...,c_k"
+# of selfdual_extremal_params per even n in 6..198, both recorded before the
+# blocks and the extremal systems were worked over Z
+EXTREMAL_PARAMS_145_199_SHA256 = "3a99f2edf39872a36cc8cc2984948b67b91e674002829bf94ff96fa190db14ee"
+SELFDUAL_PARAMS_SHA256 = "1fd93e930a666d7caea5bbb28ddf6c3440004bdc21f42acd09bf9a1bb608cb25"
 
 SELFDUAL_PURE_EVALS = {
     12: Q(-256, 81),
@@ -95,14 +101,24 @@ def test_extremal_distillation_rows():
         assert A.coeffs[2] < 0
 
 
-def test_extremal_params_pinned():
+def _extremal_params_digest(lengths):
     text = "".join(
         "%d %s %s\n" % (n, ",".join(map(str, p.cprime)), ",".join(map(str, p.dprime)))
-        for n in range(5, 144)
+        for n in lengths
         if n % 6 in (1, 5)
         for p in [extremal_distillation_params(n)]
     )
-    assert hashlib.sha256(text.encode()).hexdigest() == EXTREMAL_PARAMS_SHA256
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_extremal_params_pinned():
+    assert _extremal_params_digest(range(5, 144)) == EXTREMAL_PARAMS_SHA256
+    assert _extremal_params_digest(range(145, 200)) == EXTREMAL_PARAMS_145_199_SHA256
+
+
+def test_selfdual_extremal_params_pinned():
+    text = "".join("%d %s\n" % (n, ",".join(map(str, selfdual_extremal_params(n).c))) for n in range(6, 199, 2))
+    assert hashlib.sha256(text.encode()).hexdigest() == SELFDUAL_PARAMS_SHA256
 
 
 def _numerator_poly(A, lam):
@@ -210,6 +226,34 @@ def test_unit_family_basis_is_the_expansion_of_unit_vectors():
         assert basis == expected, n
 
 
+def test_blocks_match_their_definition():
+    # every block is the integer product fhat^a ghat^j (times the wedge),
+    # multiplied out in y, and each unit basis member is one block
+    from gf4msd.invariants import _blocks
+
+    for n in range(1, 151):
+        blocks = _blocks(n)
+        assert blocks == reference_blocks(n), n
+        assert all(type(c) is int for block in blocks for c in block), n
+        assert unit_family_basis(n) == [fraction_combination(n, (1,), (b,)) for b in blocks], n
+
+
+def test_expansions_match_a_fraction_combination():
+    # both expansions against the blocks combined in Fractions, coefficient
+    # types included (int where integral, Fraction otherwise); the self-dual
+    # length n + 1 takes the first n // 6 + 1 of the family coefficients
+    def types(A):
+        return [type(c) for c in A.coeffs]
+
+    for p in random_family_params():
+        n = p.n
+        A, ref = expand_family(p), fraction_combination(n, p.cprime + p.dprime, reference_blocks(n))
+        assert A == ref and types(A) == types(ref), p
+        s = SelfDualParams(n + 1, (p.cprime + p.dprime)[: (n + 1) // 6 + 1])
+        A, ref = expand_selfdual(s), fraction_combination(n + 1, s.c, reference_blocks(n + 1))
+        assert A == ref and types(A) == types(ref), s
+
+
 def test_params_from_enumerator_rejects_outside_span():
     bad = Enumerator.from_pairs(5, {0: 1, 1: 1})
     with pytest.raises(ValueError, match="not in the invariant family span"):
@@ -238,10 +282,14 @@ def test_params_from_enumerator_rejects_degenerate_basis(monkeypatch):
 def test_linsolve_pivots_and_rejects_singular():
     from gf4msd.invariants import _linsolve
 
-    # the first column's pivot sits in the second row
-    assert _linsolve([[Q(0), Q(2)], [Q(3), Q(1)]], [Q(4), Q(5)]) == [1, 2]
+    # the first column's pivot sits in the second row; the solution comes
+    # back as integer numerators over one positive denominator
+    Y, d = _linsolve([[0, 2], [3, 1]], [4, 5])
+    assert d > 0 and all(type(v) is int for v in Y) and [Q(v, d) for v in Y] == [1, 2]
+    Y, d = _linsolve([[2, 1], [1, 3]], [1, 1])
+    assert [Q(v, d) for v in Y] == [Q(2, 5), Q(1, 5)]
     with pytest.raises(ValueError, match="singular"):
-        _linsolve([[Q(1), Q(2)], [Q(2), Q(4)]], [Q(1), Q(2)])
+        _linsolve([[1, 2], [2, 4]], [1, 2])
 
 
 def test_extremal_params_match_known_rescale():
@@ -276,14 +324,11 @@ def test_family_macwilliams_structure():
 def test_invariant_transform_covariance():
     # fhat and ghat pick up factors 4 and 64 under (x, y) -> (x+3y, x-y),
     # checked on expanded products up to degree 19
-    from gf4msd.enumerators import transform_xy
-    from gf4msd.invariants import _fg_power
-
     for fpow, gpow in [(1, 0), (0, 1), (3, 1), (2, 2), (5, 1), (0, 3)]:
         deg = 2 * fpow + 6 * gpow
         if deg > 19:
             continue
-        block = _fg_power(fpow, gpow)
+        block = reference_block(fpow, gpow)
         E = Enumerator(deg, tuple(block) + (0,) * (deg + 1 - len(block)))
         T = transform_xy(E)
         scale = 4**fpow * 64**gpow

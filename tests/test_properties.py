@@ -3,11 +3,11 @@
 import random
 from fractions import Fraction as Q
 
-from corpus import random_codes, random_family_params, random_maximal_codes, sampled_negative_point
+from corpus import poly_pow, random_codes, random_family_params, random_maximal_codes, sampled_negative_point
 
 from gf4msd.distill import build_map, check_success_nonneg, noise_exponent
 from gf4msd.enumerators import macwilliams, signed_eval, transform_xy
-from gf4msd.exact import poly_mul, poly_pow, series_compose, series_inv, series_mul
+from gf4msd.exact import poly_mul, series_compose, series_inv, series_mul
 from gf4msd.gf4 import Gf4Code, enumerate_codewords, hermitian_dual, shorten, unpack, weight_enumerator
 from gf4msd.invariants import expand_family, h_series, params_from_enumerator
 

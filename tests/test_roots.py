@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import fraction_horner
+from corpus import fraction_horner, poly_pow
 
 from gf4msd.exact import (
     poly,
@@ -13,7 +13,6 @@ from gf4msd.exact import (
     poly_deriv,
     poly_divmod,
     poly_mul,
-    poly_pow,
     poly_scale,
     scaled_horner,
 )
