@@ -22,9 +22,12 @@ All types are immutable after construction and safe to share across
 threads.  Codeword enumeration is a deterministic stream: every codeword
 is the XOR of one head, a combination of the first k - 6 generators, with
 one word of the span of the last <= 6.  The weight enumerator tallies the
-same split with numpy, materializing blocks of at most 4096 words: the
-span as x and z masks in 64-bit limbs, XORed with each head in turn, each
-word's weight popcount(x | z).
+same split with numpy, but only one word of each scalar orbit: c, w c and
+w2 c share their support, so A_j for j >= 1 is three times the tally and
+A_j = 0 (mod 3).  It tallies the words whose first nonzero scalar is 1:
+slices of the tail's span as that span grows, then the heads whose leading
+scalar is 1, each XORed into the full span.  Blocks hold at most 4096
+words as x and z masks in 64-bit limbs; a word's weight is popcount(x | z).
 """
 
 from __future__ import annotations
@@ -175,6 +178,16 @@ class Gf4Code:
         return "\n".join(lines) + "\n"
 
 
+def _reduced_code(n: int, red, pivots) -> Gf4Code:
+    """The code generated by rows already in reduced row echelon form with
+    these pivots, stored as its own rref without a second elimination."""
+    code = object.__new__(Gf4Code)
+    object.__setattr__(code, "n", n)
+    object.__setattr__(code, "generators", tuple(red))
+    object.__setattr__(code, "_rref", (tuple(red), tuple(pivots)))
+    return code
+
+
 def zero_code(n: int) -> Gf4Code:
     return Gf4Code(n, ())
 
@@ -217,13 +230,11 @@ def unpack(n: int, w: int) -> tuple:
 
 
 def _split(code: Gf4Code, budget: int):
-    """Check the budget, then split the codewords into (heads, tail).
+    """Check the budget, then split the generators' multiples into (head, tail).
 
-    Each generator g has the multiples (0, g, w g, w2 g).  The heads are the
-    XORs of one multiple of each of the first k - 6 generators, lazily, in
-    base-4 order with the first generator most significant; the tail holds
-    the multiples of the last <= 6, whose span has at most 4^6 words.  Every
-    codeword is one head XORed with one word of that span.
+    Each generator g has the multiples (0, g, w g, w2 g), packed.  The head
+    holds those of the first k - 6 generators, the tail those of the last
+    <= 6, whose span has at most 4^6 words.
     """
     if 4**code.k > budget:
         raise BudgetExceededError("4^%d codewords exceed budget %d" % (code.k, budget))
@@ -234,21 +245,28 @@ def _split(code: Gf4Code, budget: int):
         x, z = p >> n, p & ((1 << n) - 1)
         multiples.append((0, p, (z << n) | (x ^ z), ((x ^ z) << n) | x))
     head = max(code.k - 6, 0)
-    heads = (functools.reduce(operator.xor, c, 0) for c in itertools.product(*multiples[:head]))
-    return heads, multiples[head:]
+    return multiples[:head], multiples[head:]
+
+
+def _combinations(multiples):
+    """The XORs of one entry of each row, lazily, in base-4 order with the
+    first row most significant."""
+    return (functools.reduce(operator.xor, c, 0) for c in itertools.product(*multiples))
 
 
 def enumerate_codewords(code: Gf4Code, budget: int = DEFAULT_BUDGET):
     """Yield all 4^k codewords exactly once as packed masks, deterministically.
 
     The word s_0 g_0 + ... + s_{k-1} g_{k-1} comes in the order of the
-    scalars read as base-4 digits, s_0 most significant.
+    scalars read as base-4 digits, s_0 most significant: one head, a
+    combination of the first k - 6 generators, XORed with each word of the
+    span of the last <= 6 in turn.
     """
     heads, tail = _split(code, budget)
     span = [0]
     for row in tail:
         span = [a ^ b for a in span for b in row]
-    for base in heads:
+    for base in _combinations(heads):
         yield from map(base.__xor__, span)
 
 
@@ -262,10 +280,16 @@ def _limbs(n: int, limbs: int, words) -> list:
 def weight_enumerator(code: Gf4Code, budget: int = DEFAULT_BUDGET) -> Enumerator:
     """Coefficient A_j = number of codewords of Hamming weight j.
 
-    Tallies the codewords of enumerate_codewords in blocks of at most 4096:
-    the span of the last <= 6 generators is materialized once as a uint64
-    array of x and z limbs, and each head is XORed into it and tallied by
-    popcount(x | z), in exact integer arithmetic.
+    The words c, w c and w2 c share their support, so A = e_0 + 3 T, where T
+    tallies one word of each scalar orbit of nonzero codewords: the word
+    whose first nonzero scalar is 1, that is g_i plus a word of the span of
+    g_{i+1}, ..., g_{k-1}, for each i; (4^k - 1) / 3 words in all.  The span
+    of the last <= 6 generators is grown as a uint64 array of x and z limbs
+    from its last generator back, multiple-major, so the words g_i plus the
+    span already grown are a slice of the next one; those slices form one
+    block.  Each combination of the first k - 6 generators whose leading
+    scalar is 1 is then XORed into the full span.  Blocks hold at most 4096
+    words, each tallied by popcount(x | z) in exact integer arithmetic.
     """
     # imported on first use, so that importing the package or the CLI, and
     # every subcommand that enumerates no codewords, runs without numpy
@@ -274,15 +298,27 @@ def weight_enumerator(code: Gf4Code, budget: int = DEFAULT_BUDGET) -> Enumerator
     heads, tail = _split(code, budget)
     n = code.n
     limbs = max(-(-n // 64), 1)
-    span = np.zeros((2, limbs, 1), dtype=np.uint64)
-    for row in tail:
-        multiples = np.array(_limbs(n, limbs, row), dtype=np.uint64)
-        span = (span[..., None] ^ multiples[..., None, :]).reshape(2, limbs, -1)
+
+    def blocks():
+        multiples = np.array(_limbs(n, limbs, [w for row in tail for w in row]), dtype=np.uint64)
+        multiples = multiples.reshape(2, limbs, -1, 4)  # [mask][limb][generator][multiple]
+        span = np.zeros((2, limbs, 1), dtype=np.uint64)
+        leading = [span[..., :0]]  # empty, so that k = 0 still has one block
+        for i in reversed(range(len(tail))):
+            size = span.shape[-1]
+            span = (multiples[:, :, i, :, None] ^ span[..., None, :]).reshape(2, limbs, -1)
+            leading.append(span[..., size : 2 * size])  # g_i plus the old span
+        yield np.concatenate(leading, axis=-1)
+        for i, row in enumerate(heads):
+            for base in _combinations(((row[1],), *heads[i + 1 :])):
+                yield span ^ np.array(_limbs(n, limbs, [base]), dtype=np.uint64)
+
     counts = np.zeros(n + 1, dtype=np.int64)
-    for base in heads:
-        words = span ^ np.array(_limbs(n, limbs, [base]), dtype=np.uint64)
+    for words in blocks():
         weights = np.bitwise_count(words[0] | words[1]).sum(axis=0, dtype=np.int64)
         counts += np.bincount(weights, minlength=n + 1)
+    counts *= 3
+    counts[0] += 1
     return Enumerator(n, tuple(counts.tolist()))
 
 
@@ -291,14 +327,16 @@ def shorten(code: Gf4Code, coord: int) -> Gf4Code:
 
     The rref of the generators with column `coord` moved to the front has at
     most one row nonzero there, the one pivoting at it; the other rows span
-    the codewords that vanish at `coord`.  It starts from the code's stored
-    rref, whose rows are already reduced everywhere but at `coord`.
+    the codewords that vanish at `coord`, and with that column deleted they
+    are the shortened code's rref.  It starts from the code's stored rref,
+    whose rows are already reduced everywhere but at `coord`.
     """
     if not 0 <= coord < code.n:
         raise IndexError("coordinate out of range")
     moved = [(g[coord],) + g[:coord] + g[coord + 1 :] for g in code._rref[0]]
     red, pivots = rref(moved, code.n)
-    return Gf4Code(code.n - 1, tuple(r[1:] for r, c in zip(red, pivots) if c))
+    drop = 1 if pivots and pivots[0] == 0 else 0  # the row pivoting at `coord`
+    return _reduced_code(code.n - 1, [r[1:] for r in red[drop:]], [c - 1 for c in pivots[drop:]])
 
 
 @dataclass(frozen=True)

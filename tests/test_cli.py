@@ -490,7 +490,7 @@ def test_extremal_golden_digests(capsys):
 def test_golden_cli_commands_parse(tmp_path):
     # every command of tests/golden_cli.py is one the parser accepts
     argvs = commands(str(tmp_path))
-    assert len(argvs) == 85
+    assert len(argvs) == 86
     for argv in argvs:
         build_parser().parse_args(argv)
 
@@ -499,7 +499,7 @@ def test_golden_cli_set_unchanged():
     # every line of tests/golden_cli.py against its recorded output
     expected = (pathlib.Path(__file__).parent / "golden_cli.txt").read_text().splitlines()
     got = list(golden_lines())
-    assert len(got) == len(expected) == 85
+    assert len(got) == len(expected) == 86
     for line, want in zip(got, expected):
         assert line == want
 

@@ -266,14 +266,8 @@ def test_packed_stream_matches_reference_in_order():
         assert words == list(_reference_codewords(code)), k
 
 
-@pytest.mark.parametrize(
-    "n,k",
-    [(k + 3, k) for k in range(9)] + [(n, k) for n in (63, 64, 65, 70) for k in (0, 1, 3)],
-)
-def test_weight_enumerator_matches_stream_tally(monkeypatch, n, k):
-    # k > 6 tallies several head combinations; n = 64 is the last length
-    # whose x and z masks fit one 64-bit limb
-    code = _random_code(random.Random(n * 16 + k), n, k)
+def _assert_matches_stream_tally(monkeypatch, code):
+    n, k = code.n, code.k
     A = weight_enumerator(code)
     tally = Counter(weight(unpack(n, w)) for w in enumerate_codewords(code))
     assert A.coeffs == tuple(tally[j] for j in range(n + 1))
@@ -285,3 +279,24 @@ def test_weight_enumerator_matches_stream_tally(monkeypatch, n, k):
     monkeypatch.setattr(gf4, "pack", no_work)
     with pytest.raises(BudgetExceededError, match="4\\^%d codewords exceed budget %d" % (k, 4**k - 1)):
         weight_enumerator(code, budget=4**k - 1)
+
+
+@pytest.mark.parametrize(
+    "n,k",
+    [(k + 3, k) for k in range(9)]
+    + [(n, k) for n in (63, 64, 65, 70) for k in (0, 1, 3)]
+    + [(n, k) for n in (64, 65, 70) for k in (6, 7, 8)],
+)
+def test_weight_enumerator_matches_stream_tally(monkeypatch, n, k):
+    # k > 6 tallies the head combinations whose leading scalar is 1, each
+    # XORed into the span of the last 6 generators; n = 64 is the last
+    # length whose x and z masks fit one 64-bit limb
+    _assert_matches_stream_tally(monkeypatch, _random_code(random.Random(n * 16 + k), n, k))
+
+
+def test_weight_enumerator_with_an_all_zero_coordinate(monkeypatch):
+    # a column no generator touches, at the first bit of the second limb
+    code = _random_code(random.Random(7), 69, 7)
+    padded = Gf4Code(70, tuple(g[:64] + (0,) + g[64:] for g in code.generators))
+    assert weight_enumerator(padded).coeffs == weight_enumerator(code).coeffs + (0,)
+    _assert_matches_stream_tally(monkeypatch, padded)

@@ -8,7 +8,15 @@ from corpus import poly_pow, random_codes, random_family_params, random_maximal_
 from gf4msd.distill import build_map, check_success_nonneg, noise_exponent
 from gf4msd.enumerators import macwilliams, signed_eval, transform_xy
 from gf4msd.exact import poly_mul, series_compose, series_inv, series_mul
-from gf4msd.gf4 import Gf4Code, enumerate_codewords, hermitian_dual, shorten, unpack, weight_enumerator
+from gf4msd.gf4 import (
+    Gf4Code,
+    enumerate_codewords,
+    hermitian_dual,
+    random_maximal_self_orthogonal_code,
+    shorten,
+    unpack,
+    weight_enumerator,
+)
 from gf4msd.invariants import expand_family, h_series, params_from_enumerator
 
 CODES = random_codes()
@@ -58,6 +66,16 @@ def test_dual_enumerator_cross_module():
     assert checked >= 30
 
 
+def test_dual_enumerator_with_head_generators():
+    # k = 8..10 here and 9..11 for the dual: both tallies combine head
+    # generators with the span of the last 6
+    for n in (17, 19, 21):
+        code = random_maximal_self_orthogonal_code(random.Random(300 + n), n)
+        dual = hermitian_dual(code)
+        assert code.k > 6 and dual.k > 6
+        assert weight_enumerator(dual) == macwilliams(weight_enumerator(code), 4**code.k)
+
+
 def test_shortening_monotonicity():
     rng = random.Random(4)
     for code in CODES[:60]:
@@ -72,7 +90,8 @@ def test_shortening_monotonicity():
 
 def test_shortening_has_every_codeword_vanishing_there():
     # 4^k of the shortening at c counts the parent's codewords zero at c,
-    # also at a coordinate no generator touches
+    # also at a coordinate no generator touches; the shortening keeps the
+    # rows it reduced as its rref, the one a fresh construction computes
     padded = Gf4Code(8, tuple(g[:3] + (0,) + g[3:] for g in MAXIMAL[0].generators))
     assert padded.n == 8 and padded.k == 3
     for code in CODES + [padded]:
@@ -80,7 +99,9 @@ def test_shortening_has_every_codeword_vanishing_there():
         supports = [(w >> code.n | w) & mask for w in enumerate_codewords(code)]
         for c in range(code.n):
             vanishing = sum(1 for s in supports if not s >> (code.n - 1 - c) & 1)
-            assert 4 ** shorten(code, c).k == vanishing, (code, c)
+            short = shorten(code, c)
+            assert 4**short.k == vanishing, (code, c)
+            assert short._rref == Gf4Code(short.n, short.generators)._rref, (code, c)
 
 
 def test_maximal_codes_have_full_weight_logical():
