@@ -8,8 +8,10 @@ is built, as the primitive integer vector that is a positive multiple of
 the rational row, which keeps every verdict.  Feasibility questions run
 through the exact simplex once the equalities are substituted away, and
 a bound driver eliminates its family's equalities once for all its
-levels; integral searches enumerate a lattice of positive integer moduli
-directly and apply the exact nonlinear verdicts as a post-filter.
+levels; LPs read only for a verdict or an optimum start from the slack
+basis, and a bound's reported witness from the all-artificial one.
+Integral searches enumerate a lattice of positive integer moduli directly
+and apply the exact nonlinear verdicts as a post-filter.
 """
 
 from __future__ import annotations
@@ -233,7 +235,7 @@ def _equalities_infeasible(eq_rows, mu) -> LpVerdict:
     return LpVerdict("infeasible")
 
 
-def lp_feasible(polytope: Polytope, objective=None, maximize=False) -> LpVerdict:
+def lp_feasible(polytope: Polytope, objective=None, maximize=False, *, slack_start=False) -> LpVerdict:
     """Exact feasibility / optimization over the polytope.
 
     Equality rows are eliminated exactly before the simplex runs.  With no
@@ -241,7 +243,10 @@ def lp_feasible(polytope: Polytope, objective=None, maximize=False) -> LpVerdict
     the exact optimum (or an improving ray when unbounded).  Every verdict
     is certified: an optimum by its duals, infeasibility by a Farkas
     vector, unboundedness by a feasible point and a ray; a certificate that
-    fails its check raises RuntimeError.
+    fails its check raises RuntimeError.  slack_start is passed to
+    simplex.solve; callers that read only the status or the optimum set it.
+    Their witness is then a certified vertex, but not necessarily Bland's
+    vertex from the all-artificial start, which is the one a bound reports.
     """
     status, reduced, embed = reduce_equalities(polytope)
     if status == "infeasible":
@@ -253,7 +258,7 @@ def lp_feasible(polytope: Polytope, objective=None, maximize=False) -> LpVerdict
         c = embed.substitute(objective)[0]
         if maximize:
             c = [-v for v in c]
-    res = simplex.solve(c, *rows)
+    res = simplex.solve(c, *rows, slack_start=slack_start)
     if res.status == simplex.INFEASIBLE:
         _check(simplex.certify_infeasible(*rows, res))
         return LpVerdict("infeasible")
@@ -269,14 +274,15 @@ def lp_feasible(polytope: Polytope, objective=None, maximize=False) -> LpVerdict
 
 def _ranges(polytope: Polytope):
     """Exact (min, max) of each variable over the polytope, or None when it
-    is empty; an unbounded variable raises UnboundedRegionError."""
+    is empty; an unbounded variable raises UnboundedRegionError.  Only the
+    optima are read, so the LPs start from the slack basis."""
     out = []
     for i in range(polytope.dim):
         obj = [0] * polytope.dim
         obj[i] = 1
         ends = []
         for mx in (False, True):
-            v = lp_feasible(polytope, objective=obj, maximize=mx)
+            v = lp_feasible(polytope, objective=obj, maximize=mx, slack_start=True)
             if v.status == "infeasible":
                 return None
             if v.status == "unbounded":
@@ -535,41 +541,45 @@ def _bound(fam: AffineFamily, cuts, eq_rows, sizes, value):
     Level i keeps the classical rows and the first sizes[i] equality rows,
     and its feasibility falls monotonically with i.  The equality rows are
     eliminated once, and each level substitutes its prefix's pivots into
-    the inequality rows.  The classical level is bisected over the levels;
-    its witness is the LP solution at that level.  The quantum cuts only
-    add rows, so the quantum level cannot exceed the classical one and is
-    searched downward from it; cuts None skips that search.  Returns
-    (classical bound, quantum bound or None, witness, fam), the bound of
-    level i being value(sizes[i]).
+    the inequality rows.  The classical level is bisected over the levels
+    by LP verdicts from the slack start; its witness is then solved once
+    from the all-artificial start, Bland's vertex at that level.  The
+    quantum cuts only add rows, so the quantum level cannot exceed the
+    classical one: it is the classical level when the witness meets the
+    cuts, and is otherwise searched downward from it; cuts None skips that
+    search.  Returns (classical bound, quantum bound or None, witness,
+    fam), the bound of level i being value(sizes[i]).
     """
     levels = _eliminate(fam.dim, eq_rows)
 
-    def witness_at(poly, i):
+    def witness_at(poly, i, slack_start=True):
         """A point of poly and the equality rows of level i, or None."""
         status, embed = levels[sizes[i]]
         if status == "infeasible":
             _equalities_infeasible(eq_rows[: sizes[i]], embed)  # raises unless certified
             return None
-        v = lp_feasible(embed.reduce(poly))
+        v = lp_feasible(embed.reduce(poly), slack_start=slack_start)
         return embed(v.witness) if v.status == "feasible" else None
 
     base = classical_rows(fam)
     poly = build_polytope(fam.dim, fam.names, base)
-    lo, hi, witness = -1, len(sizes) - 1, None
+    lo, hi = -1, len(sizes) - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        w = witness_at(poly, mid)
-        if w is not None:
-            lo, witness = mid, w
+        if witness_at(poly, mid) is not None:
+            lo = mid
         else:
             hi = mid - 1
+    if lo < 0:
+        raise RuntimeError("no feasible level for n=%d" % fam.n)
+    witness = witness_at(poly, lo, slack_start=False)
     level = lo
-    if cuts is not None:
+    if cuts is not None and not all(c.satisfied(witness) for c in cuts):
         poly = build_polytope(fam.dim, fam.names, base + cuts)
         while level >= 0 and witness_at(poly, level) is None:
             level -= 1
-    if level < 0:
-        raise RuntimeError("no feasible level for n=%d" % fam.n)
+        if level < 0:
+            raise RuntimeError("no feasible level for n=%d" % fam.n)
     quantum = None if cuts is None else value(sizes[level])
     return value(sizes[lo]), quantum, witness, fam
 

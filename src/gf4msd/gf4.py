@@ -16,12 +16,15 @@ ints, and multiplying by w maps (x, z) to (z, x ^ z).
 Hermitian dual, reads its pivots; `Gf4Code.contains` clears a word with
 the same reduction step against the stored rref; `shorten` is the rref of
 the stored rref's rows with the shortened column moved to the front; and the
-random grower rejects dependent candidates with `contains`.
+random grower rejects dependent candidates with `contains`.  The Hermitian
+dual is generated by the nullspace basis, which is independent, so it is
+built without an elimination and its rref is computed only if read.
 
 All types are immutable after construction and safe to share across
-threads.  Codeword enumeration is a deterministic stream: every codeword
-is the XOR of one head, a combination of the first k - 6 generators, with
-one word of the span of the last <= 6.  The weight enumerator tallies the
+threads (a code's lazily computed rref is a function of its generators).
+Codeword enumeration is a deterministic stream: every codeword is the XOR
+of one head, a combination of the first k - 6 generators, with one word of
+the span of the last <= 6.  The weight enumerator tallies the
 same split with numpy, but only one word of each scalar orbit: c, w c and
 w2 c share their support, so A_j for j >= 1 is three times the tally and
 A_j = 0 (mod 3).  It tallies the words whose first nonzero scalar is 1:
@@ -145,7 +148,14 @@ class Gf4Code:
         red, pivots = rref(gens, self.n)
         if len(red) != len(gens):
             raise ValueError("generators are linearly dependent")
-        object.__setattr__(self, "_rref", (tuple(red), tuple(pivots)))
+        self.__dict__["_rref"] = (tuple(red), tuple(pivots))
+
+    @functools.cached_property
+    def _rref(self):
+        """(rows, pivot columns) of the generators' rref, computed on first
+        use for a code built from rows known to be independent."""
+        red, pivots = rref(self.generators, self.n)
+        return tuple(red), tuple(pivots)
 
     @property
     def k(self) -> int:
@@ -178,13 +188,16 @@ class Gf4Code:
         return "\n".join(lines) + "\n"
 
 
-def _reduced_code(n: int, red, pivots) -> Gf4Code:
-    """The code generated by rows already in reduced row echelon form with
-    these pivots, stored as its own rref without a second elimination."""
+def _independent_code(n: int, generators, pivots=None) -> Gf4Code:
+    """The code generated by rows known to be independent, built without an
+    elimination.  With pivots given, the rows are in reduced row echelon
+    form with those pivots and are stored as the rref; otherwise the rref
+    is computed when `contains` or `shorten` first reads it."""
     code = object.__new__(Gf4Code)
     object.__setattr__(code, "n", n)
-    object.__setattr__(code, "generators", tuple(red))
-    object.__setattr__(code, "_rref", (tuple(red), tuple(pivots)))
+    object.__setattr__(code, "generators", tuple(generators))
+    if pivots is not None:
+        code.__dict__["_rref"] = (code.generators, tuple(pivots))
     return code
 
 
@@ -193,12 +206,13 @@ def zero_code(n: int) -> Gf4Code:
 
 
 def hermitian_dual(code: Gf4Code) -> Gf4Code:
-    """The [n, n-k] code Hermitian-orthogonal to every generator."""
+    """The [n, n-k] code Hermitian-orthogonal to every generator, generated
+    by the nullspace basis in its order."""
     # v is dual iff sum_i g_i conj(v_i) = 0; conjugating that equation
     # shows v solves the system with conjugated generator rows.
     conj_rows = [tuple(CONJ[a] for a in g) for g in code.generators]
-    basis = nullspace(conj_rows, code.n)
-    return Gf4Code(code.n, tuple(basis))
+    # each basis vector is 1 at its own free column and 0 at the others'
+    return _independent_code(code.n, nullspace(conj_rows, code.n))
 
 
 def is_self_orthogonal(code: Gf4Code) -> bool:
@@ -336,7 +350,7 @@ def shorten(code: Gf4Code, coord: int) -> Gf4Code:
     moved = [(g[coord],) + g[:coord] + g[coord + 1 :] for g in code._rref[0]]
     red, pivots = rref(moved, code.n)
     drop = 1 if pivots and pivots[0] == 0 else 0  # the row pivoting at `coord`
-    return _reduced_code(code.n - 1, [r[1:] for r in red[drop:]], [c - 1 for c in pivots[drop:]])
+    return _independent_code(code.n - 1, [r[1:] for r in red[drop:]], [c - 1 for c in pivots[drop:]])
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,19 @@ negated x+ column and each slack column is its row's artificial column
 times the sign the row was stored with, so a (stored column, sign) map
 gives Bland's rule the columns, and the pivots, of the full tableau.
 
+Phase 1 has two starts.  The default puts every row's artificial in the
+basis; its point is the reported witness of a bound (Bland's vertex, pinned
+byte for byte by the CLI goldens) and the one the Fraction reference solver
+of the tests reproduces.  The slack start (``slack_start=True``) puts in the
+slack of each <= row whose rhs is >= 0: such a row is stored unnegated, so
+its slack column is its artificial's.  Only the other rows start with an
+artificial, and phase 1 skips about two pivots per such row.  ``bounds`` uses it for the LPs whose only output is a
+verdict or an optimum: a bound's bisection probes and quantum-level search,
+and the range LPs of the lattice count and the vertex enumeration.  Its
+status and optimum are those of the default start, each certified alike,
+but its point is a certified vertex that need not be Bland's vertex from
+the all-artificial start, and its duals or ray may differ too.
+
 Every verdict carries a certificate, each checked exactly by its own
 function:
 
@@ -118,8 +131,17 @@ def _simplex(tab, basis, cols, cost, enter_limit, d):
         d = _pivot(tab, basis, cols, row, entering, d)
 
 
-def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
-    """Minimize c.x subject to a_ub x <= b_ub and a_eq x = b_eq, x free."""
+def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, slack_start=False):
+    """Minimize c.x subject to a_ub x <= b_ub and a_eq x = b_eq, x free.
+
+    Phase 1 starts from every row's artificial, or with slack_start from
+    the slack of each <= row whose rhs is >= 0 (its column is the
+    artificial's) and the artificials of the other rows only.  Both starts
+    give the same status and optimum, each with a certificate, but the
+    point, the duals or the ray may differ: a slack-start point is a
+    certified vertex, not necessarily Bland's vertex from the artificials.
+    Callers that report the point keep the default.
+    """
     nv = len(c)
     rows = [list(r) + [b] for r, b in zip(a_ub, b_ub)]
     rows += [list(r) + [b] for r, b in zip(a_eq, b_eq)]
@@ -147,7 +169,10 @@ def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     cols += [(nv + i, 1 if row_mult[i] > 0 else -1) for i in range(n_ub)]
     cols += [(nv + i, 1) for i in range(nrows)]
 
-    basis = [art_start + i for i in range(nrows)]
+    basis = [
+        2 * nv + i if slack_start and i < n_ub and row_mult[i] > 0 else art_start + i
+        for i in range(nrows)
+    ]
 
     def multipliers(cost, scale, d):
         # simplex multipliers y from the artificial columns (B^-1 e_i is

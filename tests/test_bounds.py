@@ -32,7 +32,7 @@ from gf4msd.bounds import (
     selfdual_family,
 )
 from gf4msd.distill import check_success_nonneg
-from gf4msd.enumerators import Enumerator, signed_poly
+from gf4msd.enumerators import Enumerator, is_map_length, signed_eval, signed_poly
 from gf4msd.exact import poly_add, poly_mul
 from gf4msd.invariants import selfdual_extremal_enumerator
 from gf4msd.roots import poly_nonneg_on
@@ -268,6 +268,51 @@ def test_driver_bounds_and_witness(driver, lengths):
         assert quantum <= classical, n
         rows = classical_rows(fam) + _level_rows(driver, fam, classical)
         assert build_polytope(fam.dim, fam.names, rows).contains(witness), n
+
+
+BOUND_CASES = [
+    *((max_nu_bound, n, q) for n in range(5, 44) if is_nu_length(n) for q in (True, False)),
+    *((max_distance_bound, n, q) for n in range(5, 36, 2) for q in (True, False)),
+    *((classical_distance_bound_selfdual, n, q) for n in range(6, 41, 2) for q in (True, False)),
+    # n = 13 and 15 have four parameters, more than lattice_search takes,
+    # and the quantum filter of odd n needs a distillation map
+    *(
+        (lattice_search, n, q)
+        for n in (*range(5, 13), 14, 16)
+        for q in (True, False)
+        if n % 2 == 0 or is_map_length(n) or not q
+    ),
+]
+
+
+def test_slack_start_keeps_every_bound_result(monkeypatch):
+    # the verdict LPs start from the slacks and only the reported witness
+    # from the artificials; every search returns what all-artificial LPs give
+    slack = [search(n, q) for search, n, q in BOUND_CASES]
+    real = bounds.lp_feasible
+    monkeypatch.setattr(bounds, "lp_feasible", lambda *args, slack_start=False, **kw: real(*args, **kw))
+    for (search, n, q), got in zip(BOUND_CASES, slack):
+        assert got == search(n, q), (search.__name__, n, q)
+
+
+def test_witness_meeting_the_cuts_skips_the_quantum_search(monkeypatch):
+    calls = []
+    real = bounds.lp_feasible
+
+    def spy(poly, **kw):
+        calls.append((poly, kw.get("slack_start", False)))
+        return real(poly, **kw)
+
+    monkeypatch.setattr(bounds, "lp_feasible", spy)
+    classical, quantum, witness, fam = max_distance_bound(15)
+    cut = fam.row(lambda A, B, C: signed_eval(A, Q(1, 3)), ">=")
+    assert classical == quantum == 5 and cut.satisfied(witness)
+    with_cuts, calls[:] = list(calls), []
+    # the same LPs as without the cut: the bisection probes from the slack
+    # start, then the settled level from the artificials for the witness
+    assert max_distance_bound(15, quantum=False)[:3] == (classical, None, witness)
+    assert with_cuts == calls
+    assert [start for _, start in calls] == [True, True, True, False]
 
 
 def test_selfdual_quantum_filter():

@@ -238,6 +238,42 @@ def test_certificates_and_reference_solver(lp):
             assert res == ref
 
 
+@settings(max_examples=200, deadline=None)
+@given(unboxed_lps())
+def test_slack_start_matches_reference_verdict(lp):
+    """The slack start may end at another vertex, with other duals or
+    another ray, but it reaches the same status and optimum, and each of its
+    certificates passes its own exact check."""
+    integral, c, a_ub, b_ub, a_eq, b_eq = lp
+    res = simplex.solve(c, a_ub, b_ub, a_eq, b_eq, slack_start=True)
+    if res.status == simplex.OPTIMAL:
+        assert simplex.certify_optimum(c, a_ub, b_ub, a_eq, b_eq, res)
+    elif res.status == simplex.INFEASIBLE:
+        assert simplex.certify_infeasible(a_ub, b_ub, a_eq, b_eq, res)
+    else:
+        assert simplex.certify_ray(c, a_ub, b_ub, a_eq, b_eq, res)
+    if integral:
+        ref = reference_solve(c, a_ub, b_ub, a_eq, b_eq)
+        assert res.status == ref.status
+        assert res.objective == ref.objective
+
+
+def test_slack_start_skips_phase_one_pivots(monkeypatch):
+    """With every row a <= row of rhs >= 0 the slacks are a feasible basis:
+    a feasibility LP from the slack start makes no pivot at all."""
+    pivots = []
+    real = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot", lambda *args: pivots.append(args[3]) or real(*args))
+    lp = ([0, 0], [[1, 0], [0, 1], [1, 1]], [2, 3, 4], [], [])
+    counts = {}
+    for slack_start in (False, True):
+        pivots.clear()
+        res = simplex.solve(*lp, slack_start=slack_start)
+        assert res.objective == 0 and simplex.certify_optimum(*lp, res)
+        counts[slack_start] = len(pivots)
+    assert counts[True] == 0 < counts[False]
+
+
 def _mutations(a_ub, a_eq, res):
     """Copies of an optimal result that no exact check may accept: each
     dual of a nonzero row moved by 1/7, x moved off a tight row whose dual
