@@ -3,9 +3,10 @@
 Enumerator families are affine maps from a few free rational parameters to
 coefficient vectors; classical cuts demand nonnegative (dual) coefficients,
 quantum cuts demand nonnegative success probability and a threshold inside
-the stabilizer octahedron.  Each linear row is stored, from the moment it
-is built, as the primitive integer vector that is a positive multiple of
-the rational row, which keeps every verdict.  Feasibility questions run
+the stabilizer octahedron.  Each linear row is an integer dot product over
+the members scaled to integers, stored as the primitive integer vector
+that is a positive multiple of the rational row, which keeps every
+verdict.  Feasibility questions run
 through the exact simplex once the equalities are substituted away, and
 a bound driver eliminates its family's equalities once for all its
 levels; LPs read only for a verdict or an optimum start from the slack
@@ -18,14 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from . import simplex
-from .distill import _map_polys, natural_sign, slack_sign_ok, threshold_slack
+from .distill import eps_rows, natural_sign, numerator_u, slack_sign_ok
 from .distill import quantum_verdict  # noqa: F401
-from .enumerators import DomainError, Enumerator, signed_eval, signed_poly, transform_xy
+from .enumerators import DomainError, Enumerator, signed_poly, transform_xy
 from .enumerators import check_length, is_map_length, is_odd_family_length, is_selfdual_length
-from .exact import Q, integer_row, poly_compose, primitive, rref_steps, series
+from .exact import Q, dot, integer_row, poly_compose, primitive, rref_steps
 from .invariants import num_cprime, unit_family_basis
 from .roots import bernstein_coefficients, poly_nonneg_on
 
@@ -244,9 +246,8 @@ def lp_feasible(polytope: Polytope, objective=None, maximize=False, *, slack_sta
     is certified: an optimum by its duals, infeasibility by a Farkas
     vector, unboundedness by a feasible point and a ray; a certificate that
     fails its check raises RuntimeError.  slack_start is passed to
-    simplex.solve; callers that read only the status or the optimum set it.
-    Their witness is then a certified vertex, but not necessarily Bland's
-    vertex from the all-artificial start, which is the one a bound reports.
+    simplex.solve, by callers that read only the status or the optimum: the
+    witness is then certified but maybe not Bland's vertex, a bound's one.
     """
     status, reduced, embed = reduce_equalities(polytope)
     if status == "infeasible":
@@ -411,99 +412,107 @@ def count_lattice_points(polytope: Polytope, lattice: LatticeSpec, extra_filter=
 
 @dataclass(frozen=True)
 class AffineFamily:
-    """Affine map from free parameters to (A, B, C) enumerator triples."""
+    """Affine map from free parameters to (A, B, C) enumerator triples, held
+    over Z as the integer tuples (s A, s B, s C) of each member, s = scale;
+    the rows are integer dot products over them."""
 
     n: int
     names: tuple
-    members: tuple  # (A, B, C) for the pinned base, then one per parameter
+    ints: tuple  # (s A, s B, s C) for the pinned base, then one per parameter
+    scale: int = 1
 
     @property
     def dim(self) -> int:
         return len(self.names)
 
-    def enumerator_at(self, point) -> Enumerator:
-        A = self.members[0][0]
-        for v, (Ai, _, _) in zip(point, self.members[1:]):
-            if v:
-                A = A + Ai.scale(Q(v))
-        return A
-
-    def row(self, func, sense) -> LinConstraint:
-        """Constraint func(A,B,C) <sense> 0, with func linear memberwise."""
-        base = func(*self.members[0])
-        coeffs = tuple(func(*m) for m in self.members[1:])
-        return LinConstraint(coeffs, sense, -base)
-
-
-def _triple(A: Enumerator, divisor) -> tuple:
-    B = transform_xy(A).scale(Q(1, divisor))
-    return (A, B, B - A)
+    @cached_property
+    def members(self) -> tuple:
+        """The (A, B, C) Enumerators, built on first use."""
+        s = self.scale
+        return tuple(tuple(Enumerator(self.n, tuple(Q(v, s) for v in vec)) for vec in m) for m in self.ints)
 
 
 def distillation_family(n: int, pin_trivial: bool = True) -> AffineFamily:
     """Free-coefficient family for odd n, pinned to c0' = 1.
 
     pin_trivial additionally fixes d0' = -6 (no weight-1 logical operator)
-    and, for n >= 7, c1' = 3(5 - n)/2 (no weight-2 stabilizer).
+    and, for n >= 7, c1' = 3(5 - n)/2 (no weight-2 stabilizer).  With
+    s = 2^(n-1), the members are s A, s B = transform_xy(A) and s C = s B - s A
+    over Z.
     """
     check_length(n, is_odd_family_length)
     nc = num_cprime(n)
-    units = [_triple(A, 2 ** (n - 1)) for A in unit_family_basis(n)]
+    units = [(A.coeffs, transform_xy(A).coeffs) for A in unit_family_basis(n)]
     pins = {}  # beside c0' = 1, the base units[0]
     if pin_trivial:
         pins[nc] = -6  # d0'
         if nc > 1:
-            pins[1] = Q(3, 2) * (5 - n)  # c1'
-    A, B = units[0][:2]
+            pins[1] = 3 * (5 - n) // 2  # c1'
+    A, T = units[0]
     for i, v in pins.items():
-        A, B = A + units[i][0].scale(v), B + units[i][1].scale(v)
+        A = [a + v * b for a, b in zip(A, units[i][0])]
+        T = [a + v * b for a, b in zip(T, units[i][1])]
     free = [i for i in range(1, len(units)) if i not in pins]
     names = tuple("c%d" % i if i < nc else "d%d" % (i - nc) for i in free)
-    members = ((A, B, B - A),) + tuple(units[i] for i in free)
-    return AffineFamily(n, names, members)
+    s = 2 ** (n - 1)
+    pairs = [(A, T)] + [units[i] for i in free]
+    ints = tuple((tuple(s * a for a in A), tuple(T), tuple(t - s * a for a, t in zip(A, T))) for A, T in pairs)
+    return AffineFamily(n, names, ints, s)
 
 
 def selfdual_family(n: int) -> AffineFamily:
     """Self-dual family for even n, pinned to c0 = 1; B = A and C = 0."""
     check_length(n, is_selfdual_length)
-    zero = Enumerator(n, (0,) * (n + 1))
     # the pinned base c0 = 1, then one member per free cj
-    members = tuple((A, A, zero) for A in unit_family_basis(n))
-    names = tuple("c%d" % j for j in range(1, len(members)))
-    return AffineFamily(n, names, members)
+    ints = tuple((A.coeffs, A.coeffs, (0,) * (n + 1)) for A in unit_family_basis(n))
+    return AffineFamily(n, tuple("c%d" % j for j in range(1, len(ints))), ints)
 
 
-# linear functionals over (A, B, C)
+# linear functionals over (A, B, C), rows over the members' integer lists
 
 
-def _coeff(which, j):
-    idx = "ABC".index(which)
-    return lambda *triple: triple[idx].coeffs[j]
+def _rows(vectors, weights, sense):
+    """w . X <sense> 0 for each weight vector w, X affine in the point:
+    the base's list, then one list per parameter."""
+    base, *steps = vectors
+    return [LinConstraint([dot(w, v) for v in steps], sense, -dot(w, base)) for w in weights]
 
 
-def _success_at(t):
-    # N at the eps with rbar^2 = t
-    return lambda A, B, C: signed_eval(A, t)
+def _coefficient_rows(fam: AffineFamily, which: str, degrees, sense):
+    """X_j <sense> 0 for each j of degrees, X the point's A, B or C."""
+    base, *steps = (m["ABC".index(which)] for m in fam.ints)
+    return [LinConstraint([v[j] for v in steps], sense, -base[j]) for j in degrees]
+
+
+def _success_rows(fam: AffineFamily, points):
+    """N >= 0 at each rbar^2 = p/q of points: q^J N = sum_j A_2j (-p)^j
+    q^(J - j), J = n // 2."""
+    J = fam.n // 2
+    weights = [[(-x.numerator) ** j * x.denominator ** (J - j) for j in range(J + 1)] for x in points]
+    return _rows([m[0][::2] for m in fam.ints], weights, ">=")
 
 
 def numerator_coefficient_rows(fam: AffineFamily, lam: int, count: int):
-    """Equality rows forcing the first `count` numerator coefficients to 0."""
-    base, *steps = (series(_map_polys(A, C, lam)[0], count - 1) for (A, B, C) in fam.members)
-    return [LinConstraint([p[t] for p in steps], "==", -base[t]) for t in range(count)]
+    """Equality rows forcing the first `count` numerator coefficients to 0:
+    the rows of eps_rows on each member's integer numerator_u."""
+    vectors = [numerator_u(A[::2], C[1::2], lam) for A, _, C in fam.ints]
+    return _rows(vectors, eps_rows(len(vectors[0]), count), "==")
 
 
 def classical_rows(fam: AffineFamily):
     """Nonnegativity of every dual coefficient; the self-dual family has
     B = A, so there they are its own."""
-    return [fam.row(_coeff("B", j), ">=") for j in range(1, fam.n + 1)]
+    return _coefficient_rows(fam, "B", range(1, fam.n + 1), ">=")
 
 
 def quantum_rows_distill(fam: AffineFamily):
     """Linearized quantum cuts: N(0) >= 0, N(eps_max) >= 0 and the
-    sign-resolved threshold inequality for both logical sign choices."""
-    rows = [fam.row(_success_at(Q(1, 3)), ">="), fam.row(_success_at(Q(1, 9)), ">=")]
+    sign-resolved threshold inequality for both logical sign choices, the
+    threshold_slack being sum_i m_i / 3^(i // 2) over M's u-coefficients."""
+    rows = _success_rows(fam, (Q(1, 3), Q(1, 9)))
     for lam in (1, -1):
-        rows.append(fam.row(lambda A, B, C, lam=lam: threshold_slack(A, C, lam), ">="))
+        vectors = [numerator_u(A[::2], C[1::2], lam) for A, _, C in fam.ints]
+        rows += _rows(vectors, [[3 ** (fam.n // 2 - i // 2) for i in range(fam.n + 1)]], ">=")
     return rows
 
 
@@ -511,7 +520,7 @@ def success_rows(fam: AffineFamily):
     """Success cuts A(1, i rbar) >= 0 at rbar^2 = i / (3 SUCCESS_GRID) for
     i = 0..SUCCESS_GRID: necessary conditions of success nonnegativity on
     all of [0, 1/3]."""
-    return [fam.row(_success_at(Q(i, 3 * SUCCESS_GRID)), ">=") for i in range(SUCCESS_GRID + 1)]
+    return _success_rows(fam, [Q(i, 3 * SUCCESS_GRID) for i in range(SUCCESS_GRID + 1)])
 
 
 def quantum_rows_selfdual(fam: AffineFamily):
@@ -611,8 +620,8 @@ def max_distance_bound(n: int, quantum: bool = True):
     None, witness, family).
     """
     fam = distillation_family(n, pin_trivial=False)
-    eq_rows = [fam.row(_coeff("C", j), "==") for j in range(1, n, 2)]
-    cuts = [fam.row(_success_at(Q(1, 3)), ">=")] if quantum else None
+    eq_rows = _coefficient_rows(fam, "C", range(1, n, 2), "==")
+    cuts = _success_rows(fam, (Q(1, 3),)) if quantum else None
     return _bound(fam, cuts, eq_rows, range(len(eq_rows) + 1), lambda i: 2 * i + 1)
 
 
@@ -621,7 +630,7 @@ def classical_distance_bound_selfdual(n: int, quantum: bool = True):
     length; level i forces A_2, A_4, ..., A_{2i} to vanish.  Returns
     (classical, quantum or None, witness, family)."""
     fam = selfdual_family(n)
-    eq_rows = [fam.row(_coeff("A", j), "==") for j in range(2, n + 1, 2)]
+    eq_rows = _coefficient_rows(fam, "A", range(2, n + 1, 2), "==")
     cuts = quantum_rows_selfdual(fam) if quantum else None
     return _bound(fam, cuts, eq_rows, range(len(eq_rows) + 1), lambda i: 2 * i + 2)
 
@@ -634,15 +643,14 @@ def integral_lattice(fam: AffineFamily) -> LatticeSpec:
     """Per-variable moduli making every tracked coefficient an integer
     divisible by three (diagonal translation of the congruences): those of
     B, which is A in the self-dual family."""
-    base = fam.members[0][1]
-    for j in range(1, fam.n + 1):
-        v = Q(base.coeffs[j])
-        if v.denominator != 1 or v.numerator % 3:
-            raise ValueError("pinned base violates the divisibility lattice")
+    s = fam.scale
+    base, *steps = (m[1][1 : fam.n + 1] for m in fam.ints)
+    if any(b % (3 * s) for b in base):
+        raise ValueError("pinned base violates the divisibility lattice")
     moduli = []
-    for member in fam.members[1:]:
+    for B in steps:
         # the smallest m > 0 with m c in 3Z is 3 den(c) / gcd(num(c), 3)
-        coeffs = [Q(c) for c in member[1].coeffs[1 : fam.n + 1]]
+        coeffs = [Q(b, s) for b in B]
         moduli.append(lcm(*(3 * c.denominator // gcd(c.numerator, 3) for c in coeffs)))
     return LatticeSpec(tuple(moduli))
 

@@ -6,20 +6,21 @@ error rate is the exact rational function
 
     eps_out(eps) = M(eps) / (2 N(eps)),
 
-where N and M are polynomials in t composed with t(eps) = T_OF_EPS by
-exact.poly_compose:
+where N and M are polynomials in u:
 
-    N = signed_poly(A)(t) = A(1, i rbar),
-    M = N + lam u odd_poly(C)(t) / 3,
+    N = signed_poly(A)(t) = A(1, i rbar) = sum_j (-1)^j A_2j u^2j / 3^j,
+    M = sum_j (-1)^j (A_2j u^2j + lam C_2j+1 u^(2j+1) / 3) / 3^j,
 
-so that M - 2 eps N = u (N + lam sum_j C_{2j+1} (-1)^j t^j / 3), and
-lam in {+1, -1} is the logical sign choice; the natural choice is
-+1 for n = 5 mod 6 and -1 for n = 1 mod 6.  Thresholds are isolated
-exactly.  The quantum consistency constraints are decided over Q in t:
-success nonnegativity N >= 0 for t in [0, 1/3], and eps_out >= eps at the
-stabilizer-octahedron boundary eps_max = (1 - 1/sqrt(3)) / 2, where
-u = 1/sqrt(3), t = 1/9 and sqrt(3) (M - 2 eps N) is the rational
-threshold_slack.  No verdict touches floating point.
+so that N is M's even part and M - 2 eps N = u (N + lam sum_j C_{2j+1}
+(-1)^j t^j / 3); lam in {+1, -1} is the logical sign choice, naturally +1
+for n = 5 mod 6 and -1 for n = 1 mod 6.  One integer binomial matrix
+(``eps_rows``) takes 3^h M in u to eps, for the map and the bounds' rows.
+Thresholds are isolated exactly.  The quantum consistency constraints are
+decided over Q in t: success nonnegativity N >= 0 for t in [0, 1/3], and
+eps_out >= eps at the stabilizer-octahedron boundary
+eps_max = (1 - 1/sqrt(3)) / 2, where u = 1/sqrt(3), t = 1/9 and
+sqrt(3) (M - 2 eps N) is the rational threshold_slack.  No verdict touches
+floating point.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .enumerators import (
     alt_odd_eval,
     check_length,
     is_map_length,
-    odd_poly,
     signed_eval,
     signed_poly,
     transform_xy,
@@ -41,10 +41,10 @@ from .enumerators import (
 from .exact import (
     Q,
     decimal_str,
+    dot,
+    integer_row,
     ord_at_zero,
     poly,
-    poly_add,
-    poly_compose,
     poly_divmod,
     poly_eval,
     poly_gcd,
@@ -92,15 +92,43 @@ class DistillMap:
         return num, den
 
 
-# t = (1 - 2 eps)^2 / 3 as a polynomial in eps
-T_OF_EPS = (Q(1, 3), Q(-4, 3), Q(4, 3))
+def numerator_u(a_even, c_odd, lam) -> list:
+    """3^h M in u, h = len(c_odd), from as many A_2j as C_2j+1 (odd n);
+    its even part is 3^h N, and integer inputs give integers."""
+    h = len(c_odd)
+    w = []
+    for j, (a, c) in enumerate(zip(a_even, c_odd)):
+        s = (-1) ** j * 3 ** (h - 1 - j)
+        w += (3 * s * a, lam * s * c)
+    return w
+
+
+def eps_rows(width: int, count: int) -> list:
+    """Rows k < count of the binomial matrix taking the coefficients w_i of
+    a polynomial in u = 1 - 2 eps to its eps^k one, (-2)^k sum_i C(i, k) w_i;
+    each row is the one before times -2 (i - k) / (k + 1), exactly."""
+    rows, row = [], [1] * width
+    for k in range(count):
+        rows.append(row)
+        row = [-2 * v * (i - k) // (k + 1) for i, v in enumerate(row)]
+    return rows
 
 
 def _map_polys(A: Enumerator, C: Enumerator, lam) -> tuple:
-    """(M, N) in eps, linear in (A, C); A even-only and C odd-only."""
-    n_poly = poly_compose(signed_poly(A), T_OF_EPS)
-    odd = poly_mul((1, -2), poly_compose(odd_poly(C), T_OF_EPS))
-    return poly_add(n_poly, poly_scale(odd, Q(lam, 3))), n_poly
+    """(M, N) in eps, linear in (A, C); A even-only and C odd-only: eps_rows
+    on the integer numerator_u, divided once.  Composing in t gave ints only
+    for n = 1 with A integral (and in M, C = 0), Fractions elsewhere."""
+    a, c = A.coeffs[::2], C.coeffs[1::2]
+    ints, s = integer_row(a + c)
+    w = numerator_u(ints[: len(a)], ints[len(a) :], lam)
+    rows, den = eps_rows(len(w), len(w)), s * 3 ** len(c)
+    int_n = len(a) == 1 and all(type(v) is int for v in a)
+
+    def over(p, as_int):
+        return tuple(v // den for v in p) if as_int else tuple(Q(v, den) for v in p)
+
+    m, n_poly = (poly(dot(r[::k], w[::k]) for r in rows) for k in (1, 2))
+    return over(m, int_n and not any(c)), over(n_poly, int_n)
 
 
 def _logical(A: Enumerator) -> Enumerator:
@@ -215,10 +243,6 @@ class QuantumVerdict:
     success_witness: Fraction | None = None  # rbar^2 in [0, 1/3]
     threshold_witness_plus: Fraction | None = None
     threshold_witness_minus: Fraction | None = None
-
-    @property
-    def all_ok(self) -> bool:
-        return self.success_nonneg and self.threshold_ok_plus and self.threshold_ok_minus
 
 
 def check_success_nonneg(A: Enumerator):

@@ -3,15 +3,17 @@
 Univariate polynomials are tuples of coefficients indexed by power
 (``p[i]`` multiplies ``x**i``) and trimmed so the last entry is nonzero;
 the zero polynomial is the empty tuple.  Coefficients may be ints or
-Fractions; operations never introduce floats.  ``poly_compose`` is the one
-polynomial substitution of the package: the distillation map's change of
-variable t(eps) and the Bernstein pieces' shifts both run through it.
+Fractions; operations never introduce floats.  ``poly_compose`` is the
+general polynomial substitution (the Bernstein pieces' shifts); the
+distillation map's change of variable is the binomial matrix of
+``distill.eps_rows``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import mul
 
 Q = Fraction
 
@@ -45,6 +47,11 @@ def integer_row(values) -> tuple:
     vals = [Q(v) for v in values]
     scale = lcm(*(v.denominator for v in vals))
     return [v.numerator * (scale // v.denominator) for v in vals], scale
+
+
+def dot(row, vec):
+    """sum_i row[i] vec[i] over the shorter of the two."""
+    return sum(map(mul, row, vec))
 
 
 def primitive(values) -> tuple:
@@ -268,53 +275,3 @@ def rref(rows, ncols: int):
         [p for p, _ in pivots],
     )
 
-
-# ---------------------------------------------------------------------------
-# truncated power series (dense lists of length order+1)
-
-
-def series(p, order: int) -> list:
-    out = list(p[: order + 1])
-    out += [0] * (order + 1 - len(out))
-    return out
-
-
-def series_mul(a, b, order: int) -> list:
-    out = [0] * (order + 1)
-    for i, x in enumerate(a[: order + 1]):
-        if x == 0:
-            continue
-        for j, y in enumerate(b[: order + 1 - i]):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def series_inv(a, order: int) -> list:
-    if not a or a[0] == 0:
-        raise ZeroDivisionError("series has no inverse")
-    inv = [Q(1) / Q(a[0])] + [Q(0)] * order
-    for k in range(1, order + 1):
-        s = 0
-        for i in range(1, k + 1):
-            ai = a[i] if i < len(a) else 0
-            if ai:
-                s += ai * inv[k - i]
-        inv[k] = -s / a[0]
-    return inv
-
-
-def series_compose(outer, inner, order: int) -> list:
-    """outer(inner(x)) truncated; requires inner[0] == 0."""
-    if inner and inner[0] != 0:
-        raise ValueError("inner series must have zero constant term")
-    out = [0] * (order + 1)
-    power = [1] + [0] * order
-    for c in outer:
-        if c:
-            for i, x in enumerate(power):
-                out[i] += c * x
-        power = series_mul(power, series(inner, order), order)
-        if all(x == 0 for x in power):
-            break
-    return out

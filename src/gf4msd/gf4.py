@@ -162,14 +162,6 @@ class Gf4Code:
         return len(self.generators)
 
     @classmethod
-    def from_strings(cls, rows):
-        gens = []
-        for row in rows:
-            gens.append(tuple(GF4_CHARS.index(ch) for ch in row.strip()))
-        n = len(gens[0]) if gens else 0
-        return cls(n, tuple(gens))
-
-    @classmethod
     def from_pauli_strings(cls, rows):
         gens = []
         for row in rows:

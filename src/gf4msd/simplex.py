@@ -1,30 +1,33 @@
 """Exact rational linear programming.
 
 Two-phase simplex with Bland's anti-cycling rule on one integer tableau
-(fraction-free pivoting: Edmonds 1967, Bareiss 1968).  Problems are stated
-over free variables with <= and == rows of rational data; each row and the
-objective are scaled to integers once (``exact.integer_row``), variables
-split into nonnegative pairs, and slacks/artificials are added.  The
-tableau holds D * B^-1 [A | b] for the current basis B, where D = |det B|
-is the common denominator, so every pivot is an exact integer division and
-every value read off it is exact.
-Only the x+, artificial and rhs columns are stored: each x- column is the
-negated x+ column and each slack column is its row's artificial column
-times the sign the row was stored with, so a (stored column, sign) map
-gives Bland's rule the columns, and the pivots, of the full tableau.
+(fraction-free pivoting on a dictionary: Edmonds 1967, Bareiss 1968, Avis's
+lrs).  Problems are stated over free variables with <= and == rows of
+rational data; each row and the objective are scaled to integers once
+(``exact.integer_row``), variables split into nonnegative pairs, and
+slacks/artificials are added.  The tableau is D * B^-1 [A | b] for the
+basis B and D = |det B|, so every pivot is an exact integer division.
+An x- column is its x+ column negated and a slack column is its row's
+artificial column times the sign the row was stored with, so a (stored
+column, sign) map over the x+ and artificial columns gives Bland's rule
+every column.  At most one twin is basic, so nv stored columns are not,
+and only they and the rhs are kept: a basic one is sign * D times its
+row's unit vector.  A pivot is a fraction-free Jordan exchange: each other
+row r becomes (T[r] p - f T[row]) / d and the leaving column takes the
+entering one's slot, with -f * sign there and sign * d in the pivot row.
+The row z = c_B . T of the phase's cost, over every stored column, takes
+the same update, so pricing and the multipliers read it, not the rows.
 
-Phase 1 has two starts.  The default puts every row's artificial in the
-basis; its point is the reported witness of a bound (Bland's vertex, pinned
-byte for byte by the CLI goldens) and the one the Fraction reference solver
-of the tests reproduces.  The slack start (``slack_start=True``) puts in the
-slack of each <= row whose rhs is >= 0: such a row is stored unnegated, so
-its slack column is its artificial's.  Only the other rows start with an
-artificial, and phase 1 skips about two pivots per such row.  ``bounds`` uses it for the LPs whose only output is a
-verdict or an optimum: a bound's bisection probes and quantum-level search,
-and the range LPs of the lattice count and the vertex enumeration.  Its
-status and optimum are those of the default start, each certified alike,
-but its point is a certified vertex that need not be Bland's vertex from
-the all-artificial start, and its duals or ray may differ too.
+Phase 1 starts by default from every row's artificial; its point is the
+reported witness of a bound (Bland's vertex, pinned byte for byte by the
+CLI goldens) and the one the tests' Fraction reference solver reproduces.
+The slack start (``slack_start=True``) puts in the slack of each <= row of
+rhs >= 0 (stored unnegated, so its slack column is its artificial's) and
+the artificials of the other rows only, skipping about two phase-1 pivots
+per such row.  ``bounds`` uses it for the LPs read only for a verdict or an
+optimum: bisection probes, quantum-level searches and the range LPs of the
+lattice count and vertex enumeration.  It gives the same status and
+optimum, each certified alike, but maybe another vertex, duals or ray.
 
 Every verdict carries a certificate, each checked exactly by its own
 function:
@@ -48,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Q, integer_row
+from .exact import Q, dot, integer_row
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -68,50 +71,69 @@ class LpResult:
     ray: tuple | None = None
 
 
-def _pivot(tab, basis, cols, row, col, d):
-    """Fraction-free pivot on column col of the full tableau; returns the
-    new common denominator.
+def _column(tab, basis, cols, loc, d, sc):
+    """Stored column sc: its slot, or sign * d in the row where it is basic.
+    loc maps a stored column to its slot, or to ~r when basic in row r."""
+    k = loc[sc]
+    if k >= 0:
+        return [trow[k] for trow in tab]
+    column = [0] * len(tab)
+    column[~k] = cols[basis[~k]][1] * d
+    return column
 
-    Column col is cols[col] = (stored column, sign).  Each row r != row
-    becomes (T[r] * p - T[r][col] * T[row]) / d, an exact division.  A
-    negative pivot (the phase-1 cleanup allows one) negates the tableau so
-    that the denominator stays positive.
+
+def _pivot(tab, basis, cols, row, col, d, loc, z=None, cost=None):
+    """Fraction-free Jordan exchange of basis[row] for column col
+    (cols[col] = (stored column, sign)); returns the new denominator.
+
+    Each row r != row becomes (T[r] * p - f * T[row]) / d, exactly, with
+    f = sign * T[r][slot]; so does the cost row z when given, with f the
+    scaled reduced cost.  When the twin of col leaves, its stored column
+    stays basic and only the pivot row can change.  A negative pivot (the
+    phase-1 cleanup allows one) negates the tableau, keeping d > 0.
     """
     sc, sg = cols[col]
+    sb, sgb = cols[basis[row]]
+    k = loc[sc]
     prow = tab[row]
-    p = sg * prow[sc]
-    for r, trow in enumerate(tab):
-        if r == row:
-            continue
-        f = sg * trow[sc]
-        if f:
-            tab[r] = [(a * p - f * b) // d for a, b in zip(trow, prow)]
-        elif p != d:
-            tab[r] = [a * p // d for a in trow]
+    p = sg * (prow[k] if k >= 0 else sgb * d)
+    if z is not None:
+        full = [prow[i] if i >= 0 else 0 for i in loc] + prow[-1:]
+        full[sb] = sgb * d
+        g = sg * z[sc] - cost[col] * d
+        z[:] = [(a * p - g * b) // d for a, b in zip(z, full)]
+    if k >= 0:
+        for r, trow in enumerate(tab):
+            if r == row:
+                continue
+            f = sg * trow[k]
+            if f:
+                trow = [(a * p - f * b) // d for a, b in zip(trow, prow)]
+                trow[k] = -f * sgb
+                tab[r] = trow
+            elif p != d:
+                tab[r] = [a * p // d for a in trow]
+        prow[k] = sgb * d
+        loc[sb], loc[sc] = k, ~row
     basis[row] = col
     if p < 0:
-        for r, trow in enumerate(tab):
-            tab[r] = [-a for a in trow]
+        for trow in (tab if k >= 0 else [prow]) + ([] if z is None else [z]):
+            trow[:] = [-a for a in trow]
         p = -p
     return p
 
 
-def _simplex(tab, basis, cols, cost, enter_limit, d):
-    """Minimize the integer cost; Bland's rule; entering columns below
-    enter_limit only.  Returns (status, entering column or None, d)."""
+def _simplex(tab, basis, cols, loc, cost, z, enter_limit, d):
+    """Minimize the integer cost, with z = c_B . T kept current; Bland's
+    rule; entering columns below enter_limit only.  Returns (status,
+    entering column or None, d)."""
     while True:
         in_basis = set(basis)
-        priced = [(cost[b], tab[r]) for r, b in enumerate(basis) if cost[b]]
-        z = {}  # cost_B . (stored column), each computed once
         entering = -1
         for j in range(enter_limit):
-            if j in in_basis:
-                continue
             sc, sg = cols[j]
-            if sc not in z:
-                z[sc] = sum(cb * trow[sc] for cb, trow in priced)
             # sign of the reduced cost, scaled by d > 0
-            if cost[j] * d < sg * z[sc]:
+            if j not in in_basis and cost[j] * d < sg * z[sc]:
                 entering = j
                 break
         if entering < 0:
@@ -120,27 +142,23 @@ def _simplex(tab, basis, cols, cost, enter_limit, d):
         # basic column, compared by cross-multiplication
         sc, sg = cols[entering]
         row, num, den = None, 0, 1
-        for r, trow in enumerate(tab):
-            a = sg * trow[sc]
+        for r, (a, trow) in enumerate(zip(_column(tab, basis, cols, loc, d, sc), tab)):
+            a *= sg
             if a > 0:
                 cmp = trow[-1] * den - num * a
                 if row is None or cmp < 0 or (cmp == 0 and basis[r] < basis[row]):
                     row, num, den = r, trow[-1], a
         if row is None:
             return UNBOUNDED, entering, d
-        d = _pivot(tab, basis, cols, row, entering, d)
+        d = _pivot(tab, basis, cols, row, entering, d, loc, z, cost)
 
 
 def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, slack_start=False):
     """Minimize c.x subject to a_ub x <= b_ub and a_eq x = b_eq, x free.
 
     Phase 1 starts from every row's artificial, or with slack_start from
-    the slack of each <= row whose rhs is >= 0 (its column is the
-    artificial's) and the artificials of the other rows only.  Both starts
-    give the same status and optimum, each with a certificate, but the
-    point, the duals or the ray may differ: a slack-start point is a
-    certified vertex, not necessarily Bland's vertex from the artificials.
-    Callers that report the point keep the default.
+    the slack of each <= row of rhs >= 0 and the other rows' artificials:
+    the same status and optimum, but maybe another point, duals or ray.
     """
     nv = len(c)
     rows = [list(r) + [b] for r, b in zip(a_ub, b_ub)]
@@ -152,52 +170,51 @@ def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, slack_start=False):
 
     tab = []
     row_mult = []  # original row i = row_mult[i] * tableau row i
-    for i, values in enumerate(rows):
+    for values in rows:
         ints, scale = integer_row(values)
-        arow, rhs = ints[:-1], ints[-1]
-        sign = 1
-        if rhs < 0:
-            arow = [-v for v in arow]
-            rhs = -rhs
-            sign = -1
+        sign = -1 if ints[-1] < 0 else 1
         row_mult.append(sign * scale)
-        tab.append(arow + [1 if j == i else 0 for j in range(nrows)] + [rhs])
+        tab.append(ints if sign > 0 else [-v for v in ints])
     # column j of the full tableau (x+, x-, slacks, artificials) is
-    # sign * tab column: x- is -x+, and the slack of <= row i is its
+    # sign * stored column: x- is -x+, and the slack of <= row i is its
     # artificial column times the sign its row was stored with
     cols = [(j, 1) for j in range(nv)] + [(j, -1) for j in range(nv)]
     cols += [(nv + i, 1 if row_mult[i] > 0 else -1) for i in range(n_ub)]
     cols += [(nv + i, 1) for i in range(nrows)]
+    # the x+ columns start in the slots, each artificial's stored column basic
+    loc = list(range(nv)) + [~i for i in range(nrows)]
 
     basis = [
         2 * nv + i if slack_start and i < n_ub and row_mult[i] > 0 else art_start + i
         for i in range(nrows)
     ]
 
-    def multipliers(cost, scale, d):
-        # simplex multipliers y from the artificial columns (B^-1 e_i is
-        # stored there); the original rows carry -row_mult_i * y_i
+    def cost_row(cost, d):
+        # c_B . T over the slots and the rhs, then over every stored column
         cb = [cost[b] for b in basis]
-        y = [
-            sum(cb[r] * tab[r][nv + i] for r in range(nrows))
-            for i in range(nrows)
-        ]
-        w = [Fraction(-row_mult[i] * y[i], scale * d) for i in range(nrows)]
+        zs = [dot(cb, col) for col in zip(*tab)] or [0] * (nv + 1)
+        return [zs[k] if k >= 0 else cb[~k] * cols[basis[~k]][1] * d for k in loc] + zs[-1:]
+
+    def multipliers(z, scale, d):
+        # the simplex multipliers y are z at the artificial stored columns
+        # (B^-1 e_i is stored there); the original rows carry -row_mult_i * y_i
+        w = [Fraction(-row_mult[i] * z[nv + i], scale * d) for i in range(nrows)]
         return tuple(w[:n_ub]), tuple(w[n_ub:])
 
     # phase 1
     phase1 = [0] * art_start + [1] * nrows
-    _, _, d = _simplex(tab, basis, cols, phase1, ncols, 1)
+    z = cost_row(phase1, 1)
+    _, _, d = _simplex(tab, basis, cols, loc, phase1, z, ncols, 1)
     if any(tab[r][-1] for r in range(nrows) if basis[r] >= art_start):
         # the phase-1 multipliers give y.A <= 0 on every non-artificial
         # column and y.b > 0: a Farkas vector
-        lam, mu = multipliers(phase1, 1, d)
+        lam, mu = multipliers(z, 1, d)
         return LpResult(INFEASIBLE, dual_ub=lam, dual_eq=mu)
     for r in range(nrows):
         if basis[r] >= art_start:
             for j in range(art_start):
-                if tab[r][cols[j][0]] != 0:
-                    d = _pivot(tab, basis, cols, r, j, d)
+                if _column(tab, basis, cols, loc, d, cols[j][0])[r]:
+                    d = _pivot(tab, basis, cols, r, j, d, loc)
                     break
 
     def point():
@@ -210,25 +227,22 @@ def solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), *, slack_start=False):
     # phase 2 (artificial columns stay in the tableau but may not enter)
     c_int, c_scale = integer_row(c)
     cost = c_int + [-v for v in c_int] + [0] * (n_ub + nrows)
-    status, entering, d = _simplex(tab, basis, cols, cost, art_start, d)
+    z = cost_row(cost, d)
+    status, entering, d = _simplex(tab, basis, cols, loc, cost, z, art_start, d)
     if status == UNBOUNDED:
         sc, sg = cols[entering]
         direction = [0] * art_start
         direction[entering] = d
-        for r in range(nrows):
+        for r, a in enumerate(_column(tab, basis, cols, loc, d, sc)):
             if basis[r] < art_start:
-                direction[basis[r]] = -sg * tab[r][sc]
+                direction[basis[r]] = -sg * a
         ray = tuple(Fraction(direction[j] - direction[nv + j], d) for j in range(nv))
         return LpResult(UNBOUNDED, x=point(), ray=ray)
 
     x = point()
-    objective = Q(_dot(c_int, x), c_scale)
-    lam, mu = multipliers(cost, c_scale, d)
+    objective = Q(dot(c_int, x), c_scale)
+    lam, mu = multipliers(z, c_scale, d)
     return LpResult(OPTIMAL, x=x, objective=objective, dual_ub=lam, dual_eq=mu)
-
-
-def _dot(row, vec):
-    return sum(a * v for a, v in zip(row, vec))
 
 
 def _integer_rows(a, b):
@@ -264,8 +278,8 @@ def _feasible_point(a_ub, b_ub, a_eq, b_eq, x) -> bool:
     xs, sx = integer_row(x)
     g, h, _ = _integer_rows(a_ub, b_ub)
     e, f, _ = _integer_rows(a_eq, b_eq)
-    return all(_dot(row, xs) <= b * sx for row, b in zip(g, h)) and all(
-        _dot(row, xs) == b * sx for row, b in zip(e, f)
+    return all(dot(row, xs) <= b * sx for row, b in zip(g, h)) and all(
+        dot(row, xs) == b * sx for row, b in zip(e, f)
     )
 
 
@@ -283,10 +297,10 @@ def certify_optimum(c, a_ub, b_ub, a_eq, b_eq, result: LpResult) -> bool:
     xs, sx = integer_row(result.x)
     g, h, g_scales = _integer_rows(a_ub, b_ub)
     e, f, e_scales = _integer_rows(a_eq, b_eq)
-    gx = [_dot(row, xs) for row in g]
+    gx = [dot(row, xs) for row in g]
     if any(v > b * sx for v, b in zip(gx, h)):
         return False
-    if any(_dot(row, xs) != b * sx for row, b in zip(e, f)):
+    if any(dot(row, xs) != b * sx for row, b in zip(e, f)):
         return False
     cs, duals, k = _integer_duals(c, lam + mu, g_scales + e_scales)
     ls, ms = duals[: len(lam)], duals[len(lam) :]
@@ -299,7 +313,7 @@ def certify_optimum(c, a_ub, b_ub, a_eq, b_eq, result: LpResult) -> bool:
     if any(l and v != b * sx for l, v, b in zip(ls, gx, h)):
         return False
     # zero duality gap: k (objective + h.lam + f.mu) = 0
-    return k * result.objective + _dot(ls, h) + _dot(ms, f) == 0
+    return k * result.objective + dot(ls, h) + dot(ms, f) == 0
 
 
 def certify_infeasible(a_ub, b_ub, a_eq, b_eq, result: LpResult) -> bool:
@@ -323,7 +337,7 @@ def certify_infeasible(a_ub, b_ub, a_eq, b_eq, result: LpResult) -> bool:
     rows = g + e
     if any(_combination(duals, rows, len(rows[0]) if rows else 0)):
         return False
-    return _dot(ls, h) + _dot(ms, f) < 0
+    return dot(ls, h) + dot(ms, f) < 0
 
 
 def certify_ray(c, a_ub, b_ub, a_eq, b_eq, result: LpResult) -> bool:
@@ -340,4 +354,4 @@ def certify_ray(c, a_ub, b_ub, a_eq, b_eq, result: LpResult) -> bool:
         return False
     if not _feasible_point(a_ub, [0] * len(a_ub), a_eq, [0] * len(a_eq), d):
         return False
-    return _dot(c, d) < 0
+    return dot(c, d) < 0

@@ -1,15 +1,21 @@
 """Randomized corpora shared by the property and acceptance suites, and the
 plain references that the exact kernels are checked against: Fraction
 Horner for the evaluators, the invariant blocks by their definition in y
-and their Fraction combination for the invariant expansions."""
+and their Fraction combination for the invariant expansions, the
+distillation map composed in t and the family rows built member by member
+in Fractions for the closed-form integer kernels, and truncated power
+series for the invariant ring's H series."""
 
 import random
 from fractions import Fraction as Q
 from math import lcm
 
-from gf4msd.enumerators import Enumerator
-from gf4msd.exact import poly_mul
+from gf4msd.bounds import LinConstraint
+from gf4msd.enumerators import Enumerator, odd_poly, signed_poly
+from gf4msd.exact import poly_add, poly_compose, poly_mul, poly_scale
 from gf4msd.gf4 import (
+    GF4_CHARS,
+    Gf4Code,
     random_maximal_self_orthogonal_code,
     random_self_orthogonal_code,
 )
@@ -60,6 +66,93 @@ def fraction_combination(n, coeffs, blocks):
         for deg, val in enumerate(block):
             out[deg] += c * val
     return Enumerator(n, tuple(out))
+
+
+# t = (1 - 2 eps)^2 / 3 as a polynomial in eps
+T_OF_EPS = (Q(1, 3), Q(-4, 3), Q(4, 3))
+
+
+def reference_map_polys(A, C, lam):
+    """(M, N) in eps with N = signed_poly(A)(t) and M = N + lam u
+    odd_poly(C)(t) / 3, each composed with t(eps) by poly_compose: the
+    route that distill._map_polys replaced by its binomial matrix."""
+    n_poly = poly_compose(signed_poly(A), T_OF_EPS)
+    odd = poly_mul((1, -2), poly_compose(odd_poly(C), T_OF_EPS))
+    return poly_add(n_poly, poly_scale(odd, Q(lam, 3))), n_poly
+
+
+def family_row(fam, func, sense):
+    """The constraint func(A, B, C) <sense> 0 on a family's points, func
+    linear memberwise, evaluated on each member in its own types."""
+    base = func(*fam.members[0])
+    return LinConstraint(tuple(func(*m) for m in fam.members[1:]), sense, -base)
+
+
+def code_from_strings(rows):
+    """The code generated by rows written in GF4_CHARS, one string each."""
+    gens = tuple(tuple(GF4_CHARS.index(ch) for ch in row.strip()) for row in rows)
+    return Gf4Code(len(gens[0]) if gens else 0, gens)
+
+
+def verdict_all_ok(verdict):
+    """Both consistency constraints of a QuantumVerdict hold, for both signs."""
+    return verdict.success_nonneg and verdict.threshold_ok_plus and verdict.threshold_ok_minus
+
+
+def family_enumerator_at(fam, point):
+    """The A of a family at a point: the members' A combined in Fractions."""
+    A = fam.members[0][0]
+    for v, (Ai, _, _) in zip(point, fam.members[1:]):
+        if v:
+            A = A + Ai.scale(Q(v))
+    return A
+
+
+def series(p, order):
+    out = list(p[: order + 1])
+    out += [0] * (order + 1 - len(out))
+    return out
+
+
+def series_mul(a, b, order):
+    out = [0] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        if x == 0:
+            continue
+        for j, y in enumerate(b[: order + 1 - i]):
+            if y:
+                out[i + j] += x * y
+    return out
+
+
+def series_inv(a, order):
+    if not a or a[0] == 0:
+        raise ZeroDivisionError("series has no inverse")
+    inv = [Q(1) / Q(a[0])] + [Q(0)] * order
+    for k in range(1, order + 1):
+        s = 0
+        for i in range(1, k + 1):
+            ai = a[i] if i < len(a) else 0
+            if ai:
+                s += ai * inv[k - i]
+        inv[k] = -s / a[0]
+    return inv
+
+
+def series_compose(outer, inner, order):
+    """outer(inner(x)) truncated; requires inner[0] == 0."""
+    if inner and inner[0] != 0:
+        raise ValueError("inner series must have zero constant term")
+    out = [0] * (order + 1)
+    power = [1] + [0] * order
+    for c in outer:
+        if c:
+            for i, x in enumerate(power):
+                out[i] += c * x
+        power = series_mul(power, series(inner, order), order)
+        if all(x == 0 for x in power):
+            break
+    return out
 
 
 def random_codes(seed=101, count=200, max_n=10):

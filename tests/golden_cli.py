@@ -45,7 +45,7 @@ from gf4msd.cli import main  # noqa: E402
 
 CODES = os.path.join(ROOT, "codes")
 SHIPPED = ("five_qubit", "five_qubit_product", "hexacode", "two_qubit")
-BOUNDS = (("nu", 5, 43), ("distance", 5, 35), ("classical-distance", 6, 40))
+BOUNDS = (("nu", 5, 49), ("distance", 5, 35), ("classical-distance", 6, 40))
 LATTICE = (*range(5, 15), 16, 17)
 ANALYZE_SEEDED = (7, 11, 13, 17, 19)
 SEARCH_SEEDED = 14

@@ -24,7 +24,7 @@ import random
 import time
 from fractions import Fraction as Q
 
-from corpus import random_codes, random_family_params, sampled_negative_point
+from corpus import family_enumerator_at, random_codes, random_family_params, sampled_negative_point, verdict_all_ok
 
 from gf4msd import bounds, simplex
 from gf4msd.bounds import lattice_search, lp_feasible, max_distance_bound, max_nu_bound
@@ -350,7 +350,7 @@ def test_criterion_08b_fake_enumerator_success_violation():
     point = (-9, -6, -6)
     classical, points, fam = lattice_search(11, use_quantum=False)
     assert point in points
-    violator = fam.enumerator_at(point)
+    violator = family_enumerator_at(fam, point)
     assert violator == Enumerator.from_pairs(11, {0: 1, 6: 198, 8: 495, 10: 330})
     B = macwilliams(violator, 2**10)
     for E in (violator, B):
@@ -375,7 +375,7 @@ def test_criterion_09_putative_enumerators():
     ne = noise_exponent(build_map(PUTATIVE[25]))
     assert ne.leading == Q(23591, 5) and ne.nu == 7
     for A in PUTATIVE.values():
-        assert quantum_verdict(A).all_ok
+        assert verdict_all_ok(quantum_verdict(A))
     print("criterion 9: PASS")
 
 

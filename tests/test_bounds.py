@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corpus import family_enumerator_at, family_row
+
 from gf4msd import bounds, simplex
 from gf4msd.bounds import (
     AffineFamily,
@@ -33,7 +35,7 @@ from gf4msd.bounds import (
 )
 from gf4msd.distill import check_success_nonneg
 from gf4msd.enumerators import Enumerator, is_map_length, signed_eval, signed_poly
-from gf4msd.exact import poly_add, poly_mul
+from gf4msd.exact import integer_row, poly_add, poly_mul
 from gf4msd.invariants import selfdual_extremal_enumerator
 from gf4msd.roots import poly_nonneg_on
 
@@ -161,7 +163,7 @@ def test_lattice_points_have_integral_coefficients():
     _, pts, fam = lattice_search(7, use_quantum=False)
     for p in pts:
         _, B, _ = fam.members[0]
-        full = fam.enumerator_at(p)
+        full = family_enumerator_at(fam, p)
         from gf4msd.enumerators import macwilliams
 
         Bp = macwilliams(full, full.total())
@@ -247,9 +249,9 @@ def _level_rows(driver, fam, bound):
     if driver is max_nu_bound:
         return numerator_coefficient_rows(fam, 1 if fam.n % 6 == 5 else -1, bound)
     if driver is max_distance_bound:  # C_1, C_3, ..., C_{bound-2}
-        return [fam.row(lambda A, B, C, j=j: C.coeffs[j], "==") for j in range(1, bound - 1, 2)]
+        return [family_row(fam, lambda A, B, C, j=j: C.coeffs[j], "==") for j in range(1, bound - 1, 2)]
     # A_2, A_4, ..., A_{bound-2}
-    return [fam.row(lambda A, B, C, j=j: A.coeffs[j], "==") for j in range(2, bound - 1, 2)]
+    return [family_row(fam, lambda A, B, C, j=j: A.coeffs[j], "==") for j in range(2, bound - 1, 2)]
 
 
 @pytest.mark.parametrize(
@@ -305,7 +307,7 @@ def test_witness_meeting_the_cuts_skips_the_quantum_search(monkeypatch):
 
     monkeypatch.setattr(bounds, "lp_feasible", spy)
     classical, quantum, witness, fam = max_distance_bound(15)
-    cut = fam.row(lambda A, B, C: signed_eval(A, Q(1, 3)), ">=")
+    cut = family_row(fam, lambda A, B, C: signed_eval(A, Q(1, 3)), ">=")
     assert classical == quantum == 5 and cut.satisfied(witness)
     with_cuts, calls[:] = list(calls), []
     # the same LPs as without the cut: the bisection probes from the slack
@@ -569,13 +571,16 @@ def test_family_elimination_matches_reduce_equalities_on_every_prefix(case):
 def _selfdual_members(polys):
     """Even-only enumerators whose signed polynomials are the given ones."""
     n = 2 * (max(len(p) for p in polys) - 1)
-    zero = Enumerator(n, (0,) * (n + 1))
     members = []
     for p in polys:
         A = Enumerator.from_pairs(n, {2 * j: (-1) ** j * c for j, c in enumerate(p)})
         assert signed_poly(A)[: len(p)] == tuple(p)
-        members.append((A, A, zero))
-    return AffineFamily(n, tuple("c%d" % i for i in range(1, len(polys))), tuple(members))
+        members.append(A.coeffs)
+    # the members over their common denominator s, with B = A and C = 0
+    flat, s = integer_row([v for A in members for v in A])
+    rows = [tuple(flat[i : i + n + 1]) for i in range(0, len(flat), n + 1)]
+    ints = tuple((A, A, (0,) * (n + 1)) for A in rows)
+    return AffineFamily(n, tuple("c%d" % i for i in range(1, len(polys))), ints, s)
 
 
 _ROOT = st.fractions(min_value=0, max_value=Q(1, 3), max_denominator=40)

@@ -112,7 +112,7 @@ def test_bounds_classical_only_builds_no_quantum_row(capsys, monkeypatch, target
     def no_quantum_row(*args, **kwargs):
         raise AssertionError("a quantum row was built")
 
-    for name in ("quantum_rows_distill", "quantum_rows_selfdual", "signed_eval"):
+    for name in ("quantum_rows_distill", "quantum_rows_selfdual", "_success_rows"):
         monkeypatch.setattr(bounds, name, no_quantum_row)
     code, out = run_cli(capsys, *argv, "--classical-only")
     assert code == 0

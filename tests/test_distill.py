@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from corpus import poly_pow
+from corpus import poly_pow, verdict_all_ok
 
 from gf4msd.distill import (
     bernstein_certificate,
@@ -166,7 +166,7 @@ def test_putative_large_rows():
     assert (ne.nu, ne.leading) == (5, Q(11781, 23))
     rep = threshold(m)
     assert rep.decimal(5) == "0.16331" and rep.stable
-    assert quantum_verdict(A35).all_ok
+    assert verdict_all_ok(quantum_verdict(A35))
     A31 = Enumerator.from_pairs(
         31,
         {0: 1, 6: 369, 8: 2898, 10: 4521, 12: 57951, 14: 466488,
@@ -186,13 +186,13 @@ def test_noise_exponent_useless():
 
 def test_quantum_verdicts():
     good = quantum_verdict(FIVE_A)
-    assert good.all_ok
+    assert verdict_all_ok(good)
     fake = quantum_verdict(FAKE_11)
     assert not (fake.threshold_ok_plus and fake.threshold_ok_minus)
     assert fake.threshold_witness_minus is not None
     assert fake.threshold_witness_minus < 0
     for A in (PUTATIVE_19, PUTATIVE_23, PUTATIVE_25):
-        assert quantum_verdict(A).all_ok
+        assert verdict_all_ok(quantum_verdict(A))
 
 
 def test_success_nonneg_examples():
@@ -276,3 +276,21 @@ def test_build_map_rejects_bad_inputs():
         build_map(Enumerator.from_pairs(5, {0: 1, 1: 1, 4: 14}))
     with pytest.raises(ValueError):
         build_map(FIVE_A, lam=2)
+
+
+def test_closed_form_map_matches_composition_in_t():
+    # every member of both families for odd n = 5..61, both signs, and
+    # n = 1: the values of the route that composed in t, each an int or a
+    # Fraction as that route gave it
+    from corpus import reference_map_polys
+
+    from gf4msd.bounds import distillation_family
+    from gf4msd.distill import _map_polys
+
+    pairs = [(A, C) for n in range(5, 62, 2) for pin in (True, False) for A, _, C in distillation_family(n, pin).members]
+    pairs += [(Enumerator(1, (a, 0)), Enumerator(1, (0, c))) for a in (0, 1, Q(1, 2)) for c in (0, 3, Q(1, 3))]
+    for A, C in pairs:
+        for lam in (1, -1):
+            got, want = _map_polys(A, C, lam), reference_map_polys(A, C, lam)
+            assert got == want
+            assert [type(v) for p in got for v in p] == [type(v) for p in want for v in p]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import fraction_horner
+from corpus import fraction_horner, series_compose, series_inv, series_mul
 
 from gf4msd import exact
 from gf4msd.exact import (
@@ -23,9 +23,6 @@ from gf4msd.exact import (
     q_from_str,
     q_to_str,
     rref,
-    series_compose,
-    series_inv,
-    series_mul,
 )
 
 

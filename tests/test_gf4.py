@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import code_from_strings
+
 from gf4msd import gf4
 from gf4msd.gf4 import (
     CONJ,
@@ -37,7 +39,7 @@ from gf4msd.gf4 import (
 )
 
 FIVE = Gf4Code.from_pauli_strings(["XZZXI", "IXZZX"])
-HEXA = Gf4Code.from_strings(["1001ww", "010w1w", "001ww1"])
+HEXA = code_from_strings(["1001ww", "010w1w", "001ww1"])
 
 
 def test_field_relations():
@@ -127,7 +129,7 @@ def test_hexacode_shortenings_all_match_five_qubit():
 
 
 def test_product_code_shortenings():
-    prod = Gf4Code.from_strings(["110000", "001100", "000011"])
+    prod = code_from_strings(["110000", "001100", "000011"])
     assert is_self_dual(prod)
     enums = {weight_enumerator(shorten(prod, i)).coeffs for i in range(6)}
     assert enums == {(1, 0, 6, 0, 9, 0)}

@@ -6,6 +6,8 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+from corpus import code_from_strings
+
 from gf4msd.enumerators import signed_eval
 from gf4msd.gf4 import (
     Gf4Code,
@@ -25,8 +27,8 @@ from gf4msd.oracle import (
 
 PAIR = Gf4Code(2, ((1, 1),))
 FIVE = Gf4Code.from_pauli_strings(["XZZXI", "IXZZX"])
-FIVE_PRODUCT = Gf4Code.from_strings(["11000", "00110"])
-HEXA = Gf4Code.from_strings(["1001ww", "010w1w", "001ww1"])
+FIVE_PRODUCT = code_from_strings(["11000", "00110"])
+HEXA = code_from_strings(["1001ww", "010w1w", "001ww1"])
 SHIPPED = ((PAIR, 0), (FIVE, 1), (FIVE_PRODUCT, 1), (HEXA, 0))
 
 S1_GROUP = [

@@ -3,11 +3,20 @@
 import random
 from fractions import Fraction as Q
 
-from corpus import poly_pow, random_codes, random_family_params, random_maximal_codes, sampled_negative_point
+from corpus import (
+    poly_pow,
+    random_codes,
+    random_family_params,
+    random_maximal_codes,
+    sampled_negative_point,
+    series_compose,
+    series_inv,
+    series_mul,
+)
 
 from gf4msd.distill import build_map, check_success_nonneg, noise_exponent
 from gf4msd.enumerators import macwilliams, signed_eval, transform_xy
-from gf4msd.exact import poly_mul, series_compose, series_inv, series_mul
+from gf4msd.exact import poly_mul
 from gf4msd.gf4 import (
     Gf4Code,
     enumerate_codewords,

@@ -311,3 +311,108 @@ def test_mutated_certificates_rejected(lp):
                     moved[i] += Q(1, 7)
                     bad = replace(res, **{key: tuple(moved)})
                     assert not simplex.certify_infeasible(a_ub, b_ub, a_eq, b_eq, bad)
+
+
+@st.composite
+def tall_lps(draw):
+    """Integral LPs of up to 32 rows over at most 6 variables: <= and ==
+    rows, negative rhs, and rows that repeat an earlier row times a nonzero
+    integer, so that equalities turn redundant and artificials stay basic."""
+    nv = draw(st.integers(1, 6))
+    value = st.integers(-5, 5)
+    rows = []
+    for _ in range(draw(st.integers(1, 32))):
+        if rows and draw(st.integers(0, 3)) == 0:
+            row, rhs, sense = draw(st.sampled_from(rows))
+            k = draw(st.integers(-3, 3).filter(bool))
+            row, rhs = [k * v for v in row], k * rhs
+        else:
+            row, rhs = draw(st.lists(value, min_size=nv, max_size=nv)), draw(value)
+        rows.append((row, rhs, draw(st.sampled_from(("<=", "<=", "==")))))
+    c = draw(st.lists(value, min_size=nv, max_size=nv))
+    ub = [(r, b) for r, b, s in rows if s == "<="]
+    eq = [(r, b) for r, b, s in rows if s == "=="]
+    return c, [r for r, _ in ub], [b for _, b in ub], [r for r, _ in eq], [b for _, b in eq]
+
+
+def _check_against_reference(lp, res):
+    """res is the all-artificial solve of lp: certified, and equal field by
+    field to the Fraction reference (which gives no Farkas vector)."""
+    c, a_ub, b_ub, a_eq, b_eq = lp
+    ref = reference_solve(*lp)
+    assert res.status == ref.status
+    if res.status == simplex.OPTIMAL:
+        assert res == ref
+        assert simplex.certify_optimum(*lp, res)
+    elif res.status == simplex.UNBOUNDED:
+        assert res.ray == ref.ray
+        assert simplex.certify_ray(*lp, res)
+    else:
+        assert simplex.certify_infeasible(a_ub, b_ub, a_eq, b_eq, res)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tall_lps())
+def test_tall_lps_match_reference_solver(lp):
+    _check_against_reference(lp, simplex.solve(*lp))
+    res = simplex.solve(*lp, slack_start=True)
+    ref = reference_solve(*lp)
+    assert res.status == ref.status
+    assert res.objective == ref.objective
+
+
+def _pivot_kinds(monkeypatch):
+    """Record, per pivot, whether the entering column's twin leaves (its
+    stored column is basic) and whether the pivot is negative."""
+    kinds = []
+    real = simplex._pivot
+
+    def spy(tab, basis, cols, row, col, d, loc, *rest):
+        sc, sg = cols[col]
+        kinds.append((loc[sc] < 0, sg * simplex._column(tab, basis, cols, loc, d, sc)[row] < 0))
+        return real(tab, basis, cols, row, col, d, loc, *rest)
+
+    monkeypatch.setattr(simplex, "_pivot", spy)
+    return kinds
+
+
+def test_twin_swaps_and_negative_cleanup_pivots(monkeypatch):
+    kinds = _pivot_kinds(monkeypatch)
+    cases = [
+        # 0 x <= 1: phase 1 swaps the artificial for its twin slack
+        (([-1], [[0]], [1], [], []), (True, False)),
+        # x >= -1 and -x = 1: the cleanup pivots on a negative entry
+        (([1], [[-1]], [1], [[-1]], [1]), (False, True)),
+        # a row stored negated keeps its artificial at level 0, and the
+        # cleanup swaps it for its twin slack with a negative pivot
+        (([1], [[1], [-2], [2]], [-1, 2, -1], [], []), (True, True)),
+    ]
+    for lp, kind in cases:
+        kinds.clear()
+        _check_against_reference(lp, simplex.solve(*lp))
+        assert kind in kinds, lp
+
+
+def test_bound_driver_lps_match_reference_solver(monkeypatch):
+    from gf4msd import bounds
+
+    calls = []
+    real = simplex.solve
+
+    def spy(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append((args, kwargs.get("slack_start", False), res))
+        return res
+
+    monkeypatch.setattr(simplex, "solve", spy)
+    for n in range(5, 20):
+        if bounds.is_nu_length(n):
+            bounds.max_nu_bound(n)
+    bounds.lattice_search(12, True)
+    assert {slack_start for _, slack_start, _ in calls} == {False, True}
+    for lp, slack_start, res in calls:
+        if slack_start:
+            ref = reference_solve(*lp)
+            assert (res.status, res.objective) == (ref.status, ref.objective)
+        else:
+            _check_against_reference(lp, res)
