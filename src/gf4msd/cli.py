@@ -181,15 +181,14 @@ def cmd_search(args) -> int:
     seen = set()
     rows = []
     for code in codes:
-        for coord in range(code.n):
-            short = gf4.shorten(code, coord)
-            A = gf4.weight_enumerator(short, budget)
+        for A in gf4.shortened_enumerators(code, budget):
             key = A.canonical_key()
             if key in seen:
                 continue
             seen.add(key)
-            entry = {"n": short.n, "enumerator": key}
-            if is_map_length(short.n) and short.k == (short.n - 1) // 2 and A.is_even_only():
+            k = (A.total().bit_length() - 1) // 2  # a shortening has 4^k words
+            entry = {"n": A.n, "enumerator": key}
+            if is_map_length(A.n) and k == (A.n - 1) // 2 and A.is_even_only():
                 ne, _, _, best = _sign_thresholds(A)
                 entry["nu"] = ne.nu
                 entry["threshold"] = best
@@ -311,7 +310,7 @@ def cmd_lattice(args) -> int:
     count, points, fam = bounds.lattice_search(args.n, use_quantum=args.quantum)
     lines = ["count,%d" % count, ",".join(fam.names)]
     for p in points:
-        lines.append(",".join(map(q_to_str, p)))
+        lines.append(",".join(map(str, p)))
     out.emit("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -333,7 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, decimals=True, budget=True)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("search", help="shorten every code in a database and rank thresholds")
+    p = sub.add_parser(
+        "search",
+        help="shorten every code in a database at each coordinate and rank thresholds; "
+        "every shortening of a code is tallied from one pass over the parent's orbit words",
+    )
     p.add_argument("file")
     p.add_argument("--precision", type=int, default=12, help="threshold decimal digits")
     common(p, budget=True)

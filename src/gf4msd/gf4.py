@@ -31,6 +31,10 @@ A_j = 0 (mod 3).  It tallies the words whose first nonzero scalar is 1:
 slices of the tail's span as that span grows, then the heads whose leading
 scalar is 1, each XORed into the full span.  Blocks hold at most 4096
 words as x and z masks in 64-bit limbs; a word's weight is popcount(x | z).
+`shortened_enumerators` tallies the same blocks once for every shortening
+of the code, by a joint count of each support byte's value and the word's
+weight; `search` reads every shortening of a code from that one pass over
+the parent's orbit words.
 """
 
 from __future__ import annotations
@@ -283,19 +287,18 @@ def _limbs(n: int, limbs: int, words) -> list:
     return [[[v >> 64 * i & 0xFFFFFFFFFFFFFFFF for v in vs] for i in range(limbs)] for vs in masks]
 
 
-def weight_enumerator(code: Gf4Code, budget: int = DEFAULT_BUDGET) -> Enumerator:
-    """Coefficient A_j = number of codewords of Hamming weight j.
+def _orbit_blocks(code: Gf4Code, budget: int):
+    """Check the budget, then yield blocks of the words whose first nonzero
+    scalar is 1, one word of each scalar orbit of the nonzero codewords,
+    (4^k - 1) / 3 in all.
 
-    The words c, w c and w2 c share their support, so A = e_0 + 3 T, where T
-    tallies one word of each scalar orbit of nonzero codewords: the word
-    whose first nonzero scalar is 1, that is g_i plus a word of the span of
-    g_{i+1}, ..., g_{k-1}, for each i; (4^k - 1) / 3 words in all.  The span
-    of the last <= 6 generators is grown as a uint64 array of x and z limbs
-    from its last generator back, multiple-major, so the words g_i plus the
-    span already grown are a slice of the next one; those slices form one
-    block.  Each combination of the first k - 6 generators whose leading
-    scalar is 1 is then XORed into the full span.  Blocks hold at most 4096
-    words, each tallied by popcount(x | z) in exact integer arithmetic.
+    Each block is a uint64 array [mask][limb][word] of at most 4096 words:
+    first g_i plus a word of the span of g_{i+1}, ..., g_{k-1} for each of
+    the last <= 6 generators, then, for each combination of the first k - 6
+    generators whose leading scalar is 1, that combination XORed into the
+    span of the last <= 6.  The span is grown from its last generator back,
+    multiple-major, so the words g_i plus the span already grown are a
+    slice of the next one.  k = 0 gives one empty block.
     """
     # imported on first use, so that importing the package or the CLI, and
     # every subcommand that enumerates no codewords, runs without numpy
@@ -304,28 +307,81 @@ def weight_enumerator(code: Gf4Code, budget: int = DEFAULT_BUDGET) -> Enumerator
     heads, tail = _split(code, budget)
     n = code.n
     limbs = max(-(-n // 64), 1)
+    multiples = np.array(_limbs(n, limbs, [w for row in tail for w in row]), dtype=np.uint64)
+    multiples = multiples.reshape(2, limbs, -1, 4)  # [mask][limb][generator][multiple]
+    span = np.zeros((2, limbs, 1), dtype=np.uint64)
+    leading = [span[..., :0]]  # empty, so that k = 0 still has one block
+    for i in reversed(range(len(tail))):
+        size = span.shape[-1]
+        span = (multiples[:, :, i, :, None] ^ span[..., None, :]).reshape(2, limbs, -1)
+        leading.append(span[..., size : 2 * size])  # g_i plus the old span
+    yield np.concatenate(leading, axis=-1)
+    for i, row in enumerate(heads):
+        for base in _combinations(((row[1],), *heads[i + 1 :])):
+            yield span ^ np.array(_limbs(n, limbs, [base]), dtype=np.uint64)
 
-    def blocks():
-        multiples = np.array(_limbs(n, limbs, [w for row in tail for w in row]), dtype=np.uint64)
-        multiples = multiples.reshape(2, limbs, -1, 4)  # [mask][limb][generator][multiple]
-        span = np.zeros((2, limbs, 1), dtype=np.uint64)
-        leading = [span[..., :0]]  # empty, so that k = 0 still has one block
-        for i in reversed(range(len(tail))):
-            size = span.shape[-1]
-            span = (multiples[:, :, i, :, None] ^ span[..., None, :]).reshape(2, limbs, -1)
-            leading.append(span[..., size : 2 * size])  # g_i plus the old span
-        yield np.concatenate(leading, axis=-1)
-        for i, row in enumerate(heads):
-            for base in _combinations(((row[1],), *heads[i + 1 :])):
-                yield span ^ np.array(_limbs(n, limbs, [base]), dtype=np.uint64)
 
+def weight_enumerator(code: Gf4Code, budget: int = DEFAULT_BUDGET) -> Enumerator:
+    """Coefficient A_j = number of codewords of Hamming weight j.
+
+    The words c, w c and w2 c share their support, so A = e_0 + 3 T, where T
+    tallies one word of each scalar orbit of nonzero codewords, the blocks
+    of `_orbit_blocks`, each word by popcount(x | z) in exact integer
+    arithmetic.
+    """
+    import numpy as np
+
+    n = code.n
     counts = np.zeros(n + 1, dtype=np.int64)
-    for words in blocks():
+    for words in _orbit_blocks(code, budget):
         weights = np.bitwise_count(words[0] | words[1]).sum(axis=0, dtype=np.int64)
         counts += np.bincount(weights, minlength=n + 1)
     counts *= 3
     counts[0] += 1
     return Enumerator(n, tuple(counts.tolist()))
+
+
+def shortened_enumerators(code: Gf4Code, budget: int = DEFAULT_BUDGET) -> list:
+    """The weight enumerator of `shorten(code, c)` for every coordinate c,
+    from one pass over the orbit words of `code`.
+
+    The words of the shortened code are the codewords that vanish at c, of
+    the same weight once c is deleted, and a scalar orbit vanishes at c as a
+    whole; so A_c = e_0 + 3 T_c, where T_c tallies the orbit words whose
+    support misses c.  Each block adds, for each byte of the support masks,
+    the joint counts of (byte value, weight) to a 256 x (n + 1) table; T_c
+    is the sum of the rows of c's byte whose bit for c is clear.  The budget
+    applies to each shortening, as for `weight_enumerator(shorten(code, c))`:
+    shortening keeps the dimension k at a column no generator touches and
+    lowers it to k - 1 elsewhere, and the first coordinate over budget is
+    the one reported.
+    """
+    n, k = code.n, code.k
+    for c in range(n):
+        dim = k - any(g[c] for g in code.generators)
+        if 4**dim > budget:
+            raise BudgetExceededError("4^%d codewords exceed budget %d" % (dim, budget))
+    if n == 0:
+        return []
+    import numpy as np
+
+    # coordinate c is bit b = n - 1 - c of a mask: bit b % 8 of byte b // 8,
+    # which is byte (b // 8) % 8 of limb b // 64
+    nbytes = -(-n // 8)
+    joint = np.zeros((nbytes, 256 * (n + 1)), dtype=np.int64)
+    # every shortening passed the guard above, and the parent's stream
+    # holds at most 4 times the words of the largest one
+    for words in _orbit_blocks(code, 4**k):
+        support = words[0] | words[1]
+        weights = np.bitwise_count(support).sum(axis=0, dtype=np.int64)
+        for byte in range(nbytes):
+            values = (support[byte // 8] >> 8 * (byte % 8)) & 0xFF
+            joint[byte] += np.bincount(values.astype(np.int64) * (n + 1) + weights, minlength=256 * (n + 1))
+    # clear[j][v] = 1 when bit j of the byte value v is 0
+    clear = 1 - (np.arange(256, dtype=np.int64) >> np.arange(8)[:, None] & 1)
+    counts = 3 * np.matmul(clear, joint.reshape(nbytes, 256, n + 1)).reshape(8 * nbytes, n + 1)
+    counts[:, 0] += 1
+    return [Enumerator(n - 1, tuple(counts[n - 1 - c, :n].tolist())) for c in range(n)]
 
 
 def shorten(code: Gf4Code, coord: int) -> Gf4Code:

@@ -5,7 +5,7 @@ Run from any directory:
     python3 tests/golden_cli.py > golden.txt
 
 It prints one line per command, ``sha256(stdout) exit sha256(stderr)
-argv``, for 86 commands: ``bounds`` for every target over a fixed range,
+argv``, for 87 commands: ``bounds`` for every target over a fixed range,
 with and without ``--classical-only``; ``lattice`` for n = 5..14, 16, 17,
 with and without ``--quantum``; ``extremal`` for every n = +-1 (mod 6) in
 5..71 (``distill``) and n = 12, 24, ..., 96 (``selfdual``); ``analyze``
@@ -14,16 +14,18 @@ with and without ``--quantum``; ``extremal`` for every n = +-1 (mod 6) in
 shipped database and a seeded one; ``curve`` on the enumerators of seeded
 maximal codes; ``search`` on a seeded maximal code with an all-zero
 coordinate inserted, so one shortening deletes a column no generator
-touches; and ``analyze`` on a seeded self-orthogonal [70, 8] code, whose
+touches; ``analyze`` on a seeded self-orthogonal [70, 8] code, whose
 words span two 64-bit limbs and whose weight enumerator has two head
-generators.  Seeded files come from fixed seeds and go to a temporary
-directory, printed as ``$TMP``; paths in the checkout print relative to
-its root.  Running it on two checkouts and diffing the outputs shows
-whether a change keeps every byte of the CLI; ``tests/golden_cli.txt``
-holds the recorded output, which ``tests/test_cli.py`` compares line by
-line.  A deliberate change of CLI output re-records that file.  The
-commands run in process through ``cli.main``, in about five seconds on a
-2-core machine.
+generators; and ``search`` on a seeded self-orthogonal [70, 4] code with an
+all-zero column inserted at position 64, whose shortenings span two limbs
+and one of which keeps the parent's dimension.  Seeded files come from
+fixed seeds and go to a temporary directory, printed as ``$TMP``; paths in
+the checkout print relative to its root.  Running it on two checkouts and
+diffing the outputs shows whether a change keeps every byte of the CLI;
+``tests/golden_cli.txt`` holds the recorded output, which
+``tests/test_cli.py`` compares line by line.  A deliberate change of CLI
+output re-records that file.  The commands run in process through
+``cli.main``, in about five seconds on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ SEARCH_SEEDED = 14
 CURVE_SEEDED = (5, 7, 11, 13)
 ZERO_COORD_SEEDED = (11, 5)  # length of the maximal code, place of the zero column
 TWO_LIMB_SEEDED = (70, 8)  # length and dimension of a self-orthogonal code
+TWO_LIMB_ZERO_COORD_SEEDED = (70, 4, 64)  # length, dimension, place of the zero column
 
 
 def _write(tmp, name, text):
@@ -94,6 +97,10 @@ def commands(tmp):
     n, k = TWO_LIMB_SEEDED
     code = gf4.random_self_orthogonal_code(random.Random(300 + n), n, target_k=k)
     cmds.append(["analyze", _write(tmp, "twolimb%d.g4c" % n, code.to_text())])
+    n, k, at = TWO_LIMB_ZERO_COORD_SEEDED
+    code = gf4.random_self_orthogonal_code(random.Random(400 + n), n, target_k=k)
+    padded = gf4.Gf4Code(n + 1, tuple(g[:at] + (0,) + g[at:] for g in code.generators))
+    cmds.append(["search", _write(tmp, "twolimbzero%d.g4cdb" % (n + 1), padded.to_text())])
     return cmds
 
 

@@ -11,7 +11,7 @@ from gf4msd import bounds
 from gf4msd.cli import build_parser, main
 from gf4msd.distill import DegenerateMapError
 from gf4msd.enumerators import DomainError, MacWilliamsError
-from gf4msd.gf4 import NotM3CodeError, random_maximal_self_orthogonal_code, random_self_orthogonal_code
+from gf4msd.gf4 import Gf4Code, NotM3CodeError, random_maximal_self_orthogonal_code, random_self_orthogonal_code
 
 CODES = pathlib.Path(__file__).resolve().parents[1] / "codes"
 FIVE_QUBIT = str(CODES / "five_qubit.g4c")
@@ -63,6 +63,27 @@ def test_analyze_not_self_orthogonal(tmp_path, capsys):
 
 def test_budget_exit_code(codes_dir):
     assert main(["analyze", str(codes_dir / "hexacode.g4c"), "--budget", "1"]) == 4
+
+
+def test_search_budget_guards_each_shortening(tmp_path, capsys, codes_dir):
+    # the shortenings of the [6, 3] codes have dimension 2: 4^2 words fit a
+    # budget of 2 and exceed one of 1
+    db = str(codes_dir / "selfdual6.g4cdb")
+    assert main(["search", db, "--budget", "2"]) == 0
+    capsys.readouterr()
+    assert main(["search", db, "--budget", "1"]) == 4
+    assert capsys.readouterr().err == "budget exceeded: 4^2 codewords exceed budget 4\n"
+    # shortening at an all-zero column keeps the parent's dimension 3
+    code = random_maximal_self_orthogonal_code(random.Random(7), 7)
+    padded = tmp_path / "zerocoord8.g4cdb"
+    padded.write_text(Gf4Code(8, tuple(g[:5] + (0,) + g[5:] for g in code.generators)).to_text())
+    assert main(["search", str(padded), "--budget", "3"]) == 0
+    capsys.readouterr()
+    assert main(["search", str(padded), "--budget", "2"]) == 4
+    assert capsys.readouterr().err == "budget exceeded: 4^3 codewords exceed budget 16\n"
+    # the first shortening over budget names its own dimension
+    assert main(["search", str(padded), "--budget", "1"]) == 4
+    assert capsys.readouterr().err == "budget exceeded: 4^2 codewords exceed budget 4\n"
 
 
 def test_search_database(capsys, codes_dir):
@@ -490,7 +511,7 @@ def test_extremal_golden_digests(capsys):
 def test_golden_cli_commands_parse(tmp_path):
     # every command of tests/golden_cli.py is one the parser accepts
     argvs = commands(str(tmp_path))
-    assert len(argvs) == 86
+    assert len(argvs) == 87
     for argv in argvs:
         build_parser().parse_args(argv)
 
@@ -499,7 +520,7 @@ def test_golden_cli_set_unchanged():
     # every line of tests/golden_cli.py against its recorded output
     expected = (pathlib.Path(__file__).parent / "golden_cli.txt").read_text().splitlines()
     got = list(golden_lines())
-    assert len(got) == len(expected) == 86
+    assert len(got) == len(expected) == 87
     for line, want in zip(got, expected):
         assert line == want
 

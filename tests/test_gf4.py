@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import code_from_strings
+from corpus import code_from_strings, random_codes
 
 from gf4msd import gf4
 from gf4msd.gf4 import (
@@ -30,6 +30,7 @@ from gf4msd.gf4 import (
     random_self_orthogonal_code,
     rref,
     shorten,
+    shortened_enumerators,
     unpack,
     vec_add,
     vec_scale,
@@ -282,12 +283,19 @@ def test_packed_stream_matches_reference_in_order():
         assert words == list(_reference_codewords(code)), k
 
 
+def _assert_shortenings_match(code):
+    got = shortened_enumerators(code)
+    assert got == [weight_enumerator(shorten(code, c)) for c in range(code.n)]
+    assert all(type(a) is int for A in got for a in A.coeffs)
+
+
 def _assert_matches_stream_tally(monkeypatch, code):
     n, k = code.n, code.k
     A = weight_enumerator(code)
     tally = Counter(weight(unpack(n, w)) for w in enumerate_codewords(code))
     assert A.coeffs == tuple(tally[j] for j in range(n + 1))
     assert all(type(a) is int for a in A.coeffs) and sum(A.coeffs) == 4**k
+    _assert_shortenings_match(code)
 
     def no_work(word):
         raise AssertionError("work started before the budget check")
@@ -295,6 +303,13 @@ def _assert_matches_stream_tally(monkeypatch, code):
     monkeypatch.setattr(gf4, "pack", no_work)
     with pytest.raises(BudgetExceededError, match="4\\^%d codewords exceed budget %d" % (k, 4**k - 1)):
         weight_enumerator(code, budget=4**k - 1)
+    if n:
+        # the first shortening, of dimension k or k - 1, is the first over
+        # a budget one word short of 4^(k - 1)
+        dim = k - any(g[0] for g in code.generators)
+        budget = 4 ** (k - 1) - 1 if k else 0
+        with pytest.raises(BudgetExceededError, match="4\\^%d codewords exceed budget %d$" % (dim, budget)):
+            shortened_enumerators(code, budget=budget)
 
 
 @pytest.mark.parametrize(
@@ -311,8 +326,31 @@ def test_weight_enumerator_matches_stream_tally(monkeypatch, n, k):
 
 
 def test_weight_enumerator_with_an_all_zero_coordinate(monkeypatch):
-    # a column no generator touches, at the first bit of the second limb
+    # a column no generator touches at entry 64, bit 5 of the low limb: entry 0
+    # is the top bit, so entries 0-5 fill the high limb
     code = _random_code(random.Random(7), 69, 7)
     padded = Gf4Code(70, tuple(g[:64] + (0,) + g[64:] for g in code.generators))
     assert weight_enumerator(padded).coeffs == weight_enumerator(code).coeffs + (0,)
     _assert_matches_stream_tally(monkeypatch, padded)
+
+
+def test_shortened_enumerators_match_shorten_on_the_corpus():
+    for code in random_codes():
+        _assert_shortenings_match(code)
+
+
+def test_shortened_enumerators_of_the_zero_code_and_length_zero():
+    assert shortened_enumerators(zero_code(0)) == []
+    assert [A.coeffs for A in shortened_enumerators(zero_code(3))] == [(1, 0, 0)] * 3
+    assert [A.coeffs for A in shortened_enumerators(Gf4Code(1, ((2,),)))] == [(1,)]
+
+
+def test_shortened_enumerators_guard_each_shortening():
+    # shortening at the column no generator touches keeps dimension 2; the
+    # other shortenings have dimension 1
+    code = Gf4Code(3, ((1, 1, 0), (2, 3, 0)))
+    assert [sum(A.coeffs) for A in shortened_enumerators(code, budget=16)] == [4, 4, 16]
+    with pytest.raises(BudgetExceededError, match="4\\^2 codewords exceed budget 15$"):
+        shortened_enumerators(code, budget=15)
+    with pytest.raises(BudgetExceededError, match="4\\^1 codewords exceed budget 3$"):
+        shortened_enumerators(code, budget=3)
