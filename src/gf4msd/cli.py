@@ -146,7 +146,7 @@ def _sign_thresholds(A):
     maps, and the better of the two."""
     dmap = distill.build_map(A)
     nat = distill.threshold(dmap)
-    other = distill.threshold(distill.build_map(A, lam=-dmap.lam))
+    other = distill.threshold(dmap.other_sign())
     if nat.status != "ok":
         best = other
     elif other.status != "ok":

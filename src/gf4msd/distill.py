@@ -13,9 +13,12 @@ where N and M are polynomials in u:
 
 so that N is M's even part and M - 2 eps N = u (N + lam sum_j C_{2j+1}
 (-1)^j t^j / 3); lam in {+1, -1} is the logical sign choice, naturally +1
-for n = 5 mod 6 and -1 for n = 1 mod 6.  One integer binomial matrix
-(``eps_rows``) takes 3^h M in u to eps, for the map and the bounds' rows.
-Thresholds are isolated exactly.  The quantum consistency constraints are
+for n = 5 mod 6 and -1 for n = 1 mod 6.  A map holds 3^h M in u as
+integers; one integer binomial matrix (``eps_rows``) takes them to eps,
+for the map's polynomials and the bounds' rows.  Thresholds are isolated
+exactly on the integer polynomial q(t) of degree (n - 1) / 2 with
+M - 2 eps N = u q(t) up to a positive scale, read at t(eps) along a
+bisection in eps.  The quantum consistency constraints are
 decided over Q in t: success nonnegativity N >= 0 for t in [0, 1/3], and
 eps_out >= eps at the stabilizer-octahedron boundary
 eps_max = (1 - 1/sqrt(3)) / 2, where u = 1/sqrt(3), t = 1/9 and
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 
 from .enumerators import (
     DomainError,
@@ -51,8 +55,9 @@ from .exact import (
     poly_mul,
     poly_scale,
     poly_sub,
+    scaled_horner,
 )
-from .roots import _cells, _refine, bernstein_coefficients, poly_nonneg_on, sturm_chain
+from .roots import _cells, _refine, _variations, bernstein_coefficients, poly_nonneg_on, sturm_chain
 
 
 class DegenerateMapError(DomainError):
@@ -66,10 +71,41 @@ def natural_sign(n: int) -> int:
 
 @dataclass(frozen=True)
 class DistillMap:
+    """M = sum_i numerator[i] u^i / scale in u = 1 - 2 eps, N its even part.
+
+    The integer numerator and its scale are those of numerator_u on the
+    enumerators' coefficients over their common denominator, so two maps
+    are equal exactly when their n, lam, M and N are.
+    """
+
     n: int
     lam: int  # logical sign choice: +1 (n = 5 mod 6 natural) or -1
-    m_poly: tuple  # numerator M
-    n_poly: tuple  # N, half the denominator
+    numerator: tuple  # 3^h s M in u, integers (numerator_u)
+    scale: int  # 3^h s > 0
+
+    @cached_property
+    def m_poly(self) -> tuple:
+        """The numerator M in eps."""
+        return _eps_poly(self.numerator, self.scale, 1)
+
+    @cached_property
+    def n_poly(self) -> tuple:
+        """N in eps, half the denominator."""
+        return _eps_poly(self.numerator, self.scale, 2)
+
+    def other_sign(self) -> DistillMap:
+        """The map of the same enumerator for -lam: C's terms of M change sign."""
+        w = tuple(-v if i % 2 else v for i, v in enumerate(self.numerator))
+        return DistillMap(self.n, -self.lam, w, self.scale)
+
+    def fixed_point_t(self) -> tuple:
+        """The integer q with M - 2 eps N = u q(t) / scale, t = u^2 / 3.
+
+        M - 2 eps N = M - (1 - u) N = (M - N) + u N, and M - N is M's odd
+        part, so q_j = (w_2j + w_2j+1) 3^j; q has degree (n - 1) / 2.
+        """
+        w = self.numerator
+        return poly((a + c) * 3**j for j, (a, c) in enumerate(zip(w[::2], w[1::2])))
 
     def eps_out(self, eps) -> Fraction:
         eps = Q(eps)
@@ -114,21 +150,28 @@ def eps_rows(width: int, count: int) -> list:
     return rows
 
 
-def _map_polys(A: Enumerator, C: Enumerator, lam) -> tuple:
-    """(M, N) in eps, linear in (A, C); A even-only and C odd-only: eps_rows
-    on the integer numerator_u, divided once.  Composing in t gave ints only
-    for n = 1 with A integral (and in M, C = 0), Fractions elsewhere."""
+def _numerator(A: Enumerator, C: Enumerator, lam) -> tuple:
+    """(numerator_u, its scale) on the integer row of A's even and C's odd
+    coefficients; A even-only and C odd-only."""
     a, c = A.coeffs[::2], C.coeffs[1::2]
     ints, s = integer_row(a + c)
-    w = numerator_u(ints[: len(a)], ints[len(a) :], lam)
-    rows, den = eps_rows(len(w), len(w)), s * 3 ** len(c)
+    return tuple(numerator_u(ints[: len(a)], ints[len(a) :], lam)), s * 3 ** len(c)
+
+
+def _eps_poly(w, den, step, as_int=False) -> tuple:
+    """eps_rows on w (step 1, M) or on its even part (step 2, N), divided once."""
+    p = poly(dot(r[::step], w[::step]) for r in eps_rows(len(w), len(w)))
+    return tuple(v // den for v in p) if as_int else tuple(Q(v, den) for v in p)
+
+
+def _map_polys(A: Enumerator, C: Enumerator, lam) -> tuple:
+    """(M, N) in eps, linear in (A, C); A even-only and C odd-only.
+    Composing in t gave ints only for n = 1 with A integral (and in M,
+    C = 0), Fractions elsewhere."""
+    w, den = _numerator(A, C, lam)
+    a = A.coeffs[::2]
     int_n = len(a) == 1 and all(type(v) is int for v in a)
-
-    def over(p, as_int):
-        return tuple(v // den for v in p) if as_int else tuple(Q(v, den) for v in p)
-
-    m, n_poly = (poly(dot(r[::k], w[::k]) for r in rows) for k in (1, 2))
-    return over(m, int_n and not any(c)), over(n_poly, int_n)
+    return _eps_poly(w, den, 1, int_n and not any(C.coeffs[1::2])), _eps_poly(w, den, 2, int_n)
 
 
 def _logical(A: Enumerator) -> Enumerator:
@@ -159,7 +202,7 @@ def build_map(A: Enumerator, lam: int | None = None) -> DistillMap:
         lam = natural_sign(A.n)
     if lam not in (1, -1):
         raise DomainError("lam must be +1 or -1")
-    return DistillMap(A.n, lam, *_map_polys(A, C, lam))
+    return DistillMap(A.n, lam, *_numerator(A, C, lam))
 
 
 @dataclass(frozen=True)
@@ -201,33 +244,47 @@ class ThresholdReport:
 THRESHOLD_WIDTH = Q(1, 10**12)  # width of the refined bracketing interval
 
 
+def _t_of(eps) -> Fraction:
+    """t = (1 - 2 eps)^2 / 3 at eps = a/b: (b - 2a)^2 / (3 b^2)."""
+    a, b = eps.numerator, eps.denominator
+    return Q((b - 2 * a) ** 2, 3 * b * b)
+
+
+def _t_level(chain, eps) -> int:
+    """Minus the distinct roots of chain[0] on [t(eps), oo), up to a
+    constant: t falls as eps rises, so two of these differ by the roots on
+    (lo, hi] in eps, the chain's count on (t(hi), t(lo)] moved to
+    [t(hi), t(lo)) by its zeros at the ends."""
+    t = _t_of(eps)
+    return -_variations(chain, t) - (scaled_horner(chain[0], t) == 0)
+
+
 def threshold(dmap: DistillMap) -> ThresholdReport:
     """Smallest fixed point of the map in (0, 1/2), isolated exactly.
 
     The bracketing interval holds the smallest root of p = M - 2 eps N in
     (0, 1/2) strictly inside (or is a single exact rational root) and is
-    refined to THRESHOLD_WIDTH.  The stability flag checks
-    eps_out < eps just below.
+    refined to THRESHOLD_WIDTH.  p = u q(t) / scale (fixed_point_t), and
+    eps -> t is one-to-one and falling on [0, 1/2], so the bisection runs
+    on eps cells but reads the Sturm chain of q, of half p's degree, at
+    t(eps).  The stability flag checks eps_out < eps just below.
     """
-    p_full = dmap.fixed_point_poly()
-    if not p_full:
+    q = dmap.fixed_point_t()
+    if not q:
         return ThresholdReport("identity")
-    # isolating on (0, 1/2] leaves out the forced fixed point at 0; strip
-    # the one at 1/2 so that every isolated root is interior
-    half = Q(1, 2)
-    p = p_full
-    while poly_eval(p, half) == 0:
-        p = poly_divmod(p, (-1, 2))[0]
-    chain = sturm_chain(p)
-    cell = next(_cells(chain, 0, half), None)
+    # isolating on (0, 1/2] leaves out the forced fixed point at 0; the
+    # ones at 1/2 (t = 0) are u and the factors t of q, so strip those and
+    # every isolated root is interior
+    chain = sturm_chain(q[ord_at_zero(q) :])
+    cell = next(_cells(partial(_t_level, chain), 0, Q(1, 2)), None)
     if cell is None:
         return ThresholdReport("no_threshold")
-    lo, hi = _refine(chain[0], *cell, THRESHOLD_WIDTH)
-    # stability: sign of eps_out - eps at a point between 0 and the root
-    probe = lo / 2 if lo > 0 else lo
-    pm = poly_eval(p_full, probe)
-    nm = poly_eval(dmap.n_poly, probe)
-    stable = nm != 0 and (pm / (2 * nm)) < 0
+    lo, hi = _refine(lambda eps: scaled_horner(chain[0], _t_of(eps)), *cell, THRESHOLD_WIDTH)
+    # stability: sign of eps_out - eps at a point between 0 and the root,
+    # where u > 0: p has the sign of q(t), and N that of sum_j w_2j 3^j t^j
+    t = _t_of(lo / 2 if lo > 0 else lo)
+    n_t = poly(v * 3**j for j, v in enumerate(dmap.numerator[::2]))
+    stable = scaled_horner(q, t) * scaled_horner(n_t, t) < 0
     return ThresholdReport("ok", lo, hi, stable)
 
 

@@ -15,6 +15,7 @@ result is that of the rational chain, and no floating point enters.
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd
 
 from .exact import Q, poly, poly_degree, poly_deriv, primitive, scaled_horner
@@ -71,20 +72,24 @@ def _variations(chain, x) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _cells(chain, a, b):
-    """Yield bisection cells (lo, hi] of (a, b] in increasing order, one distinct root each."""
+def _cells(level, a, b):
+    """Yield bisection cells (lo, hi] of (a, b] in increasing order, one distinct root each.
+
+    level(x) is an integer with level(lo) - level(hi) distinct roots on
+    (lo, hi] for all lo < hi, such as the sign variations of a Sturm chain.
+    """
 
     def split(lo, vlo, hi, vhi):
         if vlo - vhi == 1:
             yield lo, hi
         elif vlo - vhi > 1:
             mid = (lo + hi) / 2
-            vmid = _variations(chain, mid)
+            vmid = level(mid)
             yield from split(lo, vlo, mid, vmid)
             yield from split(mid, vmid, hi, vhi)
 
     a, b = Q(a), Q(b)
-    return split(a, _variations(chain, a), b, _variations(chain, b))
+    return split(a, level(a), b, level(b))
 
 
 def isolate_roots(p, a, b) -> list:
@@ -95,23 +100,25 @@ def isolate_roots(p, a, b) -> list:
     p(hi) != 0.
     """
     chain = sturm_chain(p)
-    return [(hi, hi) if scaled_horner(chain[0], hi) == 0 else (lo, hi) for lo, hi in _cells(chain, a, b)]
+    cells = _cells(partial(_variations, chain), a, b)
+    return [(hi, hi) if scaled_horner(chain[0], hi) == 0 else (lo, hi) for lo, hi in cells]
 
 
 def refine_root(p, lo, hi, width) -> tuple:
     """Shrink an isolating interval of isolate_roots to the requested width."""
-    return _refine(sturm_chain(p)[0], Q(lo), Q(hi), width)
+    return _refine(partial(scaled_horner, sturm_chain(p)[0]), Q(lo), Q(hi), width)
 
 
-def _refine(h, lo, hi, width) -> tuple:
-    """Bisection of (lo, hi] against the sign of the square-free h at hi;
-    a root at hi or at a midpoint comes back as (r, r)."""
-    s = scaled_horner(h, hi)
+def _refine(sign, lo, hi, width) -> tuple:
+    """Bisection of (lo, hi] against sign(hi), sign(x) having the sign of a
+    square-free polynomial at x; a root at hi or at a midpoint comes back
+    as (r, r)."""
+    s = sign(hi)
     if s == 0:
         return hi, hi
     while hi - lo > width:
         mid = (lo + hi) / 2
-        v = scaled_horner(h, mid)
+        v = sign(mid)
         if v == 0:
             return mid, mid
         if (v > 0) == (s > 0):
@@ -149,7 +156,7 @@ def poly_nonneg_on(p, a, b):
         if scaled_horner(p, x) < 0:
             return False, x
     chain = sturm_chain(p)
-    for lo, hi in _cells(chain, a, b):
+    for lo, hi in _cells(partial(_variations, chain), a, b):
         x = _left_of_root(chain[0], lo, hi)
         if scaled_horner(p, x) < 0:
             return False, x

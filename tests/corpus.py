@@ -3,16 +3,18 @@ plain references that the exact kernels are checked against: Fraction
 Horner for the evaluators, the invariant blocks by their definition in y
 and their Fraction combination for the invariant expansions, the
 distillation map composed in t and the family rows built member by member
-in Fractions for the closed-form integer kernels, and truncated power
-series for the invariant ring's H series."""
+in Fractions for the closed-form integer kernels, the threshold isolated
+on the Sturm chain of the fixed-point polynomial in eps, and truncated
+power series for the invariant ring's H series."""
 
 import random
 from fractions import Fraction as Q
 from math import lcm
 
 from gf4msd.bounds import LinConstraint
+from gf4msd.distill import THRESHOLD_WIDTH, ThresholdReport
 from gf4msd.enumerators import Enumerator, odd_poly, signed_poly
-from gf4msd.exact import poly_add, poly_compose, poly_mul, poly_scale
+from gf4msd.exact import poly_add, poly_compose, poly_divmod, poly_eval, poly_mul, poly_scale
 from gf4msd.gf4 import (
     GF4_CHARS,
     Gf4Code,
@@ -20,6 +22,7 @@ from gf4msd.gf4 import (
     random_self_orthogonal_code,
 )
 from gf4msd.invariants import InvariantParams, num_cprime, num_dprime
+from gf4msd.roots import isolate_roots, refine_root
 
 
 def fraction_horner(p, x):
@@ -79,6 +82,27 @@ def reference_map_polys(A, C, lam):
     n_poly = poly_compose(signed_poly(A), T_OF_EPS)
     odd = poly_mul((1, -2), poly_compose(odd_poly(C), T_OF_EPS))
     return poly_add(n_poly, poly_scale(odd, Q(lam, 3))), n_poly
+
+
+def reference_threshold(dmap):
+    """The threshold isolated on p = M - 2 eps N in eps: the factors
+    (1 - 2 eps) divided out over Q, the first isolating interval of the
+    rest on (0, 1/2] refined to THRESHOLD_WIDTH, and the signs of p and N
+    at half its left end; the route that distill.threshold replaced by the
+    chain of q(t)."""
+    p_full = dmap.fixed_point_poly()
+    if not p_full:
+        return ThresholdReport("identity")
+    p = p_full
+    while poly_eval(p, Q(1, 2)) == 0:
+        p = poly_divmod(p, (-1, 2))[0]
+    cells = isolate_roots(p, 0, Q(1, 2))
+    if not cells:
+        return ThresholdReport("no_threshold")
+    lo, hi = refine_root(p, *cells[0], THRESHOLD_WIDTH)
+    probe = lo / 2 if lo > 0 else lo
+    pm, nm = poly_eval(p_full, probe), poly_eval(dmap.n_poly, probe)
+    return ThresholdReport("ok", lo, hi, nm != 0 and pm / (2 * nm) < 0)
 
 
 def family_row(fam, func, sense):

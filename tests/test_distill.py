@@ -1,8 +1,18 @@
+import hashlib
 import random
 from fractions import Fraction as Q
 
 import pytest
-from corpus import poly_pow, verdict_all_ok
+from corpus import (
+    T_OF_EPS,
+    poly_pow,
+    random_family_params,
+    random_maximal_codes,
+    reference_threshold,
+    verdict_all_ok,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gf4msd.distill import (
     bernstein_certificate,
@@ -16,9 +26,16 @@ from gf4msd.distill import (
     threshold,
     threshold_slack,
 )
-from gf4msd.enumerators import Enumerator, macwilliams, signed_eval
-from gf4msd.exact import poly_eval, poly_mul, poly_scale
-from gf4msd.invariants import InvariantParams, expand_family
+from gf4msd.enumerators import Enumerator, is_map_length, macwilliams, signed_eval
+from gf4msd.exact import poly_compose, poly_deriv, poly_eval, poly_mul, poly_scale, rref
+from gf4msd.gf4 import weight_enumerator
+from gf4msd.invariants import (
+    InvariantParams,
+    expand_family,
+    extremal_distillation_enumerator,
+    num_cprime,
+    num_dprime,
+)
 
 FIVE_A = Enumerator.from_pairs(5, {0: 1, 4: 15})
 
@@ -294,3 +311,116 @@ def test_closed_form_map_matches_composition_in_t():
             got, want = _map_polys(A, C, lam), reference_map_polys(A, C, lam)
             assert got == want
             assert [type(v) for p in got for v in p] == [type(v) for p in want for v in p]
+
+
+def threshold_corpus():
+    """The five-qubit code, seeded random maximal codes of every map length
+    up to 23, the extremal distillation enumerators for n = +-1 mod 6 up to
+    71 (q up to degree 35, no fixed point in (0, 1/2)) and seeded points of
+    the invariant family at map lengths up to 23."""
+    codes = random_maximal_codes(seed=28, count=21, lengths=(5, 7, 11, 13, 17, 19, 23))
+    corpus = [FIVE_A] + [weight_enumerator(code) for code in codes]
+    corpus += [extremal_distillation_enumerator(n) for n in range(5, 72) if is_map_length(n)]
+    params = random_family_params(seed=28, count=60, max_n=23)
+    corpus += [expand_family(p) for p in params if is_map_length(p.n)]
+    return corpus
+
+
+def test_threshold_reports_pinned():
+    # (status, low, high, stable) of both signs over the corpus, as the
+    # Sturm chain in eps reported them
+    digest = hashlib.sha256()
+    for A in threshold_corpus():
+        for lam in (1, -1):
+            rep = threshold(build_map(A, lam))
+            digest.update(repr((rep.status, rep.low, rep.high, rep.stable)).encode())
+    assert digest.hexdigest() == "697db9e9606945cfdb4ddbad9aec7b416274429e68a9e731964f09af8d743649"
+
+
+def _family_point(n, x):
+    """The odd family at c0' = 1 and the free coefficients x (c' then d')."""
+    k = num_cprime(n)
+    return expand_family(InvariantParams(n, (1,) + tuple(x[: k - 1]), tuple(x[k - 1 :])))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), n=st.sampled_from((5, 7, 11, 13)), lam=st.sampled_from((1, -1)))
+def test_threshold_matches_eps_chain_reference(data, n, lam):
+    # integer points of the invariant family, almost all of them fake
+    # enumerators; the isolation on q(t) must report what the chain of
+    # p(eps) reported, and p = u q(u^2 / 3) / scale, scale > 0
+    free = num_cprime(n) - 1 + num_dprime(n)
+    A = _family_point(n, data.draw(st.lists(st.integers(-60, 60), min_size=free, max_size=free)))
+    dmap = build_map(A, lam)
+    assert threshold(dmap) == reference_threshold(dmap)
+    p = dmap.fixed_point_poly()
+    q = dmap.fixed_point_t()
+    assert len(q) <= (n + 1) // 2 and all(type(v) is int for v in q) and dmap.scale > 0
+    assert poly_scale(poly_mul((1, -2), poly_compose(q, T_OF_EPS)), Q(1, dmap.scale)) == p
+
+
+def _meeting(n, lam, conditions, fixed):
+    """A family point whose fixed-point polynomial p meets the conditions
+    (linear functionals of p), its last free coefficients set to fixed:
+    p is affine in the point, so one rational solve."""
+    free = num_cprime(n) - 1 + num_dprime(n)
+
+    def p_at(x):
+        return build_map(_family_point(n, x), lam).fixed_point_poly()
+
+    base = p_at([0] * free)
+    units = [p_at([int(i == j) for i in range(free)]) for j in range(free)]
+    rows = [[f(u) - f(base) for u in units] + [-f(base)] for f in conditions]
+    rows += [[int(j == free - len(fixed) + i) for j in range(free)] + [v] for i, v in enumerate(fixed)]
+    pivots, _, cols = rref(rows, free)
+    assert cols == list(range(free))
+    return _family_point(n, [row[-1] for row in pivots])
+
+
+def _value(eps, order=0):
+    def f(p):
+        for _ in range(order):
+            p = poly_deriv(p)
+        return poly_eval(p, eps)
+
+    return f
+
+
+@pytest.mark.parametrize(
+    "n, root, extra, fixed, exact",
+    [
+        (11, Q(1, 5), False, -7, False),
+        (11, Q(1, 4), False, -7, True),  # the first bisection midpoint
+        (11, Q(1, 8), False, 3, True),
+        (13, Q(1, 5), True, 3, False),
+        (13, Q(1, 5), True, -7, False),
+    ],
+)
+def test_threshold_at_a_double_root(n, root, extra, fixed, exact):
+    # p with a double root at root, and with extra an extra factor
+    # 1 - 2 eps (p is odd in u, so u^3 | p; then t | q)
+    conditions = [_value(root), _value(root, 1)] + [_value(Q(1, 2), 1)] * extra
+    dmap = build_map(_meeting(n, 1, conditions, [fixed]), 1)
+    assert all(f(dmap.fixed_point_poly()) == 0 for f in conditions)
+    q = dmap.fixed_point_t()
+    assert (q[0] == 0) == extra
+    rep = threshold(dmap)
+    assert rep == reference_threshold(dmap)
+    assert rep.status == "ok" and rep.low <= root <= rep.high
+    assert (rep.low == rep.high) == exact
+
+
+def test_threshold_reads_no_eps_polynomials():
+    # the eps polynomials are cached properties: a map that threshold alone
+    # reads reports what one whose polynomials were read first does, and
+    # the other-sign map is the one build_map gives for -lam
+    for A in (FIVE_A, PUTATIVE_23, FAKE_11):
+        for lam in (1, -1):
+            fresh, read = build_map(A, lam), build_map(A, lam)
+            assert read.m_poly and read.n_poly
+            rep = threshold(fresh)
+            assert "m_poly" not in vars(fresh) and "n_poly" not in vars(fresh)
+            assert rep == threshold(read) and fresh == read
+            other = build_map(A, lam).other_sign()
+            assert other == build_map(A, -lam)
+            assert (other.m_poly, other.n_poly) == (build_map(A, -lam).m_poly, build_map(A, -lam).n_poly)
