@@ -19,13 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from . import simplex
-from .distill import eps_rows, natural_sign, numerator_u, slack_sign_ok
+from .distill import eps_max_rows, eps_rows, natural_sign, numerator_u, slack_sign_ok
 from .distill import quantum_verdict  # noqa: F401
-from .enumerators import DomainError, Enumerator, signed_poly, transform_xy
+from .enumerators import DomainError, transform_xy
 from .enumerators import check_length, is_map_length, is_odd_family_length, is_selfdual_length
 from .exact import Q, dot, integer_row, poly_compose, primitive, rref_steps
 from .invariants import num_cprime, unit_family_basis
@@ -425,12 +424,6 @@ class AffineFamily:
     def dim(self) -> int:
         return len(self.names)
 
-    @cached_property
-    def members(self) -> tuple:
-        """The (A, B, C) Enumerators, built on first use."""
-        s = self.scale
-        return tuple(tuple(Enumerator(self.n, tuple(Q(v, s) for v in vec)) for vec in m) for m in self.ints)
-
 
 def distillation_family(n: int, pin_trivial: bool = True) -> AffineFamily:
     """Free-coefficient family for odd n, pinned to c0' = 1.
@@ -492,10 +485,16 @@ def _success_rows(fam: AffineFamily, points):
     return _rows([m[0][::2] for m in fam.ints], weights, ">=")
 
 
+def _numerators(fam: AffineFamily, lam: int) -> list:
+    """Each member's integer numerator_u, its map's u-numerator times the
+    positive 3^h scale."""
+    return [numerator_u(A[::2], C[1::2], lam) for A, _, C in fam.ints]
+
+
 def numerator_coefficient_rows(fam: AffineFamily, lam: int, count: int):
     """Equality rows forcing the first `count` numerator coefficients to 0:
     the rows of eps_rows on each member's integer numerator_u."""
-    vectors = [numerator_u(A[::2], C[1::2], lam) for A, _, C in fam.ints]
+    vectors = _numerators(fam, lam)
     return _rows(vectors, eps_rows(len(vectors[0]), count), "==")
 
 
@@ -508,12 +507,12 @@ def classical_rows(fam: AffineFamily):
 def quantum_rows_distill(fam: AffineFamily):
     """Linearized quantum cuts: N(0) >= 0, N(eps_max) >= 0 and the
     sign-resolved threshold inequality for both logical sign choices, the
-    threshold_slack being sum_i m_i / 3^(i // 2) over M's u-coefficients."""
-    rows = _success_rows(fam, (Q(1, 3), Q(1, 9)))
-    for lam in (1, -1):
-        vectors = [numerator_u(A[::2], C[1::2], lam) for A, _, C in fam.ints]
-        rows += _rows(vectors, [[3 ** (fam.n // 2 - i // 2) for i in range(fam.n + 1)]], ">=")
-    return rows
+    last three the rows of eps_max_rows on the members' numerators (N is
+    the same for both signs)."""
+    plus = _numerators(fam, 1)
+    n_row, slack_row = eps_max_rows(len(plus[0]))
+    rows = _success_rows(fam, (Q(1, 3),)) + _rows(plus, (n_row, slack_row), ">=")
+    return rows + _rows(_numerators(fam, -1), (slack_row,), ">=")
 
 
 def success_rows(fam: AffineFamily):
@@ -695,12 +694,13 @@ def _bernstein_forms(polys):
 
 def quantum_filter_selfdual(fam: AffineFamily):
     """Exact verdict A(1, i rbar) >= 0 for all rbar^2 in [0, 1/3], on the
-    signed polynomials of the members combined by the point's coordinates.
+    signed polynomials of the members' integer lists, sum_j (-1)^j s A_2j t^j,
+    combined by the point's coordinates.
 
     A point passes at once when its Bernstein coefficients on every piece
     of _bernstein_forms are >= 0, since they bound the polynomial from
     below there; any other point is decided by poly_nonneg_on."""
-    polys = [signed_poly(A) for A, _, _ in fam.members]
+    polys = [[(-1) ** j * a for j, a in enumerate(A[::2])] for A, _, _ in fam.ints]
     base, *steps = polys
     form0, *form_steps = _bernstein_forms(polys)
 

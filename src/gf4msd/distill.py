@@ -14,16 +14,19 @@ where N and M are polynomials in u:
 so that N is M's even part and M - 2 eps N = u (N + lam sum_j C_{2j+1}
 (-1)^j t^j / 3); lam in {+1, -1} is the logical sign choice, naturally +1
 for n = 5 mod 6 and -1 for n = 1 mod 6.  A map holds 3^h M in u as
-integers; one integer binomial matrix (``eps_rows``) takes them to eps,
-for the map's polynomials and the bounds' rows.  Thresholds are isolated
+integers, the u-numerator w, and every reading of the map is computed
+from it: eps_out at u = 1 - 2 eps, the noise exponent from the rows of one
+integer binomial matrix (``eps_rows``, which the bounds' numerator rows
+share) and the polynomials in eps on demand.  Thresholds are isolated
 exactly on the integer polynomial q(t) of degree (n - 1) / 2 with
 M - 2 eps N = u q(t) up to a positive scale, read at t(eps) along a
 bisection in eps.  The quantum consistency constraints are
 decided over Q in t: success nonnegativity N >= 0 for t in [0, 1/3], and
 eps_out >= eps at the stabilizer-octahedron boundary
 eps_max = (1 - 1/sqrt(3)) / 2, where u = 1/sqrt(3), t = 1/9 and
-sqrt(3) (M - 2 eps N) is the rational threshold_slack.  No verdict touches
-floating point.
+sqrt(3) (M - 2 eps N) is the rational threshold_slack; both are integer
+weight rows over w (``eps_max_rows``), the verdicts' and the LP cuts'.
+No verdict touches floating point.
 """
 
 from __future__ import annotations
@@ -32,16 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 
-from .enumerators import (
-    DomainError,
-    Enumerator,
-    alt_odd_eval,
-    check_length,
-    is_map_length,
-    signed_eval,
-    signed_poly,
-    transform_xy,
-)
+from .enumerators import DomainError, Enumerator, check_length, is_map_length, signed_poly, transform_xy
 from .exact import (
     Q,
     decimal_str,
@@ -52,9 +46,7 @@ from .exact import (
     poly_divmod,
     poly_eval,
     poly_gcd,
-    poly_mul,
     poly_scale,
-    poly_sub,
     scaled_horner,
 )
 from .roots import _cells, _refine, _variations, bernstein_coefficients, poly_nonneg_on, sturm_chain
@@ -108,14 +100,13 @@ class DistillMap:
         return poly((a + c) * 3**j for j, (a, c) in enumerate(zip(w[::2], w[1::2])))
 
     def eps_out(self, eps) -> Fraction:
+        """M / (2 N) at u = 1 - 2 eps; the scale cancels."""
         eps = Q(eps)
-        denom = 2 * poly_eval(self.n_poly, eps)
+        u = 1 - 2 * eps
+        denom = 2 * poly_eval(self.numerator[::2], u * u)
         if denom == 0:
             raise ZeroDivisionError("N vanishes at %s" % eps)
-        return poly_eval(self.m_poly, eps) / denom
-
-    def fixed_point_poly(self) -> tuple:
-        return poly_sub(self.m_poly, poly_mul((0, 2), self.n_poly))
+        return poly_eval(self.numerator, u) / denom
 
     def canonical_fraction(self):
         """(numerator, denominator) reduced and scaled to denominator(0) = 1."""
@@ -158,20 +149,19 @@ def _numerator(A: Enumerator, C: Enumerator, lam) -> tuple:
     return tuple(numerator_u(ints[: len(a)], ints[len(a) :], lam)), s * 3 ** len(c)
 
 
-def _eps_poly(w, den, step, as_int=False) -> tuple:
+def _eps_poly(w, den, step) -> tuple:
     """eps_rows on w (step 1, M) or on its even part (step 2, N), divided once."""
-    p = poly(dot(r[::step], w[::step]) for r in eps_rows(len(w), len(w)))
-    return tuple(v // den for v in p) if as_int else tuple(Q(v, den) for v in p)
+    return tuple(Q(v, den) for v in poly(dot(r[::step], w[::step]) for r in eps_rows(len(w), len(w))))
 
 
-def _map_polys(A: Enumerator, C: Enumerator, lam) -> tuple:
-    """(M, N) in eps, linear in (A, C); A even-only and C odd-only.
-    Composing in t gave ints only for n = 1 with A integral (and in M,
-    C = 0), Fractions elsewhere."""
-    w, den = _numerator(A, C, lam)
-    a = A.coeffs[::2]
-    int_n = len(a) == 1 and all(type(v) is int for v in a)
-    return _eps_poly(w, den, 1, int_n and not any(C.coeffs[1::2])), _eps_poly(w, den, 2, int_n)
+def eps_max_rows(width: int) -> tuple:
+    """Integer weight rows over a u-numerator w of the given width at the
+    stabilizer-octahedron boundary, u^2 = 1/3 and t = 1/9, J = (width - 1) // 2:
+    3^(J - i // 2) on even i gives 3^J scale N(eps_max), and on every i
+    3^J q(1/9) = 3^J scale threshold_slack."""
+    J = (width - 1) // 2
+    slack = [3 ** (J - i // 2) for i in range(width)]
+    return [0 if i % 2 else v for i, v in enumerate(slack)], slack
 
 
 def _logical(A: Enumerator) -> Enumerator:
@@ -216,16 +206,18 @@ def noise_exponent(dmap: DistillMap) -> NoiseExponent:
     """nu = ord_0 M - ord_0 N and the exact leading coefficient of eps_out.
 
     A vanishing success probability at eps = 0 makes the exponent
-    meaningless ("useless"); M = 0 is the perfect-map sentinel.
+    meaningless ("useless"); M = 0 is the perfect-map sentinel.  Read from
+    the numerator w: scale N(0) = sum_j w_2j at u = 1, and scale M's eps^k
+    coefficient is row k of eps_rows on w, so the scale cancels.
     """
-    if not dmap.m_poly:
+    w = dmap.numerator
+    if not any(w):
         return NoiseExponent("perfect", None, None)
-    om = ord_at_zero(dmap.m_poly)
-    on = ord_at_zero(dmap.n_poly)
-    if on != 0:
+    n_0 = sum(w[::2])
+    if n_0 == 0:
         return NoiseExponent("useless", None, None)
-    lead = Q(dmap.m_poly[om]) / (2 * Q(dmap.n_poly[0]))
-    return NoiseExponent("ok", om, lead)
+    nu, m_nu = next((k, v) for k, row in enumerate(eps_rows(len(w), len(w))) if (v := dot(row, w)))
+    return NoiseExponent("ok", nu, Q(m_nu, 2 * n_0))
 
 
 @dataclass(frozen=True)
@@ -311,13 +303,20 @@ def check_success_nonneg(A: Enumerator):
     return poly_nonneg_on(signed_poly(A), 0, Q(1, 3))
 
 
+def _at_eps_max(w, scale) -> tuple:
+    """(3^J scale N(eps_max), threshold_slack) of the map with numerator w,
+    from the rows of eps_max_rows."""
+    n_row, slack_row = eps_max_rows(len(w))
+    return dot(n_row, w), Q(dot(slack_row, w), 3 ** ((len(w) - 1) // 2) * scale)
+
+
 def threshold_slack(A: Enumerator, C: Enumerator, lam: int) -> Fraction:
     """sqrt(3) (M - 2 eps N) at eps_max, a rational linear functional of (A, C).
 
-    At eps_max, u = 1/sqrt(3) and t = 1/9, so this is
-    signed_eval(A, 1/9) + lam * alt_odd_eval(C, 1/3).
+    At eps_max, u = 1/sqrt(3) and t = 1/9, so this is q(1/9) / scale, A
+    even-only and C odd-only of odd length.
     """
-    return signed_eval(A, Q(1, 9)) + lam * alt_odd_eval(C, Q(1, 3))
+    return _at_eps_max(*_numerator(A, C, lam))[1]
 
 
 def slack_sign_ok(n_max, slack) -> bool:
@@ -327,13 +326,12 @@ def slack_sign_ok(n_max, slack) -> bool:
     return slack == 0 or (slack > 0) == (n_max > 0)
 
 
-def _threshold_ok(A: Enumerator, C: Enumerator, lam: int):
+def _threshold_ok(dmap: DistillMap):
     """(ok, witness) for eps_out(eps_max) >= eps_max, the witness being the
     slack when slack_sign_ok fails."""
-    n_max = signed_eval(A, Q(1, 9))
+    n_max, slack = _at_eps_max(dmap.numerator, dmap.scale)
     if n_max == 0:
         raise DegenerateMapError("N(eps_max) = 0; threshold test degenerate")
-    slack = threshold_slack(A, C, lam)
     if slack_sign_ok(n_max, slack):
         return True, None
     return False, slack
@@ -348,8 +346,8 @@ def check_threshold_constraint(A: Enumerator):
     threshold_slack, of sign opposite to N(eps_max) exactly on violation.
     N(eps_max) = 0 raises a degenerate-map error.
     """
-    C = _logical(A)
-    return {lam: _threshold_ok(A, C, lam) for lam in (-1, 1)}
+    dmap = build_map(A, 1)
+    return {m.lam: _threshold_ok(m) for m in (dmap.other_sign(), dmap)}
 
 
 def quantum_verdict(A: Enumerator) -> QuantumVerdict:

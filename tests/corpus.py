@@ -5,7 +5,8 @@ and their Fraction combination for the invariant expansions, the
 distillation map composed in t and the family rows built member by member
 in Fractions for the closed-form integer kernels, the threshold isolated
 on the Sturm chain of the fixed-point polynomial in eps, and truncated
-power series for the invariant ring's H series."""
+power series for the invariant ring's H series; also the readings of maps
+and families that only the tests need, in Fractions."""
 
 import random
 from fractions import Fraction as Q
@@ -14,7 +15,7 @@ from math import lcm
 from gf4msd.bounds import LinConstraint
 from gf4msd.distill import THRESHOLD_WIDTH, ThresholdReport
 from gf4msd.enumerators import Enumerator, odd_poly, signed_poly
-from gf4msd.exact import poly_add, poly_compose, poly_divmod, poly_eval, poly_mul, poly_scale
+from gf4msd.exact import poly_add, poly_compose, poly_divmod, poly_eval, poly_mul, poly_scale, poly_sub
 from gf4msd.gf4 import (
     GF4_CHARS,
     Gf4Code,
@@ -78,10 +79,16 @@ T_OF_EPS = (Q(1, 3), Q(-4, 3), Q(4, 3))
 def reference_map_polys(A, C, lam):
     """(M, N) in eps with N = signed_poly(A)(t) and M = N + lam u
     odd_poly(C)(t) / 3, each composed with t(eps) by poly_compose: the
-    route that distill._map_polys replaced by its binomial matrix."""
+    route that distill.eps_rows, the binomial matrix on a map's
+    u-numerator, replaced."""
     n_poly = poly_compose(signed_poly(A), T_OF_EPS)
     odd = poly_mul((1, -2), poly_compose(odd_poly(C), T_OF_EPS))
     return poly_add(n_poly, poly_scale(odd, Q(lam, 3))), n_poly
+
+
+def fixed_point_poly(dmap):
+    """p = M - 2 eps N in eps, from the map's eps polynomials."""
+    return poly_sub(dmap.m_poly, poly_mul((0, 2), dmap.n_poly))
 
 
 def reference_threshold(dmap):
@@ -90,7 +97,7 @@ def reference_threshold(dmap):
     rest on (0, 1/2] refined to THRESHOLD_WIDTH, and the signs of p and N
     at half its left end; the route that distill.threshold replaced by the
     chain of q(t)."""
-    p_full = dmap.fixed_point_poly()
+    p_full = fixed_point_poly(dmap)
     if not p_full:
         return ThresholdReport("identity")
     p = p_full
@@ -105,11 +112,18 @@ def reference_threshold(dmap):
     return ThresholdReport("ok", lo, hi, nm != 0 and pm / (2 * nm) < 0)
 
 
+def family_members(fam):
+    """The (A, B, C) Enumerators of each member of a family: its integer
+    lists over the family's scale."""
+    s = fam.scale
+    return tuple(tuple(Enumerator(fam.n, tuple(Q(v, s) for v in vec)) for vec in m) for m in fam.ints)
+
+
 def family_row(fam, func, sense):
     """The constraint func(A, B, C) <sense> 0 on a family's points, func
     linear memberwise, evaluated on each member in its own types."""
-    base = func(*fam.members[0])
-    return LinConstraint(tuple(func(*m) for m in fam.members[1:]), sense, -base)
+    base, *steps = family_members(fam)
+    return LinConstraint(tuple(func(*m) for m in steps), sense, -func(*base))
 
 
 def code_from_strings(rows):
@@ -125,8 +139,8 @@ def verdict_all_ok(verdict):
 
 def family_enumerator_at(fam, point):
     """The A of a family at a point: the members' A combined in Fractions."""
-    A = fam.members[0][0]
-    for v, (Ai, _, _) in zip(point, fam.members[1:]):
+    (A, _, _), *steps = family_members(fam)
+    for v, (Ai, _, _) in zip(point, steps):
         if v:
             A = A + Ai.scale(Q(v))
     return A

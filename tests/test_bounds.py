@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import family_enumerator_at, family_row
+from corpus import family_enumerator_at, family_members, family_row
 
 from gf4msd import bounds, simplex
 from gf4msd.bounds import (
@@ -162,7 +162,6 @@ def test_lattice_moduli_derivation():
 def test_lattice_points_have_integral_coefficients():
     _, pts, fam = lattice_search(7, use_quantum=False)
     for p in pts:
-        _, B, _ = fam.members[0]
         full = family_enumerator_at(fam, p)
         from gf4msd.enumerators import macwilliams
 
@@ -655,7 +654,7 @@ def _family_row_digests():
     from gf4msd.exact import q_to_str
 
     def members(fam):
-        return ["|".join(",".join(q_to_str(c) for c in E.coeffs) for E in m) for m in fam.members]
+        return ["|".join(",".join(q_to_str(c) for c in E.coeffs) for E in m) for m in family_members(fam)]
 
     def rows(rs):
         return ["%s %s %s" % (",".join(map(str, r.coeffs)), r.sense, r.rhs) for r in rs]

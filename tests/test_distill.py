@@ -5,6 +5,8 @@ from fractions import Fraction as Q
 import pytest
 from corpus import (
     T_OF_EPS,
+    family_members,
+    fixed_point_poly,
     poly_pow,
     random_family_params,
     random_maximal_codes,
@@ -15,6 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gf4msd.distill import (
+    DegenerateMapError,
+    DistillMap,
+    NoiseExponent,
     bernstein_certificate,
     build_map,
     check_success_nonneg,
@@ -27,7 +32,7 @@ from gf4msd.distill import (
     threshold_slack,
 )
 from gf4msd.enumerators import Enumerator, is_map_length, macwilliams, signed_eval
-from gf4msd.exact import poly_compose, poly_deriv, poly_eval, poly_mul, poly_scale, rref
+from gf4msd.exact import ord_at_zero, poly_compose, poly_deriv, poly_eval, poly_mul, poly_scale, rref
 from gf4msd.gf4 import weight_enumerator
 from gf4msd.invariants import (
     InvariantParams,
@@ -201,6 +206,11 @@ def test_noise_exponent_useless():
     assert ne.status == "useless" and ne.nu is None
 
 
+def test_noise_exponent_perfect():
+    # M = 0 identically is the perfect-map sentinel
+    assert noise_exponent(DistillMap(5, 1, (0,) * 6, 1)) == NoiseExponent("perfect", None, None)
+
+
 def test_quantum_verdicts():
     good = quantum_verdict(FIVE_A)
     assert verdict_all_ok(good)
@@ -236,6 +246,16 @@ def test_threshold_constraint_n7_ratio_form():
             assert thr[1][0] == expect_minus, (c1, d0)
 
 
+def test_degenerate_octahedron_test_raises():
+    # A(1, 1) = 64 but N(eps_max) = 0: the slack's sign decides neither
+    # logical sign choice
+    A = _family_point(7, (0, Q(18, 5)))
+    assert A.total() == 64 and signed_eval(A, Q(1, 9)) == 0
+    for check in (check_threshold_constraint, quantum_verdict):
+        with pytest.raises(DegenerateMapError):
+            check(A)
+
+
 def test_threshold_constraint_slack_is_rational():
     thr = check_threshold_constraint(FAKE_11)
     ok_minus, slack = thr[1]
@@ -256,7 +276,7 @@ def test_rational_threshold_identity():
                 return signed_eval(A, t) + lam * Q(odd, 3)
 
             # both sides of each identity have degree <= n in eps
-            p, n_poly = m.fixed_point_poly(), m.n_poly
+            p, n_poly = fixed_point_poly(m), m.n_poly
             assert len(p) <= A.n + 1 and len(n_poly) <= A.n + 1
             for i in range(A.n + 1):
                 eps = Q(i, 7) - Q(1, 3)
@@ -297,20 +317,20 @@ def test_build_map_rejects_bad_inputs():
 
 def test_closed_form_map_matches_composition_in_t():
     # every member of both families for odd n = 5..61, both signs, and
-    # n = 1: the values of the route that composed in t, each an int or a
-    # Fraction as that route gave it
+    # n = 1: the eps polynomials of the map on the integer numerator equal
+    # the route that composed in t
     from corpus import reference_map_polys
 
     from gf4msd.bounds import distillation_family
-    from gf4msd.distill import _map_polys
+    from gf4msd.distill import _numerator
 
-    pairs = [(A, C) for n in range(5, 62, 2) for pin in (True, False) for A, _, C in distillation_family(n, pin).members]
+    fams = [distillation_family(n, pin) for n in range(5, 62, 2) for pin in (True, False)]
+    pairs = [(A, C) for fam in fams for A, _, C in family_members(fam)]
     pairs += [(Enumerator(1, (a, 0)), Enumerator(1, (0, c))) for a in (0, 1, Q(1, 2)) for c in (0, 3, Q(1, 3))]
     for A, C in pairs:
         for lam in (1, -1):
-            got, want = _map_polys(A, C, lam), reference_map_polys(A, C, lam)
-            assert got == want
-            assert [type(v) for p in got for v in p] == [type(v) for p in want for v in p]
+            dmap = DistillMap(A.n, lam, *_numerator(A, C, lam))
+            assert (dmap.m_poly, dmap.n_poly) == reference_map_polys(A, C, lam)
 
 
 def threshold_corpus():
@@ -353,7 +373,7 @@ def test_threshold_matches_eps_chain_reference(data, n, lam):
     A = _family_point(n, data.draw(st.lists(st.integers(-60, 60), min_size=free, max_size=free)))
     dmap = build_map(A, lam)
     assert threshold(dmap) == reference_threshold(dmap)
-    p = dmap.fixed_point_poly()
+    p = fixed_point_poly(dmap)
     q = dmap.fixed_point_t()
     assert len(q) <= (n + 1) // 2 and all(type(v) is int for v in q) and dmap.scale > 0
     assert poly_scale(poly_mul((1, -2), poly_compose(q, T_OF_EPS)), Q(1, dmap.scale)) == p
@@ -366,7 +386,7 @@ def _meeting(n, lam, conditions, fixed):
     free = num_cprime(n) - 1 + num_dprime(n)
 
     def p_at(x):
-        return build_map(_family_point(n, x), lam).fixed_point_poly()
+        return fixed_point_poly(build_map(_family_point(n, x), lam))
 
     base = p_at([0] * free)
     units = [p_at([int(i == j) for i in range(free)]) for j in range(free)]
@@ -401,7 +421,7 @@ def test_threshold_at_a_double_root(n, root, extra, fixed, exact):
     # 1 - 2 eps (p is odd in u, so u^3 | p; then t | q)
     conditions = [_value(root), _value(root, 1)] + [_value(Q(1, 2), 1)] * extra
     dmap = build_map(_meeting(n, 1, conditions, [fixed]), 1)
-    assert all(f(dmap.fixed_point_poly()) == 0 for f in conditions)
+    assert all(f(fixed_point_poly(dmap)) == 0 for f in conditions)
     q = dmap.fixed_point_t()
     assert (q[0] == 0) == extra
     rep = threshold(dmap)
@@ -411,16 +431,22 @@ def test_threshold_at_a_double_root(n, root, extra, fixed, exact):
 
 
 def test_threshold_reads_no_eps_polynomials():
-    # the eps polynomials are cached properties: a map that threshold alone
-    # reads reports what one whose polynomials were read first does, and
-    # the other-sign map is the one build_map gives for -lam
+    # the eps polynomials are cached properties: a map that threshold,
+    # noise_exponent and eps_out alone read reports what the polynomials
+    # of one read first give, and the other-sign map is the one build_map
+    # gives for -lam
     for A in (FIVE_A, PUTATIVE_23, FAKE_11):
         for lam in (1, -1):
             fresh, read = build_map(A, lam), build_map(A, lam)
             assert read.m_poly and read.n_poly
-            rep = threshold(fresh)
+            rep, ne = threshold(fresh), noise_exponent(fresh)
+            eps = [Q(i, 7) - Q(1, 3) for i in range(A.n + 2)]
+            outs = [fresh.eps_out(e) for e in eps]
             assert "m_poly" not in vars(fresh) and "n_poly" not in vars(fresh)
             assert rep == threshold(read) and fresh == read
+            nu = ord_at_zero(read.m_poly)
+            assert (ne.nu, ne.leading) == (nu, read.m_poly[nu] / (2 * read.n_poly[0]))
+            assert outs == [poly_eval(read.m_poly, e) / (2 * poly_eval(read.n_poly, e)) for e in eps]
             other = build_map(A, lam).other_sign()
             assert other == build_map(A, -lam)
             assert (other.m_poly, other.n_poly) == (build_map(A, -lam).m_poly, build_map(A, -lam).n_poly)
