@@ -36,8 +36,6 @@ EXIT_PARSE = 2
 EXIT_MATH = 3
 EXIT_BUDGET = 4
 
-BASELINE_THRESHOLD = None  # 5-qubit reference, computed lazily
-
 
 class _Output:
     def __init__(self, args):
@@ -119,8 +117,9 @@ def _analyze_report(code: gf4.Gf4Code, budget: int, out: _Output):
             "nonneg_interval": distill.check_success_nonneg(A)[0],
         }
     if is_map_length(code.n) and code.k == (code.n - 1) // 2:
-        ne, thr_nat, thr_other, best = _sign_thresholds(A)
-        verdict = distill.quantum_verdict(A)
+        dmap = distill.build_map(A)
+        ne, thr_nat, thr_other, best = _sign_thresholds(dmap)
+        verdict = distill.quantum_verdict(dmap)
         report["distill"] = {
             "class": str(code.n % 6),
             "nu": ne.nu,
@@ -141,10 +140,9 @@ def _analyze_report(code: gf4.Gf4Code, budget: int, out: _Output):
     return report
 
 
-def _sign_thresholds(A):
-    """Noise exponent of the natural-sign map, the thresholds of both sign
-    maps, and the better of the two."""
-    dmap = distill.build_map(A)
+def _sign_thresholds(dmap):
+    """Noise exponent of the natural-sign map dmap, the thresholds of both
+    sign maps, and the better of the two."""
     nat = distill.threshold(dmap)
     other = distill.threshold(dmap.other_sign())
     if nat.status != "ok":
@@ -165,12 +163,11 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _baseline_interval():
-    global BASELINE_THRESHOLD
-    if BASELINE_THRESHOLD is None:
-        A = Enumerator.from_pairs(5, {0: 1, 4: 15})
-        BASELINE_THRESHOLD = distill.threshold(distill.build_map(A))
-    return BASELINE_THRESHOLD
+    """Threshold of the 5-qubit reference map, computed on the first
+    search of a process and reused."""
+    return distill.threshold(distill.build_map(Enumerator.from_pairs(5, {0: 1, 4: 15})))
 
 
 def cmd_search(args) -> int:
@@ -189,7 +186,7 @@ def cmd_search(args) -> int:
             k = (A.total().bit_length() - 1) // 2  # a shortening has 4^k words
             entry = {"n": A.n, "enumerator": key}
             if is_map_length(A.n) and k == (A.n - 1) // 2 and A.is_even_only():
-                ne, _, _, best = _sign_thresholds(A)
+                ne, _, _, best = _sign_thresholds(distill.build_map(A))
                 entry["nu"] = ne.nu
                 entry["threshold"] = best
             rows.append(entry)

@@ -17,13 +17,13 @@ for n = 5 mod 6 and -1 for n = 1 mod 6.  A map holds 3^h M in u as
 integers, the u-numerator w, and every reading of the map is computed
 from it: eps_out at u = 1 - 2 eps, the noise exponent from the rows of one
 integer binomial matrix (``eps_rows``, which the bounds' numerator rows
-share) and the polynomials in eps on demand.  Thresholds are isolated
-exactly on the integer polynomial q(t) of degree (n - 1) / 2 with
-M - 2 eps N = u q(t) up to a positive scale, read at t(eps) along a
-bisection in eps.  The quantum consistency constraints are
-decided over Q in t: success nonnegativity N >= 0 for t in [0, 1/3], and
-eps_out >= eps at the stabilizer-octahedron boundary
-eps_max = (1 - 1/sqrt(3)) / 2, where u = 1/sqrt(3), t = 1/9 and
+share), the polynomials in eps on demand, and N(t) and q(t) in t, integers
+with M - 2 eps N = u q(t) up to a positive scale (``t_polys``).  Thresholds
+are isolated exactly on q, of degree (n - 1) / 2, read at t(eps) along a
+bisection in eps.  The quantum consistency constraints read a map of
+either sign and are decided over Q in t for both: success nonnegativity
+N >= 0 for t in [0, 1/3], and eps_out >= eps at the stabilizer-octahedron
+boundary eps_max = (1 - 1/sqrt(3)) / 2, where u = 1/sqrt(3), t = 1/9 and
 sqrt(3) (M - 2 eps N) is the rational threshold_slack; both are integer
 weight rows over w (``eps_max_rows``), the verdicts' and the LP cuts'.
 No verdict touches floating point.
@@ -90,14 +90,16 @@ class DistillMap:
         w = tuple(-v if i % 2 else v for i, v in enumerate(self.numerator))
         return DistillMap(self.n, -self.lam, w, self.scale)
 
-    def fixed_point_t(self) -> tuple:
-        """The integer q with M - 2 eps N = u q(t) / scale, t = u^2 / 3.
-
-        M - 2 eps N = M - (1 - u) N = (M - N) + u N, and M - N is M's odd
-        part, so q_j = (w_2j + w_2j+1) 3^j; q has degree (n - 1) / 2.
-        """
+    def t_polys(self) -> tuple:
+        """The integers (N, q) in t = u^2 / 3 with N(t) = scale N and
+        M - 2 eps N = u q(t) / scale: N_j = w_2j 3^j from M's even part N,
+        and M - 2 eps N = (M - N) + u N, M - N being M's odd part, so
+        q_j = (w_2j + w_2j+1) 3^j; q has degree (n - 1) / 2."""
         w = self.numerator
-        return poly((a + c) * 3**j for j, (a, c) in enumerate(zip(w[::2], w[1::2])))
+        return (
+            poly(a * 3**j for j, a in enumerate(w[::2])),
+            poly((a + c) * 3**j for j, (a, c) in enumerate(zip(w[::2], w[1::2]))),
+        )
 
     def eps_out(self, eps) -> Fraction:
         """M / (2 N) at u = 1 - 2 eps; the scale cancels."""
@@ -256,12 +258,12 @@ def threshold(dmap: DistillMap) -> ThresholdReport:
 
     The bracketing interval holds the smallest root of p = M - 2 eps N in
     (0, 1/2) strictly inside (or is a single exact rational root) and is
-    refined to THRESHOLD_WIDTH.  p = u q(t) / scale (fixed_point_t), and
+    refined to THRESHOLD_WIDTH.  p = u q(t) / scale (t_polys), and
     eps -> t is one-to-one and falling on [0, 1/2], so the bisection runs
     on eps cells but reads the Sturm chain of q, of half p's degree, at
     t(eps).  The stability flag checks eps_out < eps just below.
     """
-    q = dmap.fixed_point_t()
+    n_t, q = dmap.t_polys()
     if not q:
         return ThresholdReport("identity")
     # isolating on (0, 1/2] leaves out the forced fixed point at 0; the
@@ -273,9 +275,8 @@ def threshold(dmap: DistillMap) -> ThresholdReport:
         return ThresholdReport("no_threshold")
     lo, hi = _refine(lambda eps: scaled_horner(chain[0], _t_of(eps)), *cell, THRESHOLD_WIDTH)
     # stability: sign of eps_out - eps at a point between 0 and the root,
-    # where u > 0: p has the sign of q(t), and N that of sum_j w_2j 3^j t^j
+    # where u > 0: p has the sign of q(t), and N that of N(t)
     t = _t_of(lo / 2 if lo > 0 else lo)
-    n_t = poly(v * 3**j for j, v in enumerate(dmap.numerator[::2]))
     stable = scaled_horner(q, t) * scaled_horner(n_t, t) < 0
     return ThresholdReport("ok", lo, hi, stable)
 
@@ -337,8 +338,8 @@ def _threshold_ok(dmap: DistillMap):
     return False, slack
 
 
-def check_threshold_constraint(A: Enumerator):
-    """eps_out(eps_max) >= eps_max for both logical sign choices.
+def check_threshold_constraint(dmap: DistillMap):
+    """eps_out(eps_max) >= eps_max for dmap and dmap.other_sign().
 
     eps_max = (1 - 1/sqrt(3))/2 is the stabilizer-octahedron boundary; a
     map crossing below it would purify undistillable states.  Returns
@@ -346,14 +347,15 @@ def check_threshold_constraint(A: Enumerator):
     threshold_slack, of sign opposite to N(eps_max) exactly on violation.
     N(eps_max) = 0 raises a degenerate-map error.
     """
-    dmap = build_map(A, 1)
-    return {m.lam: _threshold_ok(m) for m in (dmap.other_sign(), dmap)}
+    return {m.lam: _threshold_ok(m) for m in (dmap, dmap.other_sign())}
 
 
-def quantum_verdict(A: Enumerator) -> QuantumVerdict:
-    """Both consistency constraints with exact witnesses on failure."""
-    thr = check_threshold_constraint(A)
-    ok_s, wit_s = check_success_nonneg(A)
+def quantum_verdict(dmap: DistillMap) -> QuantumVerdict:
+    """Both consistency constraints from a map of either sign, with exact
+    witnesses on failure; N(t) of t_polys is a positive multiple of
+    signed_poly(A), so success is check_success_nonneg(A), witness and all."""
+    thr = check_threshold_constraint(dmap)
+    ok_s, wit_s = poly_nonneg_on(dmap.t_polys()[0], 0, Q(1, 3))
     return QuantumVerdict(
         success_nonneg=ok_s,
         threshold_ok_plus=thr[-1][0],

@@ -12,13 +12,14 @@ z holds letters 2 and 3 (Z, Y), entry 0 is the most significant bit, and a
 length-n word is the one int (x << n) | z.  Addition is XOR of the packed
 ints, and multiplying by w maps (x, z) to (z, x ^ z).
 
-`rref` is the one elimination over GF(4).  `nullspace`, and so the
-Hermitian dual, reads its pivots; `Gf4Code.contains` clears a word with
-the same reduction step against the stored rref; `shorten` is the rref of
-the stored rref's rows with the shortened column moved to the front; and the
-random grower rejects dependent candidates with `contains`.  The Hermitian
-dual is generated by the nullspace basis, which is independent, so it is
-built without an elimination and its rref is computed only if read.
+`rref` is the one elimination over GF(4), and the cached `Gf4Code._rref`
+the one place a code's rref is computed.  `nullspace`, and so the Hermitian dual,
+reads its pivots; `Gf4Code.contains` clears a word with the same reduction
+step against `_rref`; `shorten` is the rref of its rows with the shortened
+column moved to the front; and the random grower rejects dependent
+candidates with `contains`.  The Hermitian dual and a shortening have
+independent rows, so they are built without an elimination and their
+rref is computed only if read.
 
 All types are immutable after construction and safe to share across
 threads (a code's lazily computed rref is a function of its generators).
@@ -149,15 +150,13 @@ class Gf4Code:
                 raise ValueError("generator length != n")
             if any(a not in (0, 1, 2, 3) for a in g):
                 raise ValueError("entries must be GF(4) elements 0..3")
-        red, pivots = rref(gens, self.n)
-        if len(red) != len(gens):
+        if len(self._rref[0]) != len(gens):
             raise ValueError("generators are linearly dependent")
-        self.__dict__["_rref"] = (tuple(red), tuple(pivots))
 
     @functools.cached_property
     def _rref(self):
         """(rows, pivot columns) of the generators' rref, computed on first
-        use for a code built from rows known to be independent."""
+        read: when a validated code is built, else by `contains` or `shorten`."""
         red, pivots = rref(self.generators, self.n)
         return tuple(red), tuple(pivots)
 
@@ -184,16 +183,13 @@ class Gf4Code:
         return "\n".join(lines) + "\n"
 
 
-def _independent_code(n: int, generators, pivots=None) -> Gf4Code:
+def _independent_code(n: int, generators) -> Gf4Code:
     """The code generated by rows known to be independent, built without an
-    elimination.  With pivots given, the rows are in reduced row echelon
-    form with those pivots and are stored as the rref; otherwise the rref
-    is computed when `contains` or `shorten` first reads it."""
+    elimination; its rref is computed when `contains` or `shorten` first
+    reads it."""
     code = object.__new__(Gf4Code)
     object.__setattr__(code, "n", n)
     object.__setattr__(code, "generators", tuple(generators))
-    if pivots is not None:
-        code.__dict__["_rref"] = (code.generators, tuple(pivots))
     return code
 
 
@@ -390,15 +386,15 @@ def shorten(code: Gf4Code, coord: int) -> Gf4Code:
     The rref of the generators with column `coord` moved to the front has at
     most one row nonzero there, the one pivoting at it; the other rows span
     the codewords that vanish at `coord`, and with that column deleted they
-    are the shortened code's rref.  It starts from the code's stored rref,
-    whose rows are already reduced everywhere but at `coord`.
+    generate the shortened code.  It starts from the code's rref, whose rows
+    are already reduced everywhere but at `coord`.
     """
     if not 0 <= coord < code.n:
         raise IndexError("coordinate out of range")
     moved = [(g[coord],) + g[:coord] + g[coord + 1 :] for g in code._rref[0]]
     red, pivots = rref(moved, code.n)
     drop = 1 if pivots and pivots[0] == 0 else 0  # the row pivoting at `coord`
-    return _independent_code(code.n - 1, [r[1:] for r in red[drop:]], [c - 1 for c in pivots[drop:]])
+    return _independent_code(code.n - 1, [r[1:] for r in red[drop:]])
 
 
 @dataclass(frozen=True)

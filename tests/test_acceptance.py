@@ -306,7 +306,7 @@ def test_criterion_07_oracle_equivalence(codes_dir):
 def test_criterion_08a_fake_enumerator_threshold_violation():
     B = macwilliams(FAKE_11, 1024)
     assert all(c >= 0 for c in B.coeffs)
-    thr = check_threshold_constraint(FAKE_11)
+    thr = check_threshold_constraint(build_map(FAKE_11))
     ok_overall = thr[-1][0] and thr[1][0]
     assert not ok_overall
     failed = [lam for lam in (-1, 1) if not thr[lam][0]]
@@ -355,7 +355,7 @@ def test_criterion_08b_fake_enumerator_success_violation():
     B = macwilliams(violator, 2**10)
     for E in (violator, B):
         assert all(Q(c).denominator == 1 and c >= 0 and c % 3 == 0 for c in E.coeffs[1:])
-    assert check_threshold_constraint(violator) == {-1: (True, None), 1: (True, None)}
+    assert check_threshold_constraint(build_map(violator)) == {-1: (True, None), 1: (True, None)}
     # the witness is rbar^2 = 1/3, that is eps = 0
     ok, witness = check_success_nonneg(violator)
     assert (ok, witness) == (False, Q(1, 3))
@@ -375,7 +375,7 @@ def test_criterion_09_putative_enumerators():
     ne = noise_exponent(build_map(PUTATIVE[25]))
     assert ne.leading == Q(23591, 5) and ne.nu == 7
     for A in PUTATIVE.values():
-        assert verdict_all_ok(quantum_verdict(A))
+        assert verdict_all_ok(quantum_verdict(build_map(A)))
     print("criterion 9: PASS")
 
 

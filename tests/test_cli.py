@@ -7,7 +7,7 @@ import random
 import pytest
 from golden_cli import commands, golden_lines
 
-from gf4msd import bounds
+from gf4msd import bounds, distill
 from gf4msd.cli import build_parser, main
 from gf4msd.distill import DegenerateMapError
 from gf4msd.enumerators import DomainError, MacWilliamsError
@@ -34,6 +34,16 @@ def test_analyze_five_qubit(capsys, codes_dir):
     assert report["distill"]["threshold_best"]["decimal"].startswith("0.172673")
     q = report["distill"]["quantum_constraints"]
     assert q["success_nonneg"] and q["threshold_ok_plus"] and q["threshold_ok_minus"]
+
+
+def test_analyze_builds_one_map(capsys, codes_dir, monkeypatch):
+    # the noise exponent, both thresholds and the quantum verdict read one
+    # map, so the code's logical enumerator is derived once
+    calls = []
+    real = distill._logical
+    monkeypatch.setattr(distill, "_logical", lambda A: calls.append(A) or real(A))
+    assert run_cli(capsys, "analyze", str(codes_dir / "five_qubit.g4c"))[0] == 0
+    assert len(calls) == 1
 
 
 def test_analyze_hexacode_state_report(capsys, codes_dir):

@@ -20,6 +20,7 @@ from gf4msd.distill import (
     DegenerateMapError,
     DistillMap,
     NoiseExponent,
+    QuantumVerdict,
     bernstein_certificate,
     build_map,
     check_success_nonneg,
@@ -28,11 +29,12 @@ from gf4msd.distill import (
     natural_sign,
     noise_exponent,
     quantum_verdict,
+    slack_sign_ok,
     threshold,
     threshold_slack,
 )
-from gf4msd.enumerators import Enumerator, is_map_length, macwilliams, signed_eval
-from gf4msd.exact import ord_at_zero, poly_compose, poly_deriv, poly_eval, poly_mul, poly_scale, rref
+from gf4msd.enumerators import Enumerator, is_map_length, macwilliams, signed_eval, signed_poly, transform_xy
+from gf4msd.exact import ord_at_zero, poly, poly_compose, poly_deriv, poly_eval, poly_mul, poly_scale, rref
 from gf4msd.gf4 import weight_enumerator
 from gf4msd.invariants import (
     InvariantParams,
@@ -188,7 +190,7 @@ def test_putative_large_rows():
     assert (ne.nu, ne.leading) == (5, Q(11781, 23))
     rep = threshold(m)
     assert rep.decimal(5) == "0.16331" and rep.stable
-    assert verdict_all_ok(quantum_verdict(A35))
+    assert verdict_all_ok(quantum_verdict(m))
     A31 = Enumerator.from_pairs(
         31,
         {0: 1, 6: 369, 8: 2898, 10: 4521, 12: 57951, 14: 466488,
@@ -212,14 +214,14 @@ def test_noise_exponent_perfect():
 
 
 def test_quantum_verdicts():
-    good = quantum_verdict(FIVE_A)
+    good = quantum_verdict(build_map(FIVE_A))
     assert verdict_all_ok(good)
-    fake = quantum_verdict(FAKE_11)
+    fake = quantum_verdict(build_map(FAKE_11))
     assert not (fake.threshold_ok_plus and fake.threshold_ok_minus)
     assert fake.threshold_witness_minus is not None
     assert fake.threshold_witness_minus < 0
     for A in (PUTATIVE_19, PUTATIVE_23, PUTATIVE_25):
-        assert verdict_all_ok(quantum_verdict(A))
+        assert verdict_all_ok(quantum_verdict(build_map(A)))
 
 
 def test_success_nonneg_examples():
@@ -236,7 +238,7 @@ def test_threshold_constraint_n7_ratio_form():
     # the class-1 map constraint at eps_max reduces to d0/(25 c1 + 15 d0 - 54) >= 0
     for c1, d0 in [(-3, -6), (0, -6), (-9, 0), (-3, 6), (6, 6), (-3, 12)]:
         A = expand_family(InvariantParams(7, (1, Q(c1)), (Q(d0),)))
-        thr = check_threshold_constraint(A)
+        thr = check_threshold_constraint(build_map(A))
         denom = 25 * c1 + 15 * d0 - 54
         expect_plus = Q(d0, denom) >= 0 if denom else None
         if expect_plus is not None:
@@ -253,11 +255,61 @@ def test_degenerate_octahedron_test_raises():
     assert A.total() == 64 and signed_eval(A, Q(1, 9)) == 0
     for check in (check_threshold_constraint, quantum_verdict):
         with pytest.raises(DegenerateMapError):
-            check(A)
+            check(build_map(A))
+
+
+def _verdict_from_functionals(A):
+    """The QuantumVerdict assembled from enumerator functionals alone:
+    check_success_nonneg, the sign of N(eps_max) = signed_eval(A, 1/9) and
+    the threshold_slack of each sign, C = transform_xy(A) / A(1, 1) - A."""
+    C = transform_xy(A).scale(Q(1, A.total())) - A
+    n_max = signed_eval(A, Q(1, 9))
+    thr = {}
+    for lam in (1, -1):
+        slack = threshold_slack(A, C, lam)
+        ok = slack_sign_ok(n_max, slack)
+        thr[lam] = (ok, None if ok else slack)
+    ok_s, wit_s = check_success_nonneg(A)
+    return thr, QuantumVerdict(ok_s, thr[-1][0], thr[1][0], wit_s, thr[-1][1], thr[1][1])
+
+
+def _verdict_corpus():
+    """FIVE_A, FAKE_11, PUTATIVE_23 and seeded integer family points at
+    n = 5, 7, 11 and 13 whose N(eps_max) is not 0."""
+    rng = random.Random(30)
+    corpus = [FIVE_A, FAKE_11, PUTATIVE_23]
+    for n in (5, 7, 11, 13):
+        free = num_cprime(n) - 1 + num_dprime(n)
+        corpus += [_family_point(n, [rng.randint(-60, 60) for _ in range(free)]) for _ in range(12)]
+    return [A for A in corpus if signed_eval(A, Q(1, 9)) != 0]
+
+
+def test_verdicts_read_a_map_of_either_sign():
+    # a map of either sign decides both constraints for both signs, as the
+    # enumerator functionals do
+    corpus = _verdict_corpus()
+    assert len(corpus) > 40
+    for A in corpus:
+        thr, verdict = _verdict_from_functionals(A)
+        for lam in (1, -1):
+            dmap = build_map(A, lam)
+            assert check_threshold_constraint(dmap) == thr, (A, lam)
+            assert quantum_verdict(dmap) == verdict, (A, lam)
+
+
+def test_t_polys_n_is_a_positive_multiple_of_signed_poly():
+    # the same integer N(t) for both signs; q is checked against p in
+    # test_threshold_matches_eps_chain_reference
+    for A in _verdict_corpus() + [PUTATIVE_19, PUTATIVE_25]:
+        n_t = build_map(A, 1).t_polys()[0]
+        sp = poly(signed_poly(A))
+        c = Q(n_t[0], sp[0])
+        assert c > 0 and n_t == tuple(c * v for v in sp) and all(type(v) is int for v in n_t)
+        assert build_map(A, -1).t_polys()[0] == n_t
 
 
 def test_threshold_constraint_slack_is_rational():
-    thr = check_threshold_constraint(FAKE_11)
+    thr = check_threshold_constraint(build_map(FAKE_11))
     ok_minus, slack = thr[1]
     assert not ok_minus and slack == Q(-5152, 6561)
 
@@ -374,7 +426,7 @@ def test_threshold_matches_eps_chain_reference(data, n, lam):
     dmap = build_map(A, lam)
     assert threshold(dmap) == reference_threshold(dmap)
     p = fixed_point_poly(dmap)
-    q = dmap.fixed_point_t()
+    q = dmap.t_polys()[1]
     assert len(q) <= (n + 1) // 2 and all(type(v) is int for v in q) and dmap.scale > 0
     assert poly_scale(poly_mul((1, -2), poly_compose(q, T_OF_EPS)), Q(1, dmap.scale)) == p
 
@@ -422,7 +474,7 @@ def test_threshold_at_a_double_root(n, root, extra, fixed, exact):
     conditions = [_value(root), _value(root, 1)] + [_value(Q(1, 2), 1)] * extra
     dmap = build_map(_meeting(n, 1, conditions, [fixed]), 1)
     assert all(f(fixed_point_poly(dmap)) == 0 for f in conditions)
-    q = dmap.fixed_point_t()
+    q = dmap.t_polys()[1]
     assert (q[0] == 0) == extra
     rep = threshold(dmap)
     assert rep == reference_threshold(dmap)

@@ -1,5 +1,6 @@
 """Randomized property suites over code and enumerator corpora."""
 
+import functools
 import random
 from fractions import Fraction as Q
 
@@ -24,6 +25,8 @@ from gf4msd.gf4 import (
     random_maximal_self_orthogonal_code,
     shorten,
     unpack,
+    vec_add,
+    vec_scale,
     weight_enumerator,
 )
 from gf4msd.invariants import expand_family, h_series, params_from_enumerator
@@ -99,8 +102,9 @@ def test_shortening_monotonicity():
 
 def test_shortening_has_every_codeword_vanishing_there():
     # 4^k of the shortening at c counts the parent's codewords zero at c,
-    # also at a coordinate no generator touches; the shortening keeps the
-    # rows it reduced as its rref, the one a fresh construction computes
+    # also at a coordinate no generator touches; the rref the shortening
+    # computes of its rows on first read is the one a fresh construction
+    # computes
     padded = Gf4Code(8, tuple(g[:3] + (0,) + g[3:] for g in MAXIMAL[0].generators))
     assert padded.n == 8 and padded.k == 3
     for code in CODES + [padded]:
@@ -111,6 +115,27 @@ def test_shortening_has_every_codeword_vanishing_there():
             short = shorten(code, c)
             assert 4**short.k == vanishing, (code, c)
             assert short._rref == Gf4Code(short.n, short.generators)._rref, (code, c)
+
+
+def test_shortening_answers_as_a_validated_code():
+    # a shortening is built from its rows without validation; its answers
+    # to contains, on its rows, their combinations and random words, and
+    # its further shortenings are those of the code the same rows build
+    # through Gf4Code
+    rng = random.Random(30)
+    for code in random_codes(seed=30, count=80, max_n=12):
+        for c in range(code.n):
+            short = shorten(code, c)
+            fresh = Gf4Code(short.n, short.generators)
+            words = list(short.generators)
+            for _ in range(6):
+                combo = [vec_scale(rng.randrange(4), g) for g in short.generators]
+                words.append(functools.reduce(vec_add, combo, (0,) * short.n))
+                words.append(tuple(rng.randrange(4) for _ in range(short.n)))
+            assert [short.contains(w) for w in words] == [fresh.contains(w) for w in words], (code, c)
+            assert all(short.contains(w) for w in words[: short.k])
+            for d in range(short.n):
+                assert shorten(short, d) == shorten(fresh, d), (code, c, d)
 
 
 def test_maximal_codes_have_full_weight_logical():
