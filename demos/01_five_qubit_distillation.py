@@ -22,7 +22,7 @@ print("generators:", code.generators)
 A = weight_enumerator(code)
 print("A(1,y) =", A.pretty())
 
-B = macwilliams(A, A.total())
+B = macwilliams(A)
 print("B(1,y) =", B.pretty())
 print("C(1,y) =", (B - A).pretty())
 

@@ -11,8 +11,6 @@ from .enumerators import (
     DomainError,
     Enumerator,
     MacWilliamsError,
-    alt_odd_eval,
-    logical_enumerator,
     macwilliams,
     signed_eval,
     transform_xy,
@@ -35,7 +33,6 @@ from .gf4 import (
     zero_code,
 )
 from .invariants import (
-    HSeries,
     InvariantParams,
     SelfDualParams,
     expand_family,

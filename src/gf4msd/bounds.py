@@ -248,6 +248,8 @@ def lp_feasible(polytope: Polytope, objective=None, maximize=False, *, slack_sta
     simplex.solve, by callers that read only the status or the optimum: the
     witness is then certified but maybe not Bland's vertex, a bound's one.
     """
+    if objective is not None and len(objective) != polytope.dim:
+        raise ValueError("objective has %d coefficients for %d variables" % (len(objective), polytope.dim))
     status, reduced, embed = reduce_equalities(polytope)
     if status == "infeasible":
         return _equalities_infeasible([c for c in polytope.constraints if c.sense == "=="], reduced)

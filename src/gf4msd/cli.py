@@ -105,7 +105,7 @@ def _analyze_report(code: gf4.Gf4Code, budget: int, out: _Output):
         "self_dual": gf4.is_self_dual(code),
         "A": json.loads(A.to_json()),
     }
-    B = macwilliams(A, A.total())
+    B = macwilliams(A)
     report["B"] = json.loads(B.to_json())
     C = B - A
     report["C"] = json.loads(C.to_json())

@@ -13,7 +13,8 @@ where N and M are polynomials in u:
 
 so that N is M's even part and M - 2 eps N = u (N + lam sum_j C_{2j+1}
 (-1)^j t^j / 3); lam in {+1, -1} is the logical sign choice, naturally +1
-for n = 5 mod 6 and -1 for n = 1 mod 6.  A map holds 3^h M in u as
+for n = 5 mod 6 and -1 for n = 1 mod 6; build_map builds the natural
+sign's map and other_sign() the other's.  A map holds 3^h M in u as
 integers, the u-numerator w, and every reading of the map is computed
 from it: eps_out at u = 1 - 2 eps, the noise exponent from the rows of one
 integer binomial matrix (``eps_rows``, which the bounds' numerator rows
@@ -183,18 +184,11 @@ def _logical(A: Enumerator) -> Enumerator:
     return C
 
 
-def build_map(A: Enumerator, lam: int | None = None) -> DistillMap:
-    """Distillation map for an even-only enumerator A, n = +-1 mod 6.
-
-    lam selects the logical sign class; None takes the natural choice for
-    n mod 6.
-    """
-    C = _logical(A)
-    if lam is None:
-        lam = natural_sign(A.n)
-    if lam not in (1, -1):
-        raise DomainError("lam must be +1 or -1")
-    return DistillMap(A.n, lam, *_numerator(A, C, lam))
+def build_map(A: Enumerator) -> DistillMap:
+    """Natural-sign distillation map of an even-only enumerator A, n = +-1
+    mod 6; other_sign() gives the map of the other logical sign class."""
+    lam = natural_sign(A.n)
+    return DistillMap(A.n, lam, *_numerator(A, _logical(A), lam))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from .exact import Q, as_int_if_possible, integer_row, poly_eval, q_from_str, q_to_str
+from .exact import Q, as_int_if_possible, integer_row, poly_eval, q_to_str
 
 
 class DomainError(ValueError):
@@ -145,7 +145,7 @@ class Enumerator:
             if type(c) is not int and not (isinstance(c, str) and _RATIONAL.fullmatch(c)):
                 raise ParseError("coefficient %r is not an integer or a rational string" % (c,))
         try:
-            return cls(n, tuple(q_from_str(c) if isinstance(c, str) else c for c in coeffs))
+            return cls(n, tuple(Q(c) if isinstance(c, str) else c for c in coeffs))
         except ValueError as exc:  # a numerator past the int string-conversion limit
             raise ParseError(str(exc)) from None
 
@@ -170,37 +170,22 @@ def transform_xy(A: Enumerator) -> Enumerator:
     return Enumerator(A.n, tuple(acc) if scale == 1 else tuple(Q(x, scale) for x in acc))
 
 
-def macwilliams(A: Enumerator, codeword_count) -> Enumerator:
-    """Dual enumerator B(x, y) = A(x + 3y, x - y) / codeword_count.
+def macwilliams(A: Enumerator) -> Enumerator:
+    """Dual enumerator B(x, y) = A(x + 3y, x - y) / A(1, 1).
 
-    Raises MacWilliamsError when the declared count disagrees with A(1,1),
-    or when an all-integer input produces a non-integer coefficient (the
-    input then cannot be the enumerator of a code; nothing is rounded).
+    Raises MacWilliamsError when an all-integer input produces a
+    non-integer coefficient (the input then cannot be the enumerator of a
+    code; nothing is rounded).
     """
-    if A.total() != codeword_count:
-        raise MacWilliamsError(
-            "codeword count %s != A(1,1) = %s" % (codeword_count, A.total())
-        )
-    raw = transform_xy(A)
-    coeffs = tuple(Q(a, 1) / codeword_count for a in raw.coeffs)
+    total = A.total()
+    coeffs = tuple(Q(a, total) for a in transform_xy(A).coeffs)
     if A.is_integral():
-        bad = [j for j, c in enumerate(coeffs) if Q(c).denominator != 1]
+        bad = [j for j, c in enumerate(coeffs) if c.denominator != 1]
         if bad:
             raise MacWilliamsError(
                 "non-integer dual coefficients at degrees %s" % (bad,)
             )
     return Enumerator(A.n, coeffs)
-
-
-def logical_enumerator(A: Enumerator, B: Enumerator) -> Enumerator:
-    """C = B - A, the enumerator of logical (coset) operators."""
-    if A.n != B.n:
-        raise ValueError("degree mismatch")
-    C = B - A
-    neg = [j for j, c in enumerate(C.coeffs) if c < 0]
-    if neg:
-        raise ValueError("B_j < A_j at degrees %s; inputs inconsistent" % (neg,))
-    return C
 
 
 def signed_poly(A: Enumerator) -> tuple:
@@ -213,23 +198,7 @@ def signed_poly(A: Enumerator) -> tuple:
     return tuple((-1) ** j * A.coeffs[2 * j] for j in range(A.n // 2 + 1))
 
 
-def odd_poly(C: Enumerator) -> tuple:
-    """Coefficients in s = rbar^2 of sum_j C_{2j+1} (-s)^j, the alternating
-    odd part of C over rbar; requires all even coefficients to vanish."""
-    if not C.is_odd_only():
-        raise ValueError("alternating odd evaluation needs an odd-only enumerator")
-    return tuple((-1) ** j * C.coeffs[2 * j + 1] for j in range((C.n + 1) // 2))
-
-
 def signed_eval(A: Enumerator, rbar2) -> Fraction:
     """A(1, i rbar) = sum_j A_{2j} (-rbar^2)^j, exact in rbar^2."""
     return poly_eval(signed_poly(A), rbar2 if isinstance(rbar2, (int, Fraction)) else Q(rbar2))
 
-
-def alt_odd_eval(C: Enumerator, t) -> Fraction:
-    """sum_j C_{2j+1} (-1)^j t^(2j+1) = t odd_poly(C)(t^2), exact.
-
-    Requires all even coefficients to vanish (logical part only).
-    """
-    p, t = odd_poly(C), Q(t)
-    return t * poly_eval(p, t * t)

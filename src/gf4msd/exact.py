@@ -29,10 +29,6 @@ def q_to_str(x) -> str:
     return str(num) if den == 1 else "%d/%d" % (num, den)
 
 
-def q_from_str(s: str) -> Fraction:
-    return Q(s.strip())
-
-
 def as_int_if_possible(x):
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
@@ -107,11 +103,6 @@ def poly_degree(p) -> int:
 def poly_add(p, q_) -> tuple:
     n = max(len(p), len(q_))
     return poly((p[i] if i < len(p) else 0) + (q_[i] if i < len(q_) else 0) for i in range(n))
-
-
-def poly_sub(p, q_) -> tuple:
-    n = max(len(p), len(q_))
-    return poly((p[i] if i < len(p) else 0) - (q_[i] if i < len(q_) else 0) for i in range(n))
 
 
 def poly_scale(p, s) -> tuple:

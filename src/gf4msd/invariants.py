@@ -68,17 +68,11 @@ class SelfDualParams:
             raise ValueError("expected %d coefficients" % (self.n // 6 + 1))
 
 
-@dataclass(frozen=True)
-class HSeries:
-    order: int
-    coeffs: tuple
-
-
-def h_series(order: int) -> HSeries:
-    """Power-series coefficients H_j = (-4)^j (1/2)_j / (2)_j = (-1)^j Catalan(j)."""
+def h_series(order: int) -> tuple:
+    """Power-series coefficients H_j = (-4)^j (1/2)_j / (2)_j = (-1)^j Catalan(j), j <= order."""
     if order < 0:
         raise DomainError("order must be nonnegative")
-    return HSeries(order, tuple((-1) ** j * catalan(j) for j in range(order + 1)))
+    return tuple((-1) ** j * catalan(j) for j in range(order + 1))
 
 
 def _blocks(n: int) -> list:
@@ -197,7 +191,7 @@ def extremal_distillation_params(n: int) -> InvariantParams:
     """
     check_length(n, is_odd_family_length, is_map_length)
     m, nd = num_cprime(n) - 1, num_dprime(n)
-    H = dict(enumerate(h_series(m + nd - 1).coeffs))
+    H = dict(enumerate(h_series(m + nd - 1)))
     if n % 6 == 5:
         P, R = {0: 9}, {t: 4 * h for t, h in H.items()}
     else:

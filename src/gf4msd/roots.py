@@ -105,7 +105,9 @@ def isolate_roots(p, a, b) -> list:
 
 
 def refine_root(p, lo, hi, width) -> tuple:
-    """Shrink an isolating interval of isolate_roots to the requested width."""
+    """Shrink an isolating interval of isolate_roots to a width > 0."""
+    if width <= 0:
+        raise ValueError("width must be positive")
     return _refine(partial(scaled_horner, sturm_chain(p)[0]), Q(lo), Q(hi), width)
 
 

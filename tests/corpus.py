@@ -14,8 +14,8 @@ from math import lcm
 
 from gf4msd.bounds import LinConstraint
 from gf4msd.distill import THRESHOLD_WIDTH, ThresholdReport
-from gf4msd.enumerators import Enumerator, odd_poly, signed_poly
-from gf4msd.exact import poly_add, poly_compose, poly_divmod, poly_eval, poly_mul, poly_scale, poly_sub
+from gf4msd.enumerators import Enumerator, signed_poly
+from gf4msd.exact import poly_add, poly_compose, poly_divmod, poly_eval, poly_mul, poly_scale
 from gf4msd.gf4 import (
     GF4_CHARS,
     Gf4Code,
@@ -78,17 +78,18 @@ T_OF_EPS = (Q(1, 3), Q(-4, 3), Q(4, 3))
 
 def reference_map_polys(A, C, lam):
     """(M, N) in eps with N = signed_poly(A)(t) and M = N + lam u
-    odd_poly(C)(t) / 3, each composed with t(eps) by poly_compose: the
+    sum_j C_2j+1 (-t)^j / 3, each composed with t(eps) by poly_compose: the
     route that distill.eps_rows, the binomial matrix on a map's
     u-numerator, replaced."""
     n_poly = poly_compose(signed_poly(A), T_OF_EPS)
-    odd = poly_mul((1, -2), poly_compose(odd_poly(C), T_OF_EPS))
+    odd_c = [(-1) ** j * c for j, c in enumerate(C.coeffs[1::2])]
+    odd = poly_mul((1, -2), poly_compose(odd_c, T_OF_EPS))
     return poly_add(n_poly, poly_scale(odd, Q(lam, 3))), n_poly
 
 
 def fixed_point_poly(dmap):
     """p = M - 2 eps N in eps, from the map's eps polynomials."""
-    return poly_sub(dmap.m_poly, poly_mul((0, 2), dmap.n_poly))
+    return poly_add(dmap.m_poly, poly_mul((0, -2), dmap.n_poly))
 
 
 def reference_threshold(dmap):

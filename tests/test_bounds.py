@@ -165,7 +165,7 @@ def test_lattice_points_have_integral_coefficients():
         full = family_enumerator_at(fam, p)
         from gf4msd.enumerators import macwilliams
 
-        Bp = macwilliams(full, full.total())
+        Bp = macwilliams(full)
         assert all(Q(c).denominator == 1 for c in Bp.coeffs)
         assert all(int(c) % 3 == 0 for c in Bp.coeffs[1:])
 
@@ -372,6 +372,13 @@ def test_lin_constraint_normalization_keeps_satisfied(case):
     for pt in points + [on_plane]:
         assert row.satisfied(pt) == _holds(sum(c * x for c, x in zip(coeffs, pt)), sense, rhs)
     assert row.is_trivial() == (None if any(coeffs) else _holds(0, sense, rhs))
+
+
+def test_lp_objective_needs_one_coefficient_per_variable():
+    assert lp_feasible(unit_square(), objective=[1, 1], maximize=True).optimum == 2
+    for objective in ([1, 1, 100], [1]):
+        with pytest.raises(ValueError, match="objective has %d coefficients for 2 variables" % len(objective)):
+            lp_feasible(unit_square(), objective=objective, maximize=True)
 
 
 def test_lp_with_equality_and_objective():

@@ -8,9 +8,9 @@ import pytest
 from golden_cli import commands, golden_lines
 
 from gf4msd import bounds, distill
-from gf4msd.cli import build_parser, main
+from gf4msd.cli import _sign_thresholds, build_parser, main
 from gf4msd.distill import DegenerateMapError
-from gf4msd.enumerators import DomainError, MacWilliamsError
+from gf4msd.enumerators import DomainError, Enumerator, MacWilliamsError
 from gf4msd.gf4 import Gf4Code, NotM3CodeError, random_maximal_self_orthogonal_code, random_self_orthogonal_code
 
 CODES = pathlib.Path(__file__).resolve().parents[1] / "codes"
@@ -44,6 +44,16 @@ def test_analyze_builds_one_map(capsys, codes_dir, monkeypatch):
     monkeypatch.setattr(distill, "_logical", lambda A: calls.append(A) or real(A))
     assert run_cli(capsys, "analyze", str(codes_dir / "five_qubit.g4c"))[0] == 0
     assert len(calls) == 1
+
+
+def test_best_threshold_of_two_is_the_larger():
+    # the integral point (-6, 6, 6) of lattice_search(11): both sign maps
+    # have a threshold, and the other sign's is the larger one
+    A = Enumerator.from_pairs(11, {0: 1, 2: 15, 4: 120, 6: 372, 8: 495, 10: 21})
+    _, nat, other, best = _sign_thresholds(distill.build_map(A))
+    assert (nat.status, other.status) == ("ok", "ok")
+    assert (nat.decimal(6), other.decimal(6)) == ("0.027719", "0.172673")
+    assert best is other
 
 
 def test_analyze_hexacode_state_report(capsys, codes_dir):

@@ -10,6 +10,7 @@ from corpus import (
     poly_pow,
     random_family_params,
     random_maximal_codes,
+    reference_map_polys,
     reference_threshold,
     verdict_all_ok,
 )
@@ -62,6 +63,12 @@ PUTATIVE_25 = Enumerator.from_pairs(
 FAKE_11 = Enumerator.from_pairs(11, {0: 1, 2: 11, 4: 138, 6: 22, 8: 645, 10: 207})
 
 
+def _signed_map(A, lam):
+    """The map of A for the logical sign lam: build_map(A) or its other_sign()."""
+    dmap = build_map(A)
+    return dmap if dmap.lam == lam else dmap.other_sign()
+
+
 def test_five_qubit_map_exact():
     m = build_map(FIVE_A)
     num, den = m.canonical_fraction()
@@ -74,8 +81,8 @@ def test_five_qubit_map_exact():
 
 def test_sign_class_choice_is_pinned():
     # only lam = +1 (the natural class-5 choice) reproduces the known map
-    wrong = build_map(FIVE_A, lam=-1)
-    assert wrong.canonical_fraction() != build_map(FIVE_A).canonical_fraction()
+    wrong = build_map(FIVE_A).other_sign()
+    assert wrong.lam == -1 and wrong.canonical_fraction() != build_map(FIVE_A).canonical_fraction()
     assert natural_sign(5) == 1 and natural_sign(7) == -1
     with pytest.raises(ValueError):
         natural_sign(9)
@@ -128,9 +135,9 @@ def _add(a, b):
 
 
 def _sub(a, b):
-    from gf4msd.exact import poly_sub
+    from gf4msd.exact import poly_add
 
-    return poly_sub(a, b)
+    return poly_add(a, poly_scale(b, -1))
 
 
 def test_half_fixed_point_generic():
@@ -292,7 +299,7 @@ def test_verdicts_read_a_map_of_either_sign():
     for A in corpus:
         thr, verdict = _verdict_from_functionals(A)
         for lam in (1, -1):
-            dmap = build_map(A, lam)
+            dmap = _signed_map(A, lam)
             assert check_threshold_constraint(dmap) == thr, (A, lam)
             assert quantum_verdict(dmap) == verdict, (A, lam)
 
@@ -301,11 +308,12 @@ def test_t_polys_n_is_a_positive_multiple_of_signed_poly():
     # the same integer N(t) for both signs; q is checked against p in
     # test_threshold_matches_eps_chain_reference
     for A in _verdict_corpus() + [PUTATIVE_19, PUTATIVE_25]:
-        n_t = build_map(A, 1).t_polys()[0]
+        dmap = build_map(A)
+        n_t = dmap.t_polys()[0]
         sp = poly(signed_poly(A))
         c = Q(n_t[0], sp[0])
         assert c > 0 and n_t == tuple(c * v for v in sp) and all(type(v) is int for v in n_t)
-        assert build_map(A, -1).t_polys()[0] == n_t
+        assert dmap.other_sign().t_polys()[0] == n_t
 
 
 def test_threshold_constraint_slack_is_rational():
@@ -319,9 +327,9 @@ def test_rational_threshold_identity():
     # M - 2 eps N = u q(t), q(t) = signed_eval(A, t) + lam sum_j C_{2j+1} (-1)^j t^j / 3;
     # at eps_max, u = 1/sqrt(3) and t = 1/9, so sqrt(3) (M - 2 eps N) = q(1/9)
     for A in (FIVE_A, FAKE_11, PUTATIVE_19, PUTATIVE_23):
-        C = macwilliams(A, A.total()) - A
+        C = macwilliams(A) - A
         for lam in (1, -1):
-            m = build_map(A, lam=lam)
+            m = _signed_map(A, lam)
 
             def q(t):
                 odd = sum(C.coeffs[2 * j + 1] * (-t) ** j for j in range((A.n + 1) // 2))
@@ -337,7 +345,7 @@ def test_rational_threshold_identity():
                 assert poly_eval(n_poly, eps) == signed_eval(A, u * u / 3), (A.n, lam, eps)
             assert threshold_slack(A, C, lam) == q(Q(1, 9)), (A.n, lam)
     # the five-qubit threshold lies below eps_max: positive slack, N(eps_max) > 0
-    C5 = macwilliams(FIVE_A, 16) - FIVE_A
+    C5 = macwilliams(FIVE_A) - FIVE_A
     assert threshold_slack(FIVE_A, C5, 1) > 0 and signed_eval(FIVE_A, Q(1, 9)) > 0
 
 
@@ -363,16 +371,12 @@ def test_build_map_rejects_bad_inputs():
         build_map(Enumerator.from_pairs(9, {0: 1}))  # n = 3 mod 6
     with pytest.raises(ValueError):
         build_map(Enumerator.from_pairs(5, {0: 1, 1: 1, 4: 14}))
-    with pytest.raises(ValueError):
-        build_map(FIVE_A, lam=2)
 
 
 def test_closed_form_map_matches_composition_in_t():
     # every member of both families for odd n = 5..61, both signs, and
     # n = 1: the eps polynomials of the map on the integer numerator equal
     # the route that composed in t
-    from corpus import reference_map_polys
-
     from gf4msd.bounds import distillation_family
     from gf4msd.distill import _numerator
 
@@ -404,7 +408,7 @@ def test_threshold_reports_pinned():
     digest = hashlib.sha256()
     for A in threshold_corpus():
         for lam in (1, -1):
-            rep = threshold(build_map(A, lam))
+            rep = threshold(_signed_map(A, lam))
             digest.update(repr((rep.status, rep.low, rep.high, rep.stable)).encode())
     assert digest.hexdigest() == "697db9e9606945cfdb4ddbad9aec7b416274429e68a9e731964f09af8d743649"
 
@@ -423,7 +427,7 @@ def test_threshold_matches_eps_chain_reference(data, n, lam):
     # p(eps) reported, and p = u q(u^2 / 3) / scale, scale > 0
     free = num_cprime(n) - 1 + num_dprime(n)
     A = _family_point(n, data.draw(st.lists(st.integers(-60, 60), min_size=free, max_size=free)))
-    dmap = build_map(A, lam)
+    dmap = _signed_map(A, lam)
     assert threshold(dmap) == reference_threshold(dmap)
     p = fixed_point_poly(dmap)
     q = dmap.t_polys()[1]
@@ -438,7 +442,7 @@ def _meeting(n, lam, conditions, fixed):
     free = num_cprime(n) - 1 + num_dprime(n)
 
     def p_at(x):
-        return fixed_point_poly(build_map(_family_point(n, x), lam))
+        return fixed_point_poly(_signed_map(_family_point(n, x), lam))
 
     base = p_at([0] * free)
     units = [p_at([int(i == j) for i in range(free)]) for j in range(free)]
@@ -472,7 +476,7 @@ def test_threshold_at_a_double_root(n, root, extra, fixed, exact):
     # p with a double root at root, and with extra an extra factor
     # 1 - 2 eps (p is odd in u, so u^3 | p; then t | q)
     conditions = [_value(root), _value(root, 1)] + [_value(Q(1, 2), 1)] * extra
-    dmap = build_map(_meeting(n, 1, conditions, [fixed]), 1)
+    dmap = _signed_map(_meeting(n, 1, conditions, [fixed]), 1)
     assert all(f(fixed_point_poly(dmap)) == 0 for f in conditions)
     q = dmap.t_polys()[1]
     assert (q[0] == 0) == extra
@@ -485,11 +489,11 @@ def test_threshold_at_a_double_root(n, root, extra, fixed, exact):
 def test_threshold_reads_no_eps_polynomials():
     # the eps polynomials are cached properties: a map that threshold,
     # noise_exponent and eps_out alone read reports what the polynomials
-    # of one read first give, and the other-sign map is the one build_map
-    # gives for -lam
+    # of one read first give, and other_sign is an involution onto the map
+    # of -lam, whose polynomials are the reference's
     for A in (FIVE_A, PUTATIVE_23, FAKE_11):
         for lam in (1, -1):
-            fresh, read = build_map(A, lam), build_map(A, lam)
+            fresh, read = _signed_map(A, lam), _signed_map(A, lam)
             assert read.m_poly and read.n_poly
             rep, ne = threshold(fresh), noise_exponent(fresh)
             eps = [Q(i, 7) - Q(1, 3) for i in range(A.n + 2)]
@@ -499,6 +503,6 @@ def test_threshold_reads_no_eps_polynomials():
             nu = ord_at_zero(read.m_poly)
             assert (ne.nu, ne.leading) == (nu, read.m_poly[nu] / (2 * read.n_poly[0]))
             assert outs == [poly_eval(read.m_poly, e) / (2 * poly_eval(read.n_poly, e)) for e in eps]
-            other = build_map(A, lam).other_sign()
-            assert other == build_map(A, -lam)
-            assert (other.m_poly, other.n_poly) == (build_map(A, -lam).m_poly, build_map(A, -lam).n_poly)
+            other = fresh.other_sign()
+            assert other.lam == -lam and other.other_sign() == fresh
+            assert (other.m_poly, other.n_poly) == reference_map_polys(A, macwilliams(A) - A, -lam)

@@ -20,7 +20,6 @@ from gf4msd.exact import (
     poly_gcd,
     poly_mul,
     primitive,
-    q_from_str,
     q_to_str,
     rref,
 )
@@ -29,8 +28,6 @@ from gf4msd.exact import (
 def test_rational_strings():
     assert q_to_str(Q(3)) == "3"
     assert q_to_str(Q(-256, 81)) == "-256/81"
-    assert q_from_str("-256/81") == Q(-256, 81)
-    assert q_from_str(" 7 ") == 7
 
 
 def test_rational_strings_by_input_type(monkeypatch):

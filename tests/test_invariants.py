@@ -79,10 +79,10 @@ def test_expand_selfdual_hexacode():
 
 def test_h_series():
     hs = h_series(8)
-    assert hs.coeffs == (1, -1, 2, -5, 14, -42, 132, -429, 1430)
-    assert h_series(0).coeffs == (1,)
+    assert hs == (1, -1, 2, -5, 14, -42, 132, -429, 1430)
+    assert h_series(0) == (1,)
     # closed form (-4)^j (1/2)_j / (2)_j
-    for j, h in enumerate(hs.coeffs):
+    for j, h in enumerate(hs):
         poch_half = Q(1)
         poch_two = Q(1)
         for i in range(j):

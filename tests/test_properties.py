@@ -53,9 +53,10 @@ def test_code_enumerator_structure():
 def test_macwilliams_involution_on_codes():
     for code in CODES:
         A = weight_enumerator(code)
-        B = macwilliams(A, 4**code.k)
+        assert A.total() == 4**code.k
+        B = macwilliams(A)
         assert all(c >= 0 for c in B.coeffs)
-        back = macwilliams(B, 4 ** (code.n - code.k))
+        back = macwilliams(B)
         assert back == A
 
 
@@ -73,7 +74,7 @@ def test_dual_enumerator_cross_module():
             continue
         A = weight_enumerator(code)
         dual = hermitian_dual(code)
-        assert weight_enumerator(dual) == macwilliams(A, 4**code.k)
+        assert weight_enumerator(dual) == macwilliams(A)
         checked += 1
     assert checked >= 30
 
@@ -85,7 +86,7 @@ def test_dual_enumerator_with_head_generators():
         code = random_maximal_self_orthogonal_code(random.Random(300 + n), n)
         dual = hermitian_dual(code)
         assert code.k > 6 and dual.k > 6
-        assert weight_enumerator(dual) == macwilliams(weight_enumerator(code), 4**code.k)
+        assert weight_enumerator(dual) == macwilliams(weight_enumerator(code))
 
 
 def test_shortening_monotonicity():
@@ -141,7 +142,7 @@ def test_shortening_answers_as_a_validated_code():
 def test_maximal_codes_have_full_weight_logical():
     for code in MAXIMAL:
         A = weight_enumerator(code)
-        B = macwilliams(A, 4**code.k)
+        B = macwilliams(A)
         C = B - A
         assert C.is_odd_only()
         assert C.coeffs[code.n] > 0
@@ -197,7 +198,7 @@ def test_sturm_vs_sampling_agreement():
 
 def test_h_series_matches_composition():
     order = 6
-    hs = h_series(order).coeffs
+    hs = h_series(order)
     eo = 3 * order + 2
     # phi(eps) = eps^3 (1-eps)^3 / ((1-2 eps)^2 (eps^2-eps+1)^2)
     num = poly_mul(poly_pow((0, 1), 3), poly_pow((1, -1), 3))

@@ -62,6 +62,14 @@ def test_refine_root_at_right_end():
     assert refine_root((-1, 1), 0, 1, Q(1, 1000)) == (1, 1)
 
 
+def test_refine_root_needs_a_positive_width():
+    # with width <= 0 the bisection ends only on a midpoint root, so it
+    # would never end on an irrational one
+    for width in (0, Q(-1, 2)):
+        with pytest.raises(ValueError):
+            refine_root((-3, 2), 1, 2, width)
+
+
 def test_exact_root_hits():
     # refinement lands exactly on a rational root hit mid-bisection
     ivs = isolate_roots((-1, 2), 0, 1)
